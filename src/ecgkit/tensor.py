@@ -2,8 +2,14 @@
 
 Every op that sees a tracked input returns a Tensor carrying its parents and
 a closure mapping the output gradient to parent gradients.  backward() walks
-the tape iteratively in reverse topological order, so deep recurrent unrolls
-never touch Python's recursion limit.
+the tape iteratively in reverse topological order, so deep graphs never
+touch Python's recursion limit.
+
+Recurrent layers are fused: lstm_sequence runs a whole LSTM direction as one
+tape node (one input-projection GEMM over all steps, the recurrence in
+preallocated buffers, and backpropagation through time inside its backward
+closure), so a sequence of any length adds one node per direction, not a
+graph per step.  lstm_step stays as the single-step reference.
 
 Training runs in 32-bit floats; the gradient-check suite feeds 64-bit arrays
 and every op preserves the input dtype.
@@ -44,7 +50,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
@@ -364,12 +370,10 @@ def dropout(x, p, training, rng):
 # -- activations -------------------------------------------------------------
 
 def _sigmoid_values(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without boolean masks:
+    # exp(min(x, 0)) is exactly 1 or e^x, so the bits match the two-branch
+    # form (the tanh form does not, and that moves training trajectories)
+    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def sigmoid(a):
@@ -512,12 +516,14 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
             _accum(bias, g.sum(axis=(0, 2)))
         _accum(weight, (gmat.T @ cols).reshape(c_out, c_in, k))
         if _tracked(x):
-            gcols = (gmat @ wmat).reshape(batch, out_len, c_in, k)
-            gcols = gcols.transpose(0, 2, 1, 3)
+            # one GEMM gives every tap's input gradient, tap-major, so tap j
+            # lands at offset j as one slice add with unit-stride reads
+            wtaps = weight.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
+            taps = (wtaps @ gmat.T).reshape(k, c_in, batch, out_len)
             gxp = np.zeros((batch, c_in, padded_len), dtype=g.dtype)
             span = (out_len - 1) * stride + 1
             for j in range(k):
-                gxp[:, :, j:j + span:stride] += gcols[:, :, :, j]
+                gxp[:, :, j:j + span:stride] += taps[j].transpose(1, 0, 2)
             _accum(x, gxp[:, :, padding:padding + length] if padding else gxp)
 
     return _node(out, tuple(parents), backward)
@@ -592,7 +598,7 @@ def max_pool1d(x, kernel, stride=None):
                          f"got {x.data.shape}")
     if stride is None:
         stride = kernel
-    batch, channels, length = x.data.shape
+    length = x.data.shape[2]
     if not 1 <= kernel <= length:
         raise ShapeError(f"pool kernel {kernel} exceeds length {length}")
     out_len = (length - kernel) // stride + 1
@@ -603,11 +609,11 @@ def max_pool1d(x, kernel, stride=None):
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        pos = np.arange(out_len).reshape(1, 1, out_len) * stride + arg
-        bi = np.broadcast_to(np.arange(batch).reshape(batch, 1, 1), pos.shape)
-        ci = np.broadcast_to(np.arange(channels).reshape(1, channels, 1),
-                             pos.shape)
-        np.add.at(gx, (bi, ci, pos), g)
+        span = (out_len - 1) * stride + 1
+        # descending offsets add overlapping windows in window order, the
+        # order a scatter-add over the windows would use
+        for j in reversed(range(kernel)):
+            gx[:, :, j:j + span:stride] += np.where(arg == j, g, 0)
         _accum(x, gx)
 
     return _node(out, (x,), backward)
@@ -667,15 +673,93 @@ def lstm_step(x_t, h_prev, c_prev, w_ih, w_hh, b):
     return h, c
 
 
-def _lstm_direction(steps, params, batch, hidden, dtype):
-    h = Tensor(np.zeros((batch, hidden), dtype=dtype))
-    c = Tensor(np.zeros((batch, hidden), dtype=dtype))
-    outputs = []
-    for x_t in steps:
-        h, c = lstm_step(x_t, h, c, params["w_ih"], params["w_hh"],
-                         params["b"])
-        outputs.append(h)
-    return outputs
+def lstm_sequence(x, w_ih, w_hh, b, reverse=False):
+    """One LSTM direction over x[batch, time, d] as a single tape node.
+
+    Weights hold four gate blocks of `hidden` rows each, in the order
+    (input, forget, cell, output): w_ih [4h, d], w_hh [4h, h], b [4h].  The
+    state starts at zero.  With reverse=True the sequence is read from the
+    last step to the first; out[:, t] is still the state at step t.
+    Returns h[batch, time, hidden].
+
+    The input projection is one GEMM over all steps; the recurrence fills
+    preallocated gate, cell and tanh(cell) buffers, and backward runs BPTT
+    in one loop before forming each parameter gradient with one GEMM.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"lstm_sequence expects [batch, time, features], "
+                         f"got {x.data.shape}")
+    batch, length, feat = x.data.shape
+    hidden = w_hh.data.shape[-1]
+    if (w_ih.data.shape != (4 * hidden, feat)
+            or w_hh.data.shape != (4 * hidden, hidden)
+            or b.data.shape != (4 * hidden,)):
+        raise ShapeError(
+            f"lstm_sequence weights {w_ih.data.shape}, {w_hh.data.shape}, "
+            f"{b.data.shape} do not fit input width {feat} and hidden size "
+            f"{hidden}")
+    if length < 1:
+        raise ShapeError("lstm_sequence needs at least one time step")
+    wi, wh = w_ih.data, w_hh.data
+    # every buffer below is indexed in processing order, not time order
+    xs = x.data.transpose(1, 0, 2)
+    xs = np.ascontiguousarray(xs[::-1] if reverse else xs)
+    rows = length * batch
+    gates = (xs.reshape(rows, feat) @ wi.T + b.data).reshape(
+        length, batch, 4, hidden)
+    cells = np.empty((length, batch, hidden), dtype=gates.dtype)
+    tanh_cells = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    h_prev = np.zeros((batch, hidden), dtype=gates.dtype)
+    c_prev = np.zeros_like(h_prev)
+    for s in range(length):
+        z = gates[s]
+        z += (h_prev @ wh.T).reshape(batch, 4, hidden)
+        candidate = np.tanh(z[:, 2])
+        z[...] = _sigmoid_values(z)
+        z[:, 2] = candidate
+        i, f, g, o = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
+        np.multiply(f, c_prev, out=cells[s])
+        cells[s] += i * g
+        np.tanh(cells[s], out=tanh_cells[s])
+        np.multiply(o, tanh_cells[s], out=hs[s])
+        h_prev, c_prev = hs[s], cells[s]
+    out = hs[::-1] if reverse else hs
+
+    def backward(grad):
+        gh = grad.transpose(1, 0, 2)
+        if reverse:
+            gh = gh[::-1]
+        i, f, g, o = (gates[:, :, k] for k in range(4))
+        c_before = np.concatenate([np.zeros_like(cells[:1]), cells[:-1]])
+        # dz = dc * coeff for the i, f, g gates and dh * coeff for o
+        coeff = np.empty_like(gates)
+        coeff[:, :, 0] = g * i * (1.0 - i)
+        coeff[:, :, 1] = c_before * f * (1.0 - f)
+        coeff[:, :, 2] = i * (1.0 - g * g)
+        coeff[:, :, 3] = tanh_cells * o * (1.0 - o)
+        dcell = o * (1.0 - tanh_cells * tanh_cells)
+        dz = np.empty_like(gates)
+        dh_next = np.zeros((batch, hidden), dtype=gates.dtype)
+        dc_next = np.zeros_like(dh_next)
+        for s in range(length - 1, -1, -1):
+            dh = gh[s] + dh_next
+            dc = dh * dcell[s]
+            dc += dc_next
+            np.multiply(coeff[s, :, :3], dc[:, None, :], out=dz[s, :, :3])
+            np.multiply(coeff[s, :, 3], dh, out=dz[s, :, 3])
+            dc_next = dc * f[s]
+            dh_next = dz[s].reshape(batch, 4 * hidden) @ wh
+        dzm = dz.reshape(rows, 4 * hidden)
+        _accum(w_ih, dzm.T @ xs.reshape(rows, feat))
+        _accum(w_hh, dz[1:].reshape(rows - batch, 4 * hidden).T
+               @ hs[:-1].reshape(rows - batch, hidden))
+        _accum(b, dzm.sum(axis=0))
+        if _tracked(x):
+            dx = (dzm @ wi).reshape(length, batch, feat)
+            _accum(x, (dx[::-1] if reverse else dx).transpose(1, 0, 2))
+
+    return _node(out.transpose(1, 0, 2), (x, w_ih, w_hh, b), backward)
 
 
 def bilstm(x, layer_params, hidden, dropout_rate=0.0, training=False,
@@ -683,27 +767,23 @@ def bilstm(x, layer_params, hidden, dropout_rate=0.0, training=False,
     """Stacked bidirectional LSTM over x[batch, time, features].
 
     layer_params is a list of {"fwd": gates, "bwd": gates} dicts, one per
-    layer, each gate set holding w_ih [4h, d], w_hh [4h, h] and b [4h].
-    Dropout applies between layers only, in train mode.
+    layer, each gate set holding w_ih [4h, d], w_hh [4h, h] and b [4h] in
+    lstm_sequence's (i, f, g, o) layout.  Each direction is one fused
+    lstm_sequence node; a layer's output concatenates the forward and
+    backward states into [batch, time, 2 * hidden].  Dropout applies
+    between layers only, in train mode.
     """
-    batch, length, _ = x.data.shape
-    if length < 1:
-        raise ShapeError("bilstm needs at least one time step")
     current = x
     for depth, params in enumerate(layer_params):
         if depth > 0 and dropout_rate > 0.0:
             current = dropout(current, dropout_rate, training, rng)
-        feat = current.data.shape[2]
-        steps = [reshape(narrow(current, 1, t, 1), (batch, feat))
-                 for t in range(length)]
-        fwd = _lstm_direction(steps, params["fwd"], batch, hidden,
-                              x.data.dtype)
-        bwd = _lstm_direction(steps[::-1], params["bwd"], batch, hidden,
-                              x.data.dtype)
-        bwd = bwd[::-1]
-        fwd_seq = concat([reshape(h, (batch, 1, hidden)) for h in fwd], 1)
-        bwd_seq = concat([reshape(h, (batch, 1, hidden)) for h in bwd], 1)
-        current = concat([fwd_seq, bwd_seq], 2)
+        fwd, bwd = params["fwd"], params["bwd"]
+        sizes = {fwd["w_hh"].data.shape[-1], bwd["w_hh"].data.shape[-1]}
+        if sizes != {hidden}:
+            raise ShapeError(f"bilstm layer {depth} weights do not have "
+                             f"hidden size {hidden}")
+        current = concat([lstm_sequence(current, **fwd),
+                          lstm_sequence(current, **bwd, reverse=True)], 2)
     return current
 
 

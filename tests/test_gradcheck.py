@@ -274,6 +274,15 @@ def case_lstm_cell_state(rng):
                    rng.normal(scale=0.5, size=4 * hidden)]
 
 
+def case_lstm_sequence_reverse(rng):
+    hidden, din = 2, 2
+    return (lambda ts: tk.lstm_sequence(*ts, reverse=True),
+            [rng.normal(size=(2, 3, din)),
+             rng.normal(scale=0.5, size=(4 * hidden, din)),
+             rng.normal(scale=0.5, size=(4 * hidden, hidden)),
+             rng.normal(scale=0.5, size=4 * hidden)])
+
+
 def case_bilstm(rng):
     hidden, din = 2, 2
 
@@ -355,6 +364,7 @@ CASES = {
     "dropout": case_dropout,
     "lstm_step": case_lstm_step,
     "lstm_cell_state": case_lstm_cell_state,
+    "lstm_sequence_reverse": case_lstm_sequence_reverse,
     "bilstm": case_bilstm,
     "attention_context": case_attention_context,
     "attention_weights": case_attention_weights,

@@ -155,6 +155,29 @@ class TestActivations:
         y = tk.sigmoid(t([-1000.0, 0.0, 1000.0]))
         np.testing.assert_allclose(y.data, [0.0, 0.5, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_and_swish_match_two_branch_form_bit_for_bit(self, dtype):
+        # training trajectories (and the saliency acceptance test) depend on
+        # these exact bits; a faster formula must not change them
+        x = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 88.0, -88.0, 1e4, -1e4],
+            np.random.default_rng(3).normal(scale=8.0, size=500),
+        ]).astype(dtype)
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        with np.errstate(invalid="ignore"):   # swish(-inf) is -inf * 0
+            pairs = ((tk.sigmoid(Tensor(x)).data, ref),
+                     (tk.swish(Tensor(x)).data, x * ref))
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            keep = ~np.isnan(want)
+            np.testing.assert_array_equal(got[keep].view(np.uint8),
+                                          want[keep].view(np.uint8))
+
     def test_activation_dispatch(self):
         x = t([0.3])
         assert tk.activation("tanh", x).data[0] == pytest.approx(np.tanh(0.3))
@@ -245,6 +268,22 @@ class TestConv1d:
                     ref = (xp[b, :, 2 * o:2 * o + 3] * w[co]).sum()
                     assert out[b, co, o] == pytest.approx(ref, rel=1e-10)
 
+    def test_input_gradient_matches_per_window_reference(self):
+        rng = np.random.default_rng(5)
+        for stride, padding, k in ((1, 0, 3), (2, 1, 3), (3, 2, 2),
+                                   (2, 0, 1), (1, 4, 2)):
+            x = t(rng.normal(size=(2, 3, 11)), requires_grad=True)
+            w = rng.normal(size=(4, 3, k))
+            out = tk.conv1d(x, t(w), stride=stride, padding=padding)
+            g = rng.normal(size=out.data.shape)
+            tk.mul(out, t(g)).sum().backward()
+            ref = np.zeros((2, 3, 11 + 2 * padding))
+            for o in range(out.data.shape[2]):
+                ref[:, :, o * stride:o * stride + k] += np.einsum(
+                    "bo,oik->bik", g[:, :, o], w)
+            np.testing.assert_allclose(x.grad, ref[:, :, padding:11 + padding],
+                                       rtol=1e-12, atol=1e-12)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             tk.conv1d(t(np.ones((1, 2, 5))), t(np.ones((3, 4, 3))))
@@ -317,6 +356,23 @@ class TestPooling:
             out = tk.max_pool1d(t(rng.normal(size=(1, 1, length))), kernel,
                                 stride)
             assert out.data.shape[2] == (length - kernel) // stride + 1
+
+    def test_max_pool_gradient_matches_scatter_add(self):
+        rng = np.random.default_rng(6)
+        for kernel, stride in ((2, 2), (3, 1), (3, 2), (4, 3)):
+            x = t(rng.permutation(2 * 3 * 13).reshape(2, 3, 13) * 0.1,
+                  requires_grad=True)
+            out = tk.max_pool1d(x, kernel, stride)
+            g = rng.normal(size=out.data.shape)
+            tk.mul(out, t(g)).sum().backward()
+            windows = np.lib.stride_tricks.sliding_window_view(
+                x.data, kernel, axis=2)[:, :, ::stride]
+            pos = (np.arange(out.data.shape[2]) * stride
+                   + windows.argmax(axis=-1))
+            ref = np.zeros_like(x.data)
+            bi, ci, _ = np.indices(pos.shape)
+            np.add.at(ref, (bi, ci, pos), g)
+            np.testing.assert_array_equal(x.grad, ref)
 
     def test_adaptive_avg_global(self):
         x = t([[[1.0, 2.0, 3.0, 4.0]]])
@@ -411,6 +467,75 @@ class TestLstm:
         assert np.abs(h.data).max() <= 1.0
 
 
+def unrolled_lstm(x, w_ih, w_hh, b, reverse=False):
+    """lstm_step applied step by step: the reference for lstm_sequence."""
+    batch, length, feat = x.data.shape
+    hidden = w_hh.data.shape[1]
+    h = t(np.zeros((batch, hidden)))
+    c = t(np.zeros((batch, hidden)))
+    outs = [None] * length
+    for step in (range(length - 1, -1, -1) if reverse else range(length)):
+        x_t = tk.reshape(tk.narrow(x, 1, step, 1), (batch, feat))
+        h, c = tk.lstm_step(x_t, h, c, w_ih, w_hh, b)
+        outs[step] = tk.reshape(h, (batch, 1, hidden))
+    return tk.concat(outs, 1)
+
+
+class TestLstmSequence:
+    def arrays(self, rng, length, feat=3, hidden=4):
+        return [rng.normal(size=(2, length, feat)),
+                rng.normal(scale=0.5, size=(4 * hidden, feat)),
+                rng.normal(scale=0.5, size=(4 * hidden, hidden)),
+                rng.normal(scale=0.5, size=4 * hidden)]
+
+    def run(self, fn, arrays, direction, reverse, track_x=True):
+        x, *weights = arrays
+        tensors = [t(x, requires_grad=track_x)]
+        tensors += [t(a, requires_grad=True) for a in weights]
+        out = fn(*tensors, reverse=reverse)
+        tk.mul(out, t(direction)).sum().backward()
+        return out.data, [tensor.grad for tensor in tensors]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("length", [1, 7])
+    def test_matches_unrolled_lstm_step(self, reverse, length):
+        rng = np.random.default_rng(30 + length + reverse)
+        arrays = self.arrays(rng, length)
+        direction = rng.normal(size=(2, length, 4))
+        out, grads = self.run(tk.lstm_sequence, arrays, direction, reverse)
+        ref, ref_grads = self.run(unrolled_lstm, arrays, direction, reverse)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        for grad, ref_grad in zip(grads, ref_grads):
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_untracked_input_still_trains_weights(self, reverse):
+        rng = np.random.default_rng(40)
+        arrays = self.arrays(rng, 5)
+        direction = rng.normal(size=(2, 5, 4))
+        _, grads = self.run(tk.lstm_sequence, arrays, direction, reverse,
+                            track_x=False)
+        _, ref_grads = self.run(unrolled_lstm, arrays, direction, reverse)
+        assert grads[0] is None
+        for grad, ref_grad in zip(grads[1:], ref_grads[1:]):
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(41)
+        arrays = [a.astype(np.float32) for a in self.arrays(rng, 4)]
+        out = tk.lstm_sequence(*(Tensor(a) for a in arrays))
+        assert out.data.dtype == np.float32
+        assert out.data.shape == (2, 4, 4)
+
+    def test_mismatched_weights_rejected(self):
+        rng = np.random.default_rng(42)
+        x, w_ih, w_hh, b = self.arrays(rng, 3)
+        with pytest.raises(ShapeError):
+            tk.lstm_sequence(t(x), t(w_ih[:, :2]), t(w_hh), t(b))
+        with pytest.raises(ShapeError):
+            tk.lstm_sequence(t(x[:, :0]), t(w_ih), t(w_hh), t(b))
+
+
 class TestBilstm:
     def layer(self, rng, d_in, hidden, shared=False):
         def gates():
@@ -453,6 +578,12 @@ class TestBilstm:
         layers = [self.layer(rng, 3, 4), self.layer(rng, 8, 4)]
         out = tk.bilstm(t(rng.normal(size=(2, 6, 3))), layers, 4)
         assert out.data.shape == (2, 6, 8)
+
+    def test_hidden_size_must_match_weights(self):
+        rng = np.random.default_rng(17)
+        with pytest.raises(ShapeError):
+            tk.bilstm(t(rng.normal(size=(2, 4, 3))), [self.layer(rng, 3, 4)],
+                      5)
 
     def test_dropout_only_in_training(self):
         rng = np.random.default_rng(16)
