@@ -3,25 +3,24 @@ explain, and end-to-end reproduction.
 
 Every subcommand writes its artifacts plus a run manifest recording the
 exact command, a configuration fingerprint, and the produced files. One
-master seed fans out to per-stage seeds so concurrent stages never share
-randomness and reruns are bit-for-bit repeatable.
+master seed fans out to per-stage seeds so stages never share randomness
+and reruns are bit-for-bit repeatable.
 """
 
 import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from . import tensor as tk
 from .beats import (CLASS_NAMES, BeatDataset, load_records_dir,
                     read_beats_csv, stratified_split, write_beats_csv)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (RunManifest, config_hash, derive_seed, load_config,
-                     thread_cap)
+from .config import RunManifest, config_hash, derive_seed, load_config
 from .ensemble import (STRATEGIES, LogitSet, ManifestEntry, build_strategy,
                        fuse, load_manifest, predict_classes, write_logits_csv,
                        write_manifest)
@@ -38,12 +37,6 @@ ARCHS = ("cnn", "cnn_lstm", "cnn_lstm_attn", "resnet1d")
 MIN_CI_SAMPLES = 30
 
 
-def softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def _macro_f1_of_pairs(pairs):
     matrix = confusion(pairs[:, 0].astype(np.int64),
                        pairs[:, 1].astype(np.int64))
@@ -55,15 +48,6 @@ def _write_json(path, payload):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _pool_map(fn, jobs):
-    """Run independent jobs, fanning out only when a cap above 1 is set."""
-    workers = min(thread_cap(), len(jobs))
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def _manifest_for(args, params):
@@ -158,7 +142,7 @@ def _train_generators(dataset, gan_config, labels, seed, stage_prefix):
                                                 seed=stage_seed)
         return label, (generator, discriminator)
 
-    return dict(_pool_map(job, list(labels)))
+    return dict(job(label) for label in labels)
 
 
 def _augment_dataset(dataset, gan_config, tau, balance_ratio, seed,
@@ -241,14 +225,15 @@ def cmd_train(args):
     dataset = read_beats_csv(beats_path)
     archs = list(ARCHS) if args.arch == "all" else [args.arch]
     command = "ecgkit " + " ".join(getattr(args, "_argv", []))
-    _pool_map(lambda arch: _train_one_arch(config, dataset, arch, command),
-              archs)
+    for arch in archs:
+        _train_one_arch(config, dataset, arch, command)
 
 
 def _report_run(out_dir, manifest, model=None, X=None, y=None,
                 logits=None, seed=17, n_resamples=1000, gradcam_count=0,
                 ensemble=None):
-    probabilities = softmax_rows(logits)
+    with tk.no_grad():
+        probabilities = tk.softmax(tk.Tensor(logits)).data
     y_pred = predict_classes(logits)
     bundle, matrix, curves, cis = _evaluate_arrays(y, y_pred, probabilities,
                                                    seed, n_resamples)
@@ -387,11 +372,10 @@ def cmd_reproduce(args):
                                balance_summary(dataset, balanced))
     manifest.add_files([augmented_path, summary_path])
 
-    # stage 3: all four architectures, concurrently when allowed
+    # stage 3: all four architectures
     command = "ecgkit " + " ".join(getattr(args, "_argv", []))
-    summaries = _pool_map(
-        lambda arch: _train_one_arch(config, balanced, arch, command),
-        list(ARCHS))
+    summaries = [_train_one_arch(config, balanced, arch, command)
+                 for arch in ARCHS]
 
     # stage 4: fuse on held-out beats; a dedicated test file wins over
     # the validation split
@@ -439,7 +423,8 @@ def cmd_reproduce(args):
                     seed=derive_seed(master, f"evaluate/{entry.model_id}"))
         stage_manifest.write(stage / "run.manifest.json")
 
-    _pool_map(evaluate_one, entries)
+    for entry in entries:
+        evaluate_one(entry)
     manifest.write(out / "reproduce.manifest.json")
 
 

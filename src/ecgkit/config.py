@@ -244,22 +244,6 @@ def derive_seed(master_seed, stage):
     return _splitmix64(state)
 
 
-def thread_cap():
-    """Worker ceiling for internal pools; ECGKIT_THREADS overrides the
-    sequential default."""
-    raw = os.environ.get("ECGKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"ECGKIT_THREADS must be an integer, got {raw!r}") \
-            from None
-    if value < 1:
-        raise ConfigError(f"ECGKIT_THREADS must be >= 1, got {value}")
-    return value
-
-
 @dataclass
 class RunManifest:
     """What a run produced, stamped with its configuration fingerprint."""

@@ -3,7 +3,7 @@
 For one beat and one target class, the map weights each feature channel
 by the time-averaged gradient of the target logit with respect to that
 channel, combines channels, clips negatives, and stretches the result
-back to beat length.
+back to beat length.  Feature maps are channels-last, [1, time, channels].
 """
 
 from dataclasses import dataclass
@@ -61,9 +61,9 @@ def grad_cam(model, beat, target_class):
         raise UsageError("no gradient reached the feature maps")
 
     # channel weight = time-mean of the gradient, one scalar per channel
-    alpha = grad.mean(axis=2, dtype=np.float64)
+    alpha = grad.mean(axis=1, dtype=np.float64)
     activations = features.data.astype(np.float64)
-    cam = np.maximum((alpha[:, :, None] * activations).sum(axis=1), 0.0)[0]
+    cam = np.maximum((alpha[:, None, :] * activations).sum(axis=2), 0.0)[0]
 
     length = beat.shape[0]
     positions = np.linspace(0.0, cam.size - 1.0, length)

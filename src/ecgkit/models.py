@@ -2,7 +2,9 @@
 
 A ModelDescriptor fully determines parameter names and shapes, so checkpoints
 can validate and rebuild models from it.  All architectures consume a batch
-shaped [b, 1, input_len] and emit logits [b, n_classes].
+shaped [b, 1, input_len] and emit logits [b, n_classes].  Inside, the input
+becomes [b, input_len, 1] and every layer runs channels-last on
+[b, time, channels], the layout of the tensor ops.
 """
 
 from __future__ import annotations
@@ -80,7 +82,10 @@ def _conv_out(length, kernel, stride, padding):
 
 
 def conv_feature_info(descriptor):
-    """(channels, length) of the final conv-stage feature map."""
+    """(channels, length) of the final conv-stage feature map.
+
+    The captured feature tensor itself is [b, length, channels].
+    """
     length = descriptor.input_len
     if descriptor.arch == "resnet1d":
         length = _conv_out(length, 7, 2, 3)
@@ -244,6 +249,8 @@ class Model:
             raise ShapeError(
                 f"input length {x.data.shape[2]} != descriptor length "
                 f"{self.descriptor.input_len}")
+        # one channel, so [b, 1, len] -> [b, len, 1] moves no data
+        x = tk.reshape(x, (x.data.shape[0], x.data.shape[2], 1))
         arch = self.descriptor.arch
         if arch == "cnn":
             return self._forward_cnn(x, training, capture)
@@ -285,9 +292,7 @@ class Model:
         h = self._trunk(x, training)
         if capture is not None:
             capture["features"] = h
-        batch, channels = h.data.shape[0], h.data.shape[1]
-        pooled = tk.adaptive_pool1d(h, 1, "avg")
-        return self._head(tk.reshape(pooled, (batch, channels)))
+        return self._head(h.mean(axis=1))
 
     def _lstm_params(self):
         layers = []
@@ -304,8 +309,7 @@ class Model:
         h = self._trunk(x, training)
         if capture is not None:
             capture["features"] = h
-        seq = tk.transpose(h, (0, 2, 1))  # [b, time, ch]
-        hidden = tk.bilstm(seq, self._lstm_params(),
+        hidden = tk.bilstm(h, self._lstm_params(),
                            self.descriptor.lstm_hidden,
                            dropout_rate=self.descriptor.lstm_dropout,
                            training=training, rng=rng)
@@ -316,9 +320,7 @@ class Model:
             if capture is not None:
                 capture["attention"] = alpha
             return self._head(context)
-        batch, _, feat = hidden.data.shape[0], 0, hidden.data.shape[2]
-        pooled = tk.adaptive_pool1d(tk.transpose(hidden, (0, 2, 1)), 1, "avg")
-        return self._head(tk.reshape(pooled, (batch, feat)))
+        return self._head(hidden.mean(axis=1))
 
     def _residual_block(self, h, prefix, stride, training):
         source = h
@@ -343,9 +345,7 @@ class Model:
                                          training)
         if capture is not None:
             capture["features"] = h
-        batch, channels = h.data.shape[0], h.data.shape[1]
-        pooled = tk.adaptive_pool1d(h, 1, "avg")
-        return self._head(tk.reshape(pooled, (batch, channels)))
+        return self._head(h.mean(axis=1))
 
     def logits_array(self, X, batch_size=256):
         """Eval-mode logits for a [n, len] float array, without taping."""

@@ -11,6 +11,12 @@ preallocated buffers, and backpropagation through time inside its backward
 closure), so a sequence of any length adds one node per direction, not a
 graph per step.  lstm_step stays as the single-step reference.
 
+Sequences are channels-last: every time-series op (conv1d, batch_norm1d,
+max_pool1d, lstm_sequence, bilstm, attention_pool) takes and returns
+[batch, time, channels], so the whole tape runs on one memory layout and no
+op works through transposed views.  Parameters keep their usual shapes
+(conv weights [c_out, c_in, k], norm scales [channels]).
+
 Training runs in 32-bit floats; the gradient-check suite feeds 64-bit arrays
 and every op preserves the input dtype.
 """
@@ -422,24 +428,6 @@ def swish(a):
     return _node(ad * s, (a,), backward)
 
 
-ACTIVATIONS = {
-    "swish": swish,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "leaky_relu": leaky_relu,
-}
-
-
-def activation(kind, a):
-    try:
-        fn = ACTIVATIONS[kind]
-    except KeyError:
-        raise UsageError(f"unknown activation {kind!r}; "
-                         f"known: {sorted(ACTIVATIONS)}") from None
-    return fn(a)
-
-
 def softmax(a, axis=-1):
     # row-max subtraction keeps exp() in range on large logits
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -479,15 +467,30 @@ def dense(x, weight, bias=None):
     return _node(out, tuple(parents), backward)
 
 
+# output rows per conv1d block: a tap's partial product and the running sum
+# stay in cache instead of streaming one full activation per tap
+_CONV_BLOCK_ROWS = 512
+
+
 def conv1d(x, weight, bias=None, stride=1, padding=0):
-    """Cross-correlation of x[b, c_in, len] with weight[c_out, c_in, k]."""
+    """Cross-correlation of x[b, len, c_in] with weight[c_out, c_in, k].
+
+    Returns [b, out_len, c_out].  The input is zero-padded once into a row
+    buffer flat[b * pitch + k, c_in], pitch being the padded length rounded
+    up to a multiple of stride.  Tap j of every window is then the strided
+    row view flat[j::stride], and the output is the sum over taps of that
+    view times the tap's [c_in, c_out] weight slice: k GEMMs that BLAS reads
+    through its leading dimension, with no im2col matrix.  The rows of a
+    view that straddle two batch elements are computed and dropped.  The
+    sum runs in blocks of whole batch elements; backward keeps only flat.
+    """
     if x.data.ndim != 3:
-        raise ShapeError(f"conv1d input must be [batch, ch, len], "
+        raise ShapeError(f"conv1d input must be [batch, len, ch], "
                          f"got {x.data.shape}")
     if weight.data.ndim != 3:
         raise ShapeError(f"conv1d weight must be [out, in, k], "
                          f"got {weight.data.shape}")
-    batch, c_in, length = x.data.shape
+    batch, length, c_in = x.data.shape
     c_out, c_w, k = weight.data.shape
     if c_w != c_in:
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, "
@@ -497,36 +500,61 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
     padded_len = length + 2 * padding
     if not 1 <= k <= padded_len:
         raise ShapeError(f"kernel size {k} exceeds padded length {padded_len}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding \
-        else x.data
     out_len = (padded_len - k) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    windows = windows[:, :, ::stride]                       # [b,ci,lo,k]
-    cols = windows.transpose(0, 2, 1, 3).reshape(batch * out_len, c_in * k)
-    wmat = weight.data.reshape(c_out, c_in * k)
-    out = (cols @ wmat.T).reshape(batch, out_len, c_out).transpose(0, 2, 1)
-    parents = [x, weight]
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1)
-        parents.append(bias)
+    per = -(-padded_len // stride)            # view rows per batch element
+    pitch = per * stride
+    rows = batch * per
+    dtype = np.result_type(x.data, weight.data)
+    flat = np.zeros((rows * stride + k, c_in), dtype=dtype)
+    flat[:rows * stride].reshape(batch, pitch, c_in)[
+        :, padding:padding + length] = x.data
+    wt = np.ascontiguousarray(weight.data.transpose(2, 1, 0))  # [k, ci, co]
+    bias_data = bias.data if bias is not None else 0
+
+    group = max(1, _CONV_BLOCK_ROWS // per)   # batch elements per block
+    blocks = [(b0, min(b0 + group, batch)) for b0 in range(0, batch, group)]
+
+    out = np.empty((batch, out_len, c_out), dtype=dtype)
+    acc = np.empty((min(group, batch) * per, c_out), dtype=dtype)
+    part = np.empty_like(acc)
+    for b0, b1 in blocks:
+        n, lo = (b1 - b0) * per, b0 * pitch
+        np.matmul(flat[lo:lo + n * stride:stride], wt[0], out=acc[:n])
+        for j in range(1, k):
+            np.matmul(flat[lo + j:lo + j + n * stride:stride], wt[j],
+                      out=part[:n])
+            acc[:n] += part[:n]
+        np.add(acc[:n].reshape(b1 - b0, per, c_out)[:, :out_len], bias_data,
+               out=out[b0:b1])
+    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        gmat = g.transpose(0, 2, 1).reshape(batch * out_len, c_out)
+        grad_rows = np.zeros((batch, per, c_out), dtype=g.dtype)
+        grad_rows[:, :out_len] = g
+        grad_rows = grad_rows.reshape(rows, c_out)
         if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2)))
-        _accum(weight, (gmat.T @ cols).reshape(c_out, c_in, k))
+            _accum(bias, g.sum(axis=(0, 1)))
+        dwt = np.empty_like(wt)
+        for j in range(k):
+            np.matmul(flat[j:j + rows * stride:stride].T, grad_rows,
+                      out=dwt[j])
+        # C order like the weight itself: optimizer updates that mix a
+        # transposed gradient into C-order state run markedly slower
+        _accum(weight, dwt.transpose(2, 1, 0).copy())
         if _tracked(x):
-            # one GEMM gives every tap's input gradient, tap-major, so tap j
-            # lands at offset j as one slice add with unit-stride reads
-            wtaps = weight.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
-            taps = (wtaps @ gmat.T).reshape(k, c_in, batch, out_len)
-            gxp = np.zeros((batch, c_in, padded_len), dtype=g.dtype)
-            span = (out_len - 1) * stride + 1
-            for j in range(k):
-                gxp[:, :, j:j + span:stride] += taps[j].transpose(1, 0, 2)
-            _accum(x, gxp[:, :, padding:padding + length] if padding else gxp)
+            # tap j of output row r came from flat row r * stride + j
+            gflat = np.zeros_like(flat)
+            tap = np.empty((min(group, batch) * per, c_in), dtype=g.dtype)
+            for b0, b1 in blocks:
+                n, lo = (b1 - b0) * per, b0 * pitch
+                for j in range(k):
+                    np.matmul(grad_rows[b0 * per:b1 * per], wt[j].T,
+                              out=tap[:n])
+                    gflat[lo + j:lo + j + n * stride:stride] += tap[:n]
+            _accum(x, gflat[:rows * stride].reshape(batch, pitch, c_in)[
+                :, padding:padding + length])
 
-    return _node(out, tuple(parents), backward)
+    return _node(out, parents, backward)
 
 
 class RunningStats:
@@ -538,121 +566,115 @@ class RunningStats:
 
 
 def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5):
-    """Normalize per channel over batch (and time for 3-D input).
+    """Normalize each channel (the last axis) over all other axes.
 
-    Train mode normalizes by batch statistics (biased variance) and folds
-    an unbiased variance estimate into the running buffers; eval mode uses
-    the buffers.
+    x is [batch, channels] or [batch, time, channels]; both are handled as
+    one [rows, channels] matrix.  Train mode normalizes by batch statistics
+    (biased variance) and folds an unbiased variance estimate into the
+    running buffers; eval mode uses the buffers.
     """
-    nd = x.data.ndim
-    if nd not in (2, 3):
+    if x.data.ndim not in (2, 3):
         raise ShapeError(f"batch_norm1d expects 2-D or 3-D input, "
                          f"got {x.data.shape}")
-    channels = x.data.shape[1]
+    channels = x.data.shape[-1]
     if gamma.data.shape != (channels,) or beta.data.shape != (channels,):
         raise ShapeError(f"norm parameters must have shape ({channels},)")
-    bshape = (1, channels) if nd == 2 else (1, channels, 1)
-    axes = (0,) if nd == 2 else (0, 2)
+    xm = x.data.reshape(-1, channels)
+    n = xm.shape[0]
     if training:
-        n = x.data.shape[0] * (1 if nd == 2 else x.data.shape[2])
         if n == 1:
             warnings.warn(
                 "batch normalization saw one value per channel; statistics "
                 "are degenerate and only the eps guard keeps them finite",
                 RuntimeWarning)
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = xm.mean(axis=0)
+        xhat = xm - mean
+        var = np.square(xhat).mean(axis=0)
         stats.mean[...] = (1.0 - momentum) * stats.mean + momentum * mean
         unbiased = var * (n / (n - 1)) if n > 1 else var
         stats.var[...] = (1.0 - momentum) * stats.var + momentum * unbiased
         inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv
     else:
-        n = 0
-        mean = stats.mean
         inv = 1.0 / np.sqrt(stats.var + eps)
-    xhat = (x.data - mean.reshape(bshape)) * inv.reshape(bshape)
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+        xhat = (xm - stats.mean) * inv
     gd = gamma.data
+    out = xhat * gd
+    out += beta.data
 
     def backward(g):
-        _accum(gamma, (g * xhat).sum(axis=axes))
-        _accum(beta, g.sum(axis=axes))
+        gm = g.reshape(-1, channels)
+        sum_g = gm.sum(axis=0)
+        sum_gx = (gm * xhat).sum(axis=0)
+        _accum(gamma, sum_gx)
+        _accum(beta, sum_g)
         if _tracked(x):
-            gxh = g * gd.reshape(bshape)
+            scale = gd * inv
+            gx = gm * scale
             if training:
-                correction = gxh.sum(axis=axes, keepdims=True) / n
-                projection = xhat * (gxh * xhat).sum(axis=axes,
-                                                     keepdims=True) / n
-                gx = (gxh - correction - projection) * inv.reshape(bshape)
-            else:
-                gx = gxh * inv.reshape(bshape)
-            _accum(x, gx)
+                gx -= xhat * (scale * sum_gx / n)
+                gx -= scale * sum_g / n
+            _accum(x, gx.reshape(x.data.shape))
 
-    return _node(out, (x, gamma, beta), backward)
+    return _node(out.reshape(x.data.shape), (x, gamma, beta), backward)
+
+
+def _uint_like(a):
+    return np.dtype(f"u{a.dtype.itemsize}")
+
+
+def _all_ones(mask, dtype):
+    """Bit mask of an unsigned dtype: all ones where mask holds, else zero.
+
+    ANDing a float's bits with it selects the value or +0.0 exactly.  That
+    blend has no per-element branch; np.where does, and on max-pooling's
+    unpredictable masks it runs several times slower.
+    """
+    ones = mask.astype(dtype)
+    np.negative(ones, out=ones)
+    return ones
 
 
 def max_pool1d(x, kernel, stride=None):
-    """Windowed maximum over time; argmax positions route the gradient."""
+    """Windowed maximum over time for x[batch, len, ch].
+
+    The kernel strided time slices are compared in order, so a window's
+    first maximum wins a tie and its first NaN wins outright, as argmax
+    would pick; that window offset routes the gradient.
+    """
     if x.data.ndim != 3:
-        raise ShapeError(f"max_pool1d expects [batch, ch, len], "
+        raise ShapeError(f"max_pool1d expects [batch, len, ch], "
                          f"got {x.data.shape}")
     if stride is None:
         stride = kernel
-    length = x.data.shape[2]
+    length = x.data.shape[1]
     if not 1 <= kernel <= length:
         raise ShapeError(f"pool kernel {kernel} exceeds length {length}")
     out_len = (length - kernel) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, kernel, axis=2)
-    windows = windows[:, :, ::stride]
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    span = (out_len - 1) * stride + 1
+    out = x.data[:, 0:span:stride].copy()
+    bits = out.view(_uint_like(out))
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(kernel - 1))
+    for j in range(1, kernel):
+        cand = x.data[:, j:j + span:stride]
+        # greater or NaN, unless the window already holds a NaN (out != out)
+        better = ~(cand <= out)
+        better &= out == out
+        # out ^ ((cand ^ out) & mask) takes cand's exact bits where better
+        flip = cand.view(bits.dtype) ^ bits
+        flip &= _all_ones(better, bits.dtype)
+        bits ^= flip
+        # the last offset that replaced the running maximum is the winner
+        np.maximum(arg, better * arg.dtype.type(j), out=arg)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        span = (out_len - 1) * stride + 1
+        gbits = g.view(_uint_like(g))
         # descending offsets add overlapping windows in window order, the
         # order a scatter-add over the windows would use
         for j in reversed(range(kernel)):
-            gx[:, :, j:j + span:stride] += np.where(arg == j, g, 0)
-        _accum(x, gx)
-
-    return _node(out, (x,), backward)
-
-
-def adaptive_pool1d(x, out_len, mode="avg"):
-    """Reduce time into out_len bins [floor(i*len/out), floor((i+1)*len/out))."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"adaptive_pool1d expects [batch, ch, len], "
-                         f"got {x.data.shape}")
-    if mode not in ("avg", "max"):
-        raise UsageError(f"adaptive pool mode must be avg or max, got {mode!r}")
-    batch, channels, length = x.data.shape
-    if not 1 <= out_len <= length:
-        raise ShapeError(f"adaptive out_len {out_len} must lie in "
-                         f"[1, {length}]")
-    bounds = [(i * length // out_len, (i + 1) * length // out_len)
-              for i in range(out_len)]
-    out = np.empty((batch, channels, out_len), dtype=x.data.dtype)
-    args = []
-    for i, (lo, hi) in enumerate(bounds):
-        segment = x.data[:, :, lo:hi]
-        if mode == "avg":
-            out[:, :, i] = segment.mean(axis=-1)
-        else:
-            arg = segment.argmax(axis=-1)
-            args.append(arg)
-            out[:, :, i] = np.take_along_axis(segment, arg[..., None],
-                                              axis=-1)[..., 0]
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        bi = np.arange(batch).reshape(batch, 1)
-        ci = np.arange(channels).reshape(1, channels)
-        for i, (lo, hi) in enumerate(bounds):
-            if mode == "avg":
-                gx[:, :, lo:hi] += g[:, :, i:i + 1] / (hi - lo)
-            else:
-                gx[bi, ci, lo + args[i]] += g[:, :, i]
+            routed = gbits & _all_ones(arg == j, gbits.dtype)
+            gx[:, j:j + span:stride] += routed.view(g.dtype)
         _accum(x, gx)
 
     return _node(out, (x,), backward)

@@ -4,7 +4,7 @@ from datetime import datetime
 import pytest
 
 from ecgkit.config import (PipelineConfig, RunManifest, config_from_payload,
-                           config_hash, derive_seed, load_config, thread_cap)
+                           config_hash, derive_seed, load_config)
 from ecgkit.errors import ConfigError
 from ecgkit.training import TABLE1
 
@@ -225,22 +225,6 @@ class TestSeedDerivation:
         for master in (0, 17, 2**64 - 1, 12345678901234567890):
             value = derive_seed(master, "train/cnn")
             assert 0 <= value < 2**64
-
-
-class TestThreadCap:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("ECGKIT_THREADS", raising=False)
-        assert thread_cap() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ECGKIT_THREADS", "4")
-        assert thread_cap() == 4
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "two", "1.5", ""])
-    def test_bad_values_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("ECGKIT_THREADS", bad)
-        with pytest.raises(ConfigError):
-            thread_cap()
 
 
 class TestRunManifest:

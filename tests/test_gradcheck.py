@@ -188,16 +188,16 @@ def case_conv1d(rng):
     k = int(rng.integers(1, 4))
     return (lambda ts: tk.conv1d(ts[0], ts[1], ts[2], stride=stride,
                                  padding=padding),
-            [rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 3, k)),
-             rng.normal(size=2)])
+            [rng.normal(size=(2, 3, 8)).transpose(0, 2, 1),
+             rng.normal(size=(2, 3, k)), rng.normal(size=2)])
 
 
 def case_batch_norm_train_3d(rng):
     def build(ts):
         stats = RunningStats(2, dtype=np.float64)
         return tk.batch_norm1d(ts[0], ts[1], ts[2], stats, training=True)
-    return build, [rng.normal(size=(4, 2, 5)), rng.uniform(0.5, 1.5, 2),
-                   rng.normal(size=2)]
+    return build, [rng.normal(size=(4, 2, 5)).transpose(0, 2, 1),
+                   rng.uniform(0.5, 1.5, 2), rng.normal(size=2)]
 
 
 def case_batch_norm_train_2d(rng):
@@ -217,27 +217,15 @@ def case_batch_norm_eval(rng):
         stats.mean[...] = mean
         stats.var[...] = var
         return tk.batch_norm1d(ts[0], ts[1], ts[2], stats, training=False)
-    return build, [rng.normal(size=(3, 2, 4)), rng.uniform(0.5, 1.5, 2),
-                   rng.normal(size=2)]
+    return build, [rng.normal(size=(3, 2, 4)).transpose(0, 2, 1),
+                   rng.uniform(0.5, 1.5, 2), rng.normal(size=2)]
 
 
 def case_max_pool(rng):
     kernel = int(rng.integers(2, 4))
     stride = int(rng.integers(1, 3))
     return (lambda ts: tk.max_pool1d(ts[0], kernel, stride),
-            [spaced(rng, (2, 2, 8))])
-
-
-def case_adaptive_avg(rng):
-    out_len = int(rng.integers(1, 8))
-    return (lambda ts: tk.adaptive_pool1d(ts[0], out_len, "avg"),
-            [rng.normal(size=(2, 2, 7))])
-
-
-def case_adaptive_max(rng):
-    out_len = int(rng.integers(1, 8))
-    return (lambda ts: tk.adaptive_pool1d(ts[0], out_len, "max"),
-            [spaced(rng, (2, 2, 7))])
+            [spaced(rng, (2, 2, 8)).transpose(0, 2, 1)])
 
 
 def case_dropout(rng):
@@ -359,8 +347,6 @@ CASES = {
     "batch_norm_train_2d": case_batch_norm_train_2d,
     "batch_norm_eval": case_batch_norm_eval,
     "max_pool": case_max_pool,
-    "adaptive_avg": case_adaptive_avg,
-    "adaptive_max": case_adaptive_max,
     "dropout": case_dropout,
     "lstm_step": case_lstm_step,
     "lstm_cell_state": case_lstm_cell_state,

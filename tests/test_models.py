@@ -183,7 +183,7 @@ class TestFeatureCapture:
         m = build(d, 0)
         capture = {}
         m.forward(batch(2), training=False, capture=capture)
-        assert capture["features"].data.shape == (2, 32, 23)
+        assert capture["features"].data.shape == (2, 23, 32)
 
     def test_lstm_trunk_feature_length(self):
         d = ModelDescriptor("cnn_lstm", lstm_hidden=8, lstm_layers=1)
@@ -196,7 +196,7 @@ class TestFeatureCapture:
         m = build(d, 0)
         capture = {}
         m.forward(batch(2), training=False, capture=capture)
-        assert capture["features"].data.shape == (2, 128, 12)
+        assert capture["features"].data.shape == (2, 12, 128)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_capture_matches_declared_info(self, arch):
@@ -205,7 +205,7 @@ class TestFeatureCapture:
         capture = {}
         m.forward(batch(2, 64), training=False, capture=capture)
         channels, length = conv_feature_info(d)
-        assert capture["features"].data.shape == (2, channels, length)
+        assert capture["features"].data.shape == (2, length, channels)
 
     def test_feature_hook_fires_once_per_backward(self):
         m = small_model("cnn")
@@ -235,7 +235,7 @@ class TestArchitectureInvariants:
         for leaf in ("conv1.w", "conv1.b", "conv2.w", "conv2.b"):
             m.params[f"res0.0.{leaf}"].data[...] = 0.0
         x = Tensor(np.random.default_rng(3).normal(
-            size=(2, 8, 20)).astype(np.float32))
+            size=(2, 8, 20)).transpose(0, 2, 1).astype(np.float32))
         out = m._residual_block(x, "res0.0", stride=1, training=False)
         np.testing.assert_array_equal(out.data, x.data)
 
@@ -244,7 +244,7 @@ class TestArchitectureInvariants:
         m = build(d, 0)
         capture = {}
         m.forward(batch(1, 80), training=False, capture=capture)
-        assert capture["features"].data.shape[2] == 10  # 80 -> 40 -> 20 -> 10
+        assert capture["features"].data.shape[1] == 10  # 80 -> 40 -> 20 -> 10
 
     def test_uniform_attention_equals_average_pooling(self):
         d_attn = ModelDescriptor("cnn_lstm_attn", input_len=64,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,12 +180,6 @@ class TestActivations:
             np.testing.assert_array_equal(got[keep].view(np.uint8),
                                           want[keep].view(np.uint8))
 
-    def test_activation_dispatch(self):
-        x = t([0.3])
-        assert tk.activation("tanh", x).data[0] == pytest.approx(np.tanh(0.3))
-        with pytest.raises(UsageError):
-            tk.activation("gelu", x)
-
 
 class TestSoftmax:
     def test_symmetric_logits(self):
@@ -223,19 +219,46 @@ class TestDense:
             tk.dense(t(np.ones((2, 3))), t(np.ones((4, 5))))
 
 
+def direct_conv1d(x, w, b, stride, padding):
+    """conv1d on [batch, len, c_in] one output window at a time."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
+    k = w.shape[2]
+    out_len = (xp.shape[1] - k) // stride + 1
+    out = np.empty((x.shape[0], out_len, w.shape[0]))
+    for o in range(out_len):
+        window = xp[:, o * stride:o * stride + k]               # [b, k, ci]
+        out[:, o] = np.einsum("bki,cik->bc", window, w) + b
+    return out
+
+
+def direct_conv1d_grads(x, w, g, stride, padding):
+    """x, w and b gradients of direct_conv1d for output gradient g."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
+    k = w.shape[2]
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for o in range(g.shape[1]):
+        window = xp[:, o * stride:o * stride + k]
+        gxp[:, o * stride:o * stride + k] += np.einsum("bc,cik->bki",
+                                                       g[:, o], w)
+        gw += np.einsum("bc,bki->cik", g[:, o], window)
+    return gxp[:, padding:padding + x.shape[1]], gw, g.sum(axis=(0, 1))
+
+
 class TestConv1d:
     def test_identity_kernel(self):
-        x = t(np.arange(8.0).reshape(1, 1, 8))
+        x = t(np.arange(8.0).reshape(1, 1, 8).transpose(0, 2, 1))
         w = t(np.ones((1, 1, 1)))
         np.testing.assert_array_equal(tk.conv1d(x, w).data, x.data)
 
     def test_edge_detector(self):
-        x = t([[[1.0, 2.0, 3.0, 4.0]]])
+        x = t([[[1.0], [2.0], [3.0], [4.0]]])
         w = t([[[1.0, 0.0, -1.0]]])
-        np.testing.assert_allclose(tk.conv1d(x, w).data, [[[-2.0, -2.0]]])
+        np.testing.assert_allclose(tk.conv1d(x, w).data, [[[-2.0], [-2.0]]])
 
     def test_zero_kernel_with_bias(self):
-        x = t(np.random.default_rng(0).normal(size=(2, 3, 6)))
+        x = t(np.random.default_rng(0).normal(size=(2, 3, 6)).transpose(
+            0, 2, 1))
         w = t(np.zeros((4, 3, 3)))
         b = t(np.full(4, 3.0))
         out = tk.conv1d(x, w, b)
@@ -250,52 +273,101 @@ class TestConv1d:
             padding = int(rng.integers(0, 4))
             if kernel > length + 2 * padding:
                 continue
-            x = t(rng.normal(size=(2, 2, length)))
+            x = t(rng.normal(size=(2, 2, length)).transpose(0, 2, 1))
             w = t(rng.normal(size=(3, 2, kernel)))
             out = tk.conv1d(x, w, stride=stride, padding=padding)
             expected = (length + 2 * padding - kernel) // stride + 1
-            assert out.data.shape == (2, 3, expected)
+            assert out.data.shape == (2, expected, 3)
 
     def test_matches_direct_cross_correlation(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 3, 10))
         w = rng.normal(size=(4, 3, 3))
-        out = tk.conv1d(t(x), t(w), stride=2, padding=1).data
+        out = tk.conv1d(t(x.transpose(0, 2, 1)), t(w), stride=2,
+                        padding=1).data
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
         for b in range(2):
             for co in range(4):
-                for o in range(out.shape[2]):
+                for o in range(out.shape[1]):
                     ref = (xp[b, :, 2 * o:2 * o + 3] * w[co]).sum()
-                    assert out[b, co, o] == pytest.approx(ref, rel=1e-10)
+                    assert out[b, o, co] == pytest.approx(ref, rel=1e-10)
 
     def test_input_gradient_matches_per_window_reference(self):
         rng = np.random.default_rng(5)
         for stride, padding, k in ((1, 0, 3), (2, 1, 3), (3, 2, 2),
                                    (2, 0, 1), (1, 4, 2)):
-            x = t(rng.normal(size=(2, 3, 11)), requires_grad=True)
+            x = t(rng.normal(size=(2, 3, 11)).transpose(0, 2, 1),
+                  requires_grad=True)
             w = rng.normal(size=(4, 3, k))
             out = tk.conv1d(x, t(w), stride=stride, padding=padding)
             g = rng.normal(size=out.data.shape)
             tk.mul(out, t(g)).sum().backward()
             ref = np.zeros((2, 3, 11 + 2 * padding))
-            for o in range(out.data.shape[2]):
+            for o in range(out.data.shape[1]):
                 ref[:, :, o * stride:o * stride + k] += np.einsum(
-                    "bo,oik->bik", g[:, :, o], w)
-            np.testing.assert_allclose(x.grad, ref[:, :, padding:11 + padding],
-                                       rtol=1e-12, atol=1e-12)
+                    "bo,oik->bik", g[:, o, :], w)
+            np.testing.assert_allclose(
+                x.grad, ref[:, :, padding:11 + padding].transpose(0, 2, 1),
+                rtol=1e-12, atol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            tk.conv1d(t(np.ones((1, 2, 5))), t(np.ones((3, 4, 3))))
+            tk.conv1d(t(np.ones((1, 5, 2))), t(np.ones((3, 4, 3))))
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(ShapeError):
-            tk.conv1d(t(np.ones((1, 1, 3))), t(np.ones((1, 1, 9))))
+            tk.conv1d(t(np.ones((1, 3, 1))), t(np.ones((1, 1, 9))))
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5, 7])
+    def test_matches_per_window_reference_with_gradients(self, k, stride):
+        rng = np.random.default_rng(50 + 3 * k + stride)
+        for padding in range(4):
+            x, w, b = (rng.normal(size=(2, 11, 3)), rng.normal(size=(4, 3, k)),
+                       rng.normal(size=4))
+            tensors = [t(a, requires_grad=True) for a in (x, w, b)]
+            out = tk.conv1d(*tensors, stride=stride, padding=padding)
+            ref = direct_conv1d(x, w, b, stride, padding)
+            g = rng.normal(size=ref.shape)
+            tk.mul(out, t(g)).sum().backward()
+            np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+            for tensor, ref_grad in zip(tensors, direct_conv1d_grads(
+                    x, w, g, stride, padding)):
+                np.testing.assert_allclose(tensor.grad, ref_grad,
+                                           rtol=1e-12, atol=1e-12)
+
+    def test_untracked_input_still_trains_weights(self):
+        rng = np.random.default_rng(60)
+        x, w, b = (rng.normal(size=(3, 9, 2)), rng.normal(size=(5, 2, 3)),
+                   rng.normal(size=5))
+        xt = t(x)
+        wt, bt = t(w, requires_grad=True), t(b, requires_grad=True)
+        out = tk.conv1d(xt, wt, bt, stride=2, padding=1)
+        g = rng.normal(size=out.data.shape)
+        tk.mul(out, t(g)).sum().backward()
+        assert xt.grad is None
+        _, ref_w, ref_b = direct_conv1d_grads(x, w, g, 2, 1)
+        np.testing.assert_allclose(wt.grad, ref_w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(bt.grad, ref_b, rtol=1e-12, atol=1e-12)
+
+    def test_forward_allocates_no_im2col_buffer(self):
+        # an im2col matrix alone would take k = 5 times the input's bytes
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.normal(size=(32, 187, 64)).astype(np.float32))
+        w = Tensor(rng.normal(scale=0.1, size=(64, 64, 5)).astype(np.float32))
+        b = Tensor(np.zeros(64, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            tk.conv1d(x, w, b, padding=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.data.nbytes
 
 
 class TestBatchNorm:
     def test_eval_identity_with_unit_stats(self):
-        x = np.random.default_rng(5).normal(size=(4, 3, 6))
+        x = np.random.default_rng(5).normal(size=(4, 3, 6)).transpose(0, 2, 1)
         stats = RunningStats(3, dtype=np.float64)
         out = tk.batch_norm1d(t(x), t(np.ones(3)), t(np.zeros(3)), stats,
                               training=False)
@@ -303,7 +375,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, x, rtol=1e-5, atol=1e-5)
 
     def test_train_constant_channel_is_zeroed(self):
-        x = np.full((4, 2, 5), 7.0)
+        x = np.full((4, 5, 2), 7.0)
         stats = RunningStats(2, dtype=np.float64)
         out = tk.batch_norm1d(t(x), t(np.ones(2)), t(np.zeros(2)), stats,
                               training=True)
@@ -318,7 +390,7 @@ class TestBatchNorm:
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(6)
-        x = rng.normal(loc=2.0, scale=3.0, size=(64, 1, 32))
+        x = rng.normal(loc=2.0, scale=3.0, size=(64, 1, 32)).transpose(0, 2, 1)
         stats = RunningStats(1, dtype=np.float64)
         tk.batch_norm1d(t(x), t(np.ones(1)), t(np.zeros(1)), stats,
                         training=True, momentum=1.0)
@@ -332,20 +404,43 @@ class TestBatchNorm:
             tk.batch_norm1d(t(np.ones((1, 2))), t(np.ones(2)), t(np.zeros(2)),
                             stats, training=True)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_2d_input_equals_one_step_3d_input(self, training):
+        rng = np.random.default_rng(62)
+        x = rng.normal(size=(6, 3))
+        gamma, beta = rng.uniform(0.5, 1.5, 3), rng.normal(size=3)
+        g = rng.normal(size=(6, 3))
+        results = []
+        for shape in ((6, 3), (6, 1, 3)):
+            stats = RunningStats(3, dtype=np.float64)
+            stats.var[...] = [0.5, 1.0, 2.0]
+            tensors = [t(x.reshape(shape), requires_grad=True),
+                       t(gamma, requires_grad=True),
+                       t(beta, requires_grad=True)]
+            out = tk.batch_norm1d(*tensors, stats, training=training)
+            tk.mul(out, t(g.reshape(shape))).sum().backward()
+            results.append([out.data.reshape(6, 3),
+                            tensors[0].grad.reshape(6, 3), tensors[1].grad,
+                            tensors[2].grad, stats.mean, stats.var])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestPooling:
     def test_max_pool_known(self):
-        x = t([[[1.0, 3.0, 2.0, 5.0]]])
-        np.testing.assert_allclose(tk.max_pool1d(x, 2, 2).data, [[[3.0, 5.0]]])
+        x = t([[[1.0], [3.0], [2.0], [5.0]]])
+        np.testing.assert_allclose(tk.max_pool1d(x, 2, 2).data,
+                                   [[[3.0], [5.0]]])
 
     def test_max_pool_overlapping(self):
-        x = t([[[4.0, 1.0, 1.0, 1.0]]])
-        np.testing.assert_allclose(tk.max_pool1d(x, 3, 1).data, [[[4.0, 1.0]]])
+        x = t([[[4.0], [1.0], [1.0], [1.0]]])
+        np.testing.assert_allclose(tk.max_pool1d(x, 3, 1).data,
+                                   [[[4.0], [1.0]]])
 
     def test_max_pool_constant(self):
-        x = t(np.full((2, 2, 6), 1.5))
+        x = t(np.full((2, 6, 2), 1.5))
         np.testing.assert_allclose(tk.max_pool1d(x, 2, 2).data,
-                                   np.full((2, 2, 3), 1.5))
+                                   np.full((2, 3, 2), 1.5))
 
     def test_max_pool_length_formula(self):
         rng = np.random.default_rng(7)
@@ -353,53 +448,49 @@ class TestPooling:
             length = int(rng.integers(2, 40))
             kernel = int(rng.integers(1, min(length, 6) + 1))
             stride = int(rng.integers(1, 4))
-            out = tk.max_pool1d(t(rng.normal(size=(1, 1, length))), kernel,
+            out = tk.max_pool1d(t(rng.normal(size=(1, length, 1))), kernel,
                                 stride)
-            assert out.data.shape[2] == (length - kernel) // stride + 1
+            assert out.data.shape[1] == (length - kernel) // stride + 1
 
     def test_max_pool_gradient_matches_scatter_add(self):
         rng = np.random.default_rng(6)
         for kernel, stride in ((2, 2), (3, 1), (3, 2), (4, 3)):
-            x = t(rng.permutation(2 * 3 * 13).reshape(2, 3, 13) * 0.1,
-                  requires_grad=True)
+            xn = rng.permutation(2 * 3 * 13).reshape(2, 3, 13) * 0.1
+            x = t(xn.transpose(0, 2, 1), requires_grad=True)
             out = tk.max_pool1d(x, kernel, stride)
             g = rng.normal(size=out.data.shape)
             tk.mul(out, t(g)).sum().backward()
             windows = np.lib.stride_tricks.sliding_window_view(
-                x.data, kernel, axis=2)[:, :, ::stride]
-            pos = (np.arange(out.data.shape[2]) * stride
+                xn, kernel, axis=2)[:, :, ::stride]
+            pos = (np.arange(out.data.shape[1]) * stride
                    + windows.argmax(axis=-1))
-            ref = np.zeros_like(x.data)
+            ref = np.zeros_like(xn)
             bi, ci, _ = np.indices(pos.shape)
-            np.add.at(ref, (bi, ci, pos), g)
-            np.testing.assert_array_equal(x.grad, ref)
+            np.add.at(ref, (bi, ci, pos), g.transpose(0, 2, 1))
+            np.testing.assert_array_equal(x.grad, ref.transpose(0, 2, 1))
 
-    def test_adaptive_avg_global(self):
-        x = t([[[1.0, 2.0, 3.0, 4.0]]])
-        np.testing.assert_allclose(tk.adaptive_pool1d(x, 1, "avg").data,
-                                   [[[2.5]]])
-
-    def test_adaptive_identity_when_out_equals_len(self):
-        x = t(np.random.default_rng(8).normal(size=(2, 3, 7)))
-        for mode in ("avg", "max"):
-            np.testing.assert_allclose(
-                tk.adaptive_pool1d(x, 7, mode).data, x.data)
-
-    def test_adaptive_max_bins(self):
-        x = t([[[1.0, 5.0, 2.0, 3.0, 4.0]]])
-        np.testing.assert_allclose(tk.adaptive_pool1d(x, 2, "max").data,
-                                   [[[5.0, 4.0]]])
-
-    def test_adaptive_bins_partition_indices(self):
-        for length in range(1, 30):
-            for out_len in range(1, length + 1):
-                bounds = [(i * length // out_len, (i + 1) * length // out_len)
-                          for i in range(out_len)]
-                covered = []
-                for lo, hi in bounds:
-                    assert hi > lo
-                    covered.extend(range(lo, hi))
-                assert covered == list(range(length))
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (3, 2), (4, 3)])
+    def test_max_pool_matches_argmax_bit_for_bit(self, kernel, stride):
+        # argmax picks a window's first maximum and its first NaN; signed
+        # zeros tie, so only the first of 0.0 and -0.0 may come out
+        rng = np.random.default_rng(63 + kernel * stride)
+        x = rng.integers(-2, 3, size=(3, 17, 4)).astype(np.float64)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[rng.random(x.shape) < 0.1] = np.nan
+        xt = t(x, requires_grad=True)
+        out = tk.max_pool1d(xt, kernel, stride)
+        g = rng.normal(size=out.data.shape)
+        tk.mul(out, t(g)).sum().backward()
+        windows = np.lib.stride_tricks.sliding_window_view(
+            x, kernel, axis=1)[:, ::stride]                   # [b, o, c, k]
+        arg = windows.argmax(axis=-1)
+        ref = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+        np.testing.assert_array_equal(out.data.view(np.uint64),
+                                      ref.view(np.uint64))
+        ref_grad = np.zeros_like(x)
+        bi, oi, ci = np.indices(arg.shape)
+        np.add.at(ref_grad, (bi, oi * stride + arg, ci), g)
+        np.testing.assert_array_equal(xt.grad, ref_grad)
 
 
 def ref_lstm_step(x, h, c, w_ih, w_hh, b):
