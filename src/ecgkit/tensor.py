@@ -12,10 +12,10 @@ closure), so a sequence of any length adds one node per direction, not a
 graph per step.  lstm_step stays as the single-step reference.
 
 Sequences are channels-last: every time-series op (conv1d, batch_norm1d,
-max_pool1d, lstm_sequence, bilstm, attention_pool) takes and returns
-[batch, time, channels], so the whole tape runs on one memory layout and no
-op works through transposed views.  Parameters keep their usual shapes
-(conv weights [c_out, c_in, k], norm scales [channels]).
+max_pool1d, adaptive_pool1d, lstm_sequence, bilstm, attention_pool) takes
+and returns [batch, time, channels], so the whole tape runs on one memory
+layout and no op works through transposed views.  Parameters keep their
+usual shapes (conv weights [c_out, c_in, k], norm scales [channels]).
 
 Training runs in 32-bit floats; the gradient-check suite feeds 64-bit arrays
 and every op preserves the input dtype.
@@ -675,6 +675,50 @@ def max_pool1d(x, kernel, stride=None):
         for j in reversed(range(kernel)):
             routed = gbits & _all_ones(arg == j, gbits.dtype)
             gx[:, j:j + span:stride] += routed.view(g.dtype)
+        _accum(x, gx)
+
+    return _node(out, (x,), backward)
+
+
+def adaptive_pool1d(x, out_len, mode="avg"):
+    """Reduce time of x[batch, len, ch] into out_len bins.
+
+    Bin i covers [floor(i*len/out), floor((i+1)*len/out)); the result is
+    [batch, out_len, ch].  Max mode routes the gradient to each bin's first
+    maximum.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"adaptive_pool1d expects [batch, len, ch], "
+                         f"got {x.data.shape}")
+    if mode not in ("avg", "max"):
+        raise UsageError(f"adaptive pool mode must be avg or max, got {mode!r}")
+    batch, length, channels = x.data.shape
+    if not 1 <= out_len <= length:
+        raise ShapeError(f"adaptive out_len {out_len} must lie in "
+                         f"[1, {length}]")
+    bounds = [(i * length // out_len, (i + 1) * length // out_len)
+              for i in range(out_len)]
+    out = np.empty((batch, out_len, channels), dtype=x.data.dtype)
+    args = []
+    for i, (lo, hi) in enumerate(bounds):
+        segment = x.data[:, lo:hi]
+        if mode == "avg":
+            out[:, i] = segment.mean(axis=1)
+        else:
+            arg = segment.argmax(axis=1)
+            args.append(arg)
+            out[:, i] = np.take_along_axis(segment, arg[:, None],
+                                           axis=1)[:, 0]
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        bi = np.arange(batch).reshape(batch, 1)
+        ci = np.arange(channels).reshape(1, channels)
+        for i, (lo, hi) in enumerate(bounds):
+            if mode == "avg":
+                gx[:, lo:hi] += g[:, i:i + 1] / (hi - lo)
+            else:
+                gx[bi, lo + args[i], ci] += g[:, i]
         _accum(x, gx)
 
     return _node(out, (x,), backward)

@@ -228,6 +228,18 @@ def case_max_pool(rng):
             [spaced(rng, (2, 2, 8)).transpose(0, 2, 1)])
 
 
+def case_adaptive_avg(rng):
+    out_len = int(rng.integers(1, 8))
+    return (lambda ts: tk.adaptive_pool1d(ts[0], out_len, "avg"),
+            [rng.normal(size=(2, 2, 7)).transpose(0, 2, 1)])
+
+
+def case_adaptive_max(rng):
+    out_len = int(rng.integers(1, 8))
+    return (lambda ts: tk.adaptive_pool1d(ts[0], out_len, "max"),
+            [spaced(rng, (2, 2, 7)).transpose(0, 2, 1)])
+
+
 def case_dropout(rng):
     seed = int(rng.integers(1 << 30))
 
@@ -347,6 +359,8 @@ CASES = {
     "batch_norm_train_2d": case_batch_norm_train_2d,
     "batch_norm_eval": case_batch_norm_eval,
     "max_pool": case_max_pool,
+    "adaptive_avg": case_adaptive_avg,
+    "adaptive_max": case_adaptive_max,
     "dropout": case_dropout,
     "lstm_step": case_lstm_step,
     "lstm_cell_state": case_lstm_cell_state,

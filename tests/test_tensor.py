@@ -492,6 +492,34 @@ class TestPooling:
         np.add.at(ref_grad, (bi, oi * stride + arg, ci), g)
         np.testing.assert_array_equal(xt.grad, ref_grad)
 
+    def test_adaptive_avg_global(self):
+        x = t([[[1.0], [2.0], [3.0], [4.0]]])
+        np.testing.assert_allclose(tk.adaptive_pool1d(x, 1, "avg").data,
+                                   [[[2.5]]])
+
+    def test_adaptive_identity_when_out_equals_len(self):
+        x = t(np.random.default_rng(8).normal(size=(2, 3, 7))
+              .transpose(0, 2, 1))
+        for mode in ("avg", "max"):
+            np.testing.assert_allclose(
+                tk.adaptive_pool1d(x, 7, mode).data, x.data)
+
+    def test_adaptive_max_bins(self):
+        x = t([[[1.0], [5.0], [2.0], [3.0], [4.0]]])
+        np.testing.assert_allclose(tk.adaptive_pool1d(x, 2, "max").data,
+                                   [[[5.0], [4.0]]])
+
+    def test_adaptive_bins_partition_indices(self):
+        for length in range(1, 30):
+            for out_len in range(1, length + 1):
+                bounds = [(i * length // out_len, (i + 1) * length // out_len)
+                          for i in range(out_len)]
+                covered = []
+                for lo, hi in bounds:
+                    assert hi > lo
+                    covered.extend(range(lo, hi))
+                assert covered == list(range(length))
+
 
 def ref_lstm_step(x, h, c, w_ih, w_hh, b):
     z = x @ w_ih.T + h @ w_hh.T + b
