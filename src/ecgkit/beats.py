@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,10 +93,6 @@ class BeatDataset:
                 counts[beat.label] += 1
         return counts
 
-    def subset(self, split_tag):
-        return BeatDataset([b for b in self.beats if b.split_tag == split_tag],
-                           rng_seed=self.rng_seed)
-
     def matrix(self, split_tag=None):
         """Stack beats into (X[n, L] float32, y[n] int64)."""
         chosen = [b for b in self.beats
@@ -108,14 +104,6 @@ class BeatDataset:
         X = np.stack([b.samples for b in chosen]).astype(np.float32)
         y = np.array([b.label for b in chosen], dtype=np.int64)
         return X, y
-
-    @classmethod
-    def from_arrays(cls, X, y, source="synthetic", split_tag="unassigned",
-                    rng_seed=None):
-        X = np.asarray(X, dtype=np.float32)
-        beats = [BeatRecord(X[i], int(y[i]), source=source, split_tag=split_tag)
-                 for i in range(len(X))]
-        return cls(beats, rng_seed=rng_seed)
 
 
 def normalize_beat(samples):

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError, IoError
-from .models import ModelDescriptor, build, param_shapes
+from .models import ModelDescriptor, build
 
 MAGIC = b"ECGKIT1"
 
@@ -77,15 +77,6 @@ def _read_descriptor(handle):
     except Exception as exc:
         raise FormatError(f"bad descriptor block: {exc}",
                           offset=block_start) from None
-
-
-def peek_checkpoint(path):
-    """Descriptor and parameter count read from the header alone."""
-    with _open(path, "rb") as handle:
-        descriptor = _read_descriptor(handle)
-    count = sum(int(np.prod(shape))
-                for shape in param_shapes(descriptor).values())
-    return {"descriptor": descriptor, "param_count": count}
 
 
 def load_checkpoint(path):

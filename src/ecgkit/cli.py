@@ -25,15 +25,14 @@ from .ensemble import (STRATEGIES, LogitSet, ManifestEntry, build_strategy,
                        fuse, load_manifest, predict_classes, write_logits_csv,
                        write_manifest)
 from .errors import ConfigError, EcgkitError
-from .gan import (GanTrainConfig, balance_dataset, balance_summary,
-                  class_count_report, gan_train)
+from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
+                  balance_summary, gan_train)
 from .gradcam import grad_cam
 from .metrics import bootstrap_ci, confusion, evaluate_predictions, prf1, roc_auc
-from .models import ModelDescriptor, build
+from .models import ARCHITECTURES, ModelDescriptor, build
 from .report import render_report
 from .training import train
 
-ARCHS = ("cnn", "cnn_lstm", "cnn_lstm_attn", "resnet1d")
 MIN_CI_SAMPLES = 30
 
 
@@ -147,18 +146,10 @@ def _train_generators(dataset, gan_config, labels, seed, stage_prefix):
 
 def _augment_dataset(dataset, gan_config, tau, balance_ratio, seed,
                      stage_prefix="augment"):
+    # checked before the GAN stage, which can run for hours
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
-    if not 0.0 < balance_ratio <= 1.0:
-        raise ConfigError(
-            f"balance ratio must lie in (0, 1], got {balance_ratio}")
-    counts = dataset.counts_for_split("train")
-    majority = max(counts.values())
-    if majority == 0:
-        raise ConfigError("dataset has no beats tagged train")
-    target = int(round(majority * balance_ratio))
-    deficient = [label for label, count in sorted(counts.items())
-                 if 0 < count < target]
+    deficient = balance_deficits(dataset, balance_ratio)
     generators = _train_generators(dataset, gan_config, deficient, seed,
                                    stage_prefix)
     return balance_dataset(dataset, generators, tau=tau, seed=seed,
@@ -223,7 +214,7 @@ def cmd_train(args):
         raise ConfigError("train needs beat data: pass --beats or set "
                           "beats_csv in the config")
     dataset = read_beats_csv(beats_path)
-    archs = list(ARCHS) if args.arch == "all" else [args.arch]
+    archs = ARCHITECTURES if args.arch == "all" else [args.arch]
     command = "ecgkit " + " ".join(getattr(args, "_argv", []))
     for arch in archs:
         _train_one_arch(config, dataset, arch, command)
@@ -273,32 +264,40 @@ def _resolve_checkpoint(entry, manifest_path):
     return path
 
 
+def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
+                  manifest, seed, n_resamples=1000):
+    """Load each member once, dump its logits to out, fuse them with
+    strategy and report the fused scores in report_dir.
+
+    Returns the members' logits by model id.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    logits_by_model = {}
+    for entry in entries:
+        model = load_checkpoint(_resolve_checkpoint(entry, manifest_path))
+        logits_by_model[entry.model_id] = model.logits_array(X)
+        path = write_logits_csv(out / f"logits_{entry.model_id}.csv",
+                                logits_by_model[entry.model_id])
+        manifest.add_files([path])
+    spec = build_strategy([e.model_id for e in entries],
+                          [e.val_macro_f1 for e in entries], strategy)
+    fused = fuse(LogitSet([logits_by_model[m] for m in spec.members]),
+                 spec.weights)
+    _report_run(report_dir, manifest, y=y, logits=fused, seed=seed,
+                n_resamples=n_resamples, ensemble=spec)
+    return logits_by_model
+
+
 def cmd_ensemble(args):
     manifest = _manifest_for(args, {
         "manifest": str(args.manifest), "strategy": args.strategy,
         "test": str(args.test), "seed": args.seed,
         "resamples": args.resamples, "out": str(args.out)})
     entries = load_manifest(args.manifest)
-    dataset = read_beats_csv(args.test)
-    X, y = _select_rows(dataset, "test")
-
+    X, y = _select_rows(read_beats_csv(args.test), "test")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    logits_by_model = {}
-    for entry in entries:
-        model = load_checkpoint(_resolve_checkpoint(entry, args.manifest))
-        logits_by_model[entry.model_id] = model.logits_array(X)
-        path = write_logits_csv(out / f"logits_{entry.model_id}.csv",
-                                logits_by_model[entry.model_id])
-        manifest.add_files([path])
-
-    spec = build_strategy([e.model_id for e in entries],
-                          [e.val_macro_f1 for e in entries],
-                          args.strategy)
-    fused = fuse(LogitSet([logits_by_model[m] for m in spec.members]),
-                 spec.weights)
-    _report_run(out, manifest, y=y, logits=fused, seed=args.seed,
-                n_resamples=args.resamples, ensemble=spec)
+    _ensemble_run(entries, args.manifest, X, y, args.strategy, out, out,
+                  manifest, args.seed, args.resamples)
     manifest.write(out / "run.manifest.json")
 
 
@@ -375,7 +374,7 @@ def cmd_reproduce(args):
     # stage 3: all four architectures
     command = "ecgkit " + " ".join(getattr(args, "_argv", []))
     summaries = [_train_one_arch(config, balanced, arch, command)
-                 for arch in ARCHS]
+                 for arch in ARCHITECTURES]
 
     # stage 4: fuse on held-out beats; a dedicated test file wins over
     # the validation split
@@ -391,40 +390,25 @@ def cmd_reproduce(args):
     models_path = write_manifest(ensemble_dir / "models.json", entries)
     manifest.add_files([models_path])
 
-    logits_by_model = {}
-    ensemble_manifest = RunManifest(
-        command=command, config_hash=config_hash(config),
-        version=__version__, started_at=RunManifest.now())
-    for entry in entries:
-        model = load_checkpoint(entry.checkpoint)
-        logits_by_model[entry.model_id] = model.logits_array(X)
-        path = write_logits_csv(
-            ensemble_dir / f"logits_{entry.model_id}.csv",
-            logits_by_model[entry.model_id])
-        ensemble_manifest.add_files([path])
-    spec = build_strategy([e.model_id for e in entries],
-                          [e.val_macro_f1 for e in entries], config.strategy)
-    fused = fuse(LogitSet([logits_by_model[m] for m in spec.members]),
-                 spec.weights)
-    _report_run(ensemble_dir / "report", ensemble_manifest, y=y,
-                logits=fused, seed=derive_seed(master, "ensemble"),
-                ensemble=spec)
+    def stage_manifest():
+        return RunManifest(command=command, config_hash=config_hash(config),
+                           version=__version__, started_at=RunManifest.now())
+
+    ensemble_manifest = stage_manifest()
+    logits_by_model = _ensemble_run(
+        entries, models_path, X, y, config.strategy, ensemble_dir,
+        ensemble_dir / "report", ensemble_manifest,
+        derive_seed(master, "ensemble"))
     ensemble_manifest.write(ensemble_dir / "run.manifest.json")
 
-    # stage 5: per-model reports on the same split
-    def evaluate_one(entry):
+    # stage 5: per-model reports on the same split, from the stage 4 logits
+    for entry in entries:
         stage = out / "evaluate" / entry.model_id
-        model = load_checkpoint(entry.checkpoint)
-        stage_manifest = RunManifest(
-            command=command, config_hash=config_hash(config),
-            version=__version__, started_at=RunManifest.now())
-        _report_run(stage, stage_manifest, model=model, X=X, y=y,
+        evaluate_manifest = stage_manifest()
+        _report_run(stage, evaluate_manifest, y=y,
                     logits=logits_by_model[entry.model_id],
                     seed=derive_seed(master, f"evaluate/{entry.model_id}"))
-        stage_manifest.write(stage / "run.manifest.json")
-
-    for entry in entries:
-        evaluate_one(entry)
+        evaluate_manifest.write(stage / "run.manifest.json")
     manifest.write(out / "reproduce.manifest.json")
 
 
@@ -458,7 +442,7 @@ def _build_parser():
     p.set_defaults(handler=cmd_augment)
 
     p = sub.add_parser("train", help="train one architecture, or all four")
-    p.add_argument("--arch", required=True, choices=ARCHS + ("all",))
+    p.add_argument("--arch", required=True, choices=ARCHITECTURES + ("all",))
     p.add_argument("--config", required=True)
     p.add_argument("--beats", default=None,
                    help="beat CSV; overrides beats_csv from the config")

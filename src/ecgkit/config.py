@@ -18,9 +18,8 @@ from .beats import DEFAULT_BEAT_LEN
 from .ensemble import STRATEGIES
 from .errors import ConfigError
 from .gan import GanTrainConfig
-from .training import FocalLossConfig, TABLE1, TrainRunConfig
-
-ARCH_KEYS = tuple(sorted(TABLE1))
+from .models import ARCHITECTURES
+from .training import FocalLossConfig, TrainRunConfig
 
 _TOP_LEVEL_TYPES = {
     "records_dir": (str, type(None)),
@@ -32,7 +31,6 @@ _TOP_LEVEL_TYPES = {
     "train_fraction": (float, int),
     "out_dir": (str,),
     "strategy": (str,),
-    "ensemble_manifest": (str, type(None)),
 }
 
 _ARCH_FIELD_TYPES = {
@@ -95,7 +93,6 @@ class PipelineConfig:
     train_fraction: float = 0.85
     out_dir: str = "out"
     strategy: str = "top2_weighted"
-    ensemble_manifest: str = None
     train_configs: dict = field(default_factory=dict)
     gan: GanTrainConfig = field(default_factory=GanTrainConfig)
 
@@ -108,7 +105,7 @@ class PipelineConfig:
                               f"{self.train_fraction}")
         if self.beat_len < 3:
             raise ConfigError(f"beat length must be >= 3, got {self.beat_len}")
-        for arch in ARCH_KEYS:
+        for arch in ARCHITECTURES:
             self.train_configs.setdefault(arch,
                                           TrainRunConfig.for_arch(arch))
 
@@ -124,9 +121,8 @@ class PipelineConfig:
             "train_fraction": self.train_fraction,
             "out_dir": self.out_dir,
             "strategy": self.strategy,
-            "ensemble_manifest": self.ensemble_manifest,
         }
-        for arch in ARCH_KEYS:
+        for arch in ARCHITECTURES:
             cfg = self.train_configs[arch]
             out[arch] = {
                 "batch_size": cfg.batch_size,
@@ -163,7 +159,7 @@ def config_from_payload(payload):
     """Validate a parsed JSON object against the schema and resolve it."""
     if not isinstance(payload, dict):
         raise ConfigError(f"config root must be an object, got {payload!r}")
-    known = set(_TOP_LEVEL_TYPES) | set(ARCH_KEYS) | {"gan"}
+    known = set(_TOP_LEVEL_TYPES) | set(ARCHITECTURES) | {"gan"}
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
@@ -176,7 +172,7 @@ def config_from_payload(payload):
         kwargs["train_fraction"] = float(kwargs["train_fraction"])
 
     train_configs = {}
-    for arch in ARCH_KEYS:
+    for arch in ARCHITECTURES:
         if arch in payload:
             section = _check_section(arch, payload[arch], _ARCH_FIELD_TYPES)
             train_configs[arch] = _train_config_from(arch, section)
@@ -209,7 +205,7 @@ def load_config(path):
             raise ConfigError(f"config {path} is not valid JSON: "
                               f"{exc}") from None
     config = config_from_payload(payload)
-    for key in ("records_dir", "beats_csv", "test_csv", "ensemble_manifest"):
+    for key in ("records_dir", "beats_csv", "test_csv"):
         value = getattr(config, key)
         if value is not None and not Path(value).exists():
             raise ConfigError(f"config key {key!r} references missing path "

@@ -203,23 +203,6 @@ def read_logits_csv(path):
     return sample_ids, np.array(values, dtype=np.float64)
 
 
-def stack_logit_files(paths):
-    """Load per-model logit CSVs and check they describe the same samples."""
-    all_ids = None
-    matrices = []
-    for path in paths:
-        sample_ids, logits = read_logits_csv(path)
-        if all_ids is None:
-            all_ids = sample_ids
-        elif sample_ids != all_ids:
-            raise ConfigError(f"{path} lists different samples than "
-                              f"{paths[0]}")
-        matrices.append(logits)
-    if all_ids is None:
-        raise ConfigError("no logit files given")
-    return all_ids, LogitSet(matrices)
-
-
 @dataclass
 class ManifestEntry:
     model_id: str

@@ -7,7 +7,6 @@ confidence threshold, and the accepted beats top the training split up to
 the majority-class count. Validation and test splits are never touched.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from . import tensor as tk
 from .beats import CLASS_NAMES, BeatDataset, BeatRecord
 from .errors import AugmentError, ConfigError
+from .models import _init_params, _lstm_layer_params, _lstm_layer_shapes
 from .tensor import Tensor
 from .training import AdamW
 
@@ -76,53 +76,22 @@ def sample_noise(config, n, rng):
     return rng.standard_normal(shape).astype(np.float32)
 
 
-def _uniform_param(rng, shape, bound):
-    values = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    return Tensor(values, requires_grad=True)
-
-
-def _lstm_gates(rng, in_dim, hidden):
-    bound = 1.0 / math.sqrt(hidden)
-    bias = np.zeros(4 * hidden, dtype=np.float32)
-    bias[hidden:2 * hidden] = 1.0   # forget gate starts open
-    return {
-        "w_ih": _uniform_param(rng, (4 * hidden, in_dim), bound),
-        "w_hh": _uniform_param(rng, (4 * hidden, hidden), bound),
-        "b": Tensor(bias, requires_grad=True),
-    }
-
-
-def _dense_pair(rng, out_dim, in_dim):
-    bound = 1.0 / math.sqrt(in_dim)
-    weight = _uniform_param(rng, (out_dim, in_dim), bound)
-    bias = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
-    return weight, bias
-
-
 class _RecurrentNet:
     """Shared trunk: bidirectional LSTM encoder, time-mean summary, then a
     hidden dense layer with LeakyReLU and dropout."""
 
     def __init__(self, config, rng, in_dim, out_dim):
         self.config = config
-        self.params = {}
-        for direction in ("fwd", "bwd"):
-            gates = _lstm_gates(rng, in_dim, config.hidden)
-            for key, value in gates.items():
-                self.params[f"lstm.{direction}.{key}"] = value
-        self.params["fc.w"], self.params["fc.b"] = _dense_pair(
-            rng, config.dense_width, 2 * config.hidden)
-        self.params["out.w"], self.params["out.b"] = _dense_pair(
-            rng, out_dim, config.dense_width)
+        shapes = _lstm_layer_shapes("lstm", in_dim, config.hidden)
+        shapes["fc.w"] = (config.dense_width, 2 * config.hidden)
+        shapes["fc.b"] = (config.dense_width,)
+        shapes["out.w"] = (out_dim, config.dense_width)
+        shapes["out.b"] = (out_dim,)
+        self.params = _init_params(shapes, rng, config.hidden)
 
     def _encode(self, sequence, training, rng):
-        layer = [{
-            "fwd": {key: self.params[f"lstm.fwd.{key}"]
-                    for key in ("w_ih", "w_hh", "b")},
-            "bwd": {key: self.params[f"lstm.bwd.{key}"]
-                    for key in ("w_ih", "w_hh", "b")},
-        }]
-        h = tk.bilstm(sequence, layer, self.config.hidden)
+        layer = _lstm_layer_params(self.params, "lstm")
+        h = tk.bilstm(sequence, [layer], self.config.hidden)
         summary = h.mean(axis=1)
         hidden = tk.leaky_relu(
             tk.dense(summary, self.params["fc.w"], self.params["fc.b"]))
@@ -302,15 +271,13 @@ def synthesize(generator, discriminator, n_needed, tau=0.5, seed=17):
     return accepted
 
 
-def balance_dataset(dataset, generators, tau=0.5, seed=17, balance_ratio=1.0):
-    """Top every deficient class in the train split up to the balance target.
+def balance_deficits(dataset, balance_ratio=1.0):
+    """Beats each class lacks in the train split to reach the balance target.
 
     The target is the majority-class train count scaled by balance_ratio.
-    generators maps class label to a (generator, discriminator) pair; a
-    class below target without one is an error. Classes absent from the
-    train split entirely are left alone. Returns a new dataset sharing the
-    original BeatRecord objects; the input order is preserved and synthetic
-    beats are appended at the end.
+    Returns {label: target - count} for every class present in the train
+    split but below target, in label order; classes absent from the train
+    split entirely are left alone.
     """
     if not 0.0 < balance_ratio <= 1.0:
         raise ConfigError(
@@ -320,15 +287,27 @@ def balance_dataset(dataset, generators, tau=0.5, seed=17, balance_ratio=1.0):
     if majority == 0:
         raise ConfigError("dataset has no beats tagged train")
     target = int(round(majority * balance_ratio))
+    return {label: target - count for label, count in sorted(counts.items())
+            if 0 < count < target}
 
-    deficits = {}
-    for label, count in sorted(counts.items()):
-        if 0 < count < target:
-            if label not in generators:
-                raise ConfigError(
-                    f"class {CLASS_NAMES[label]} has {count} train beats, "
-                    f"below the target {target}, and no generator")
-            deficits[label] = target - count
+
+def balance_dataset(dataset, generators, tau=0.5, seed=17, balance_ratio=1.0):
+    """Top every deficient class in the train split up to the balance target.
+
+    balance_deficits decides which classes fall short and by how much.
+    generators maps class label to a (generator, discriminator) pair; a
+    class below target without one is an error. Returns a new dataset
+    sharing the original BeatRecord objects; the input order is preserved
+    and synthetic beats are appended at the end.
+    """
+    deficits = balance_deficits(dataset, balance_ratio)
+    missing = [label for label in deficits if label not in generators]
+    if missing:
+        label = missing[0]
+        count = dataset.counts_for_split("train")[label]
+        raise ConfigError(
+            f"class {CLASS_NAMES[label]} has {count} train beats, below the "
+            f"target {count + deficits[label]}, and no generator")
     if not deficits:
         return dataset
 

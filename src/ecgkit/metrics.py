@@ -237,27 +237,3 @@ def bootstrap_ci(outcomes, metric_fn, n_resamples=DEFAULT_RESAMPLES, seed=17,
                               lower=min(float(lower), mean),
                               upper=max(float(upper), mean),
                               n_resamples=n_resamples)
-
-
-def run_level_ci(values, n_resamples=DEFAULT_RESAMPLES, seed=17,
-                 name="metric"):
-    """Bootstrap over per-run metric values instead of per-sample outcomes.
-
-    Useful when the same experiment was repeated under different seeds and
-    the spread across runs is the quantity of interest.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size < 2:
-        raise MetricError("run-level interval needs at least two run values")
-    if n_resamples < MIN_RESAMPLES:
-        raise MetricError(f"bootstrap needs at least {MIN_RESAMPLES} "
-                          f"resamples, got {n_resamples}")
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, values.size, size=(n_resamples, values.size))
-    means = values[rows].mean(axis=1)
-    lower, upper = np.percentile(means, [2.5, 97.5])
-    mean = float(means.mean())
-    return ConfidenceInterval(name=name, mean=mean,
-                              lower=min(float(lower), mean),
-                              upper=max(float(upper), mean),
-                              n_resamples=n_resamples)

@@ -10,7 +10,7 @@ becomes [b, input_len, 1] and every layer runs channels-last on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -98,6 +98,23 @@ def conv_feature_info(descriptor):
     return descriptor.channel_plan[-1], length
 
 
+def _lstm_layer_shapes(prefix, d_in, hidden):
+    """Shapes of one bidirectional LSTM layer's weights under prefix."""
+    shapes = {}
+    for direction in ("fwd", "bwd"):
+        shapes[f"{prefix}.{direction}.w_ih"] = (4 * hidden, d_in)
+        shapes[f"{prefix}.{direction}.w_hh"] = (4 * hidden, hidden)
+        shapes[f"{prefix}.{direction}.b"] = (4 * hidden,)
+    return shapes
+
+
+def _lstm_layer_params(params, prefix):
+    """One bilstm layer entry, {direction: {w_ih, w_hh, b}}, from params."""
+    return {direction: {key: params[f"{prefix}.{direction}.{key}"]
+                        for key in ("w_ih", "w_hh", "b")}
+            for direction in ("fwd", "bwd")}
+
+
 def _walk(descriptor):
     """Single source of truth for parameter shapes and norm-layer channels."""
     shapes = {}
@@ -124,11 +141,7 @@ def _walk(descriptor):
         hidden = descriptor.lstm_hidden
         d_in = first_in
         for layer in range(descriptor.lstm_layers):
-            for direction in ("fwd", "bwd"):
-                prefix = f"lstm.l{layer}.{direction}"
-                shapes[f"{prefix}.w_ih"] = (4 * hidden, d_in)
-                shapes[f"{prefix}.w_hh"] = (4 * hidden, hidden)
-                shapes[f"{prefix}.b"] = (4 * hidden,)
+            shapes.update(_lstm_layer_shapes(f"lstm.l{layer}", d_in, hidden))
             d_in = 2 * hidden
 
     plan = descriptor.channel_plan
@@ -184,19 +197,18 @@ def buffer_shapes(descriptor):
     return out
 
 
-def _init_value(name, shape, rng, descriptor):
+def _init_value(name, shape, rng, lstm_hidden):
     leaf = name.rsplit(".", 1)[-1]
     if leaf == "gamma":
         return np.ones(shape, dtype=np.float32)
     if leaf == "beta":
         return np.zeros(shape, dtype=np.float32)
     if leaf in ("w_ih", "w_hh"):
-        bound = 1.0 / math.sqrt(descriptor.lstm_hidden)
+        bound = 1.0 / math.sqrt(lstm_hidden)
         return rng.uniform(-bound, bound, shape).astype(np.float32)
     if leaf == "b" and name.startswith("lstm."):
-        hidden = descriptor.lstm_hidden
         bias = np.zeros(shape, dtype=np.float32)
-        bias[hidden:2 * hidden] = 1.0  # forget gate starts open
+        bias[lstm_hidden:2 * lstm_hidden] = 1.0  # forget gate starts open
         return bias
     if leaf in ("b", "b_h"):
         return np.zeros(shape, dtype=np.float32)
@@ -204,6 +216,13 @@ def _init_value(name, shape, rng, descriptor):
     fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else int(shape[0])
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, shape).astype(np.float32)
+
+
+def _init_params(shapes, rng, lstm_hidden):
+    """Trainable tensors for a name -> shape dict, drawn in dict order."""
+    return {name: Tensor(_init_value(name, shape, rng, lstm_hidden),
+                         requires_grad=True, name=name)
+            for name, shape in shapes.items()}
 
 
 class Model:
@@ -295,15 +314,8 @@ class Model:
         return self._head(h.mean(axis=1))
 
     def _lstm_params(self):
-        layers = []
-        for layer in range(self.descriptor.lstm_layers):
-            layers.append({
-                direction: {
-                    "w_ih": self.params[f"lstm.l{layer}.{direction}.w_ih"],
-                    "w_hh": self.params[f"lstm.l{layer}.{direction}.w_hh"],
-                    "b": self.params[f"lstm.l{layer}.{direction}.b"],
-                } for direction in ("fwd", "bwd")})
-        return layers
+        return [_lstm_layer_params(self.params, f"lstm.l{layer}")
+                for layer in range(self.descriptor.lstm_layers)]
 
     def _forward_recurrent(self, x, training, rng, capture):
         h = self._trunk(x, training)
@@ -362,10 +374,8 @@ class Model:
 def build(descriptor, seed):
     """Initialize a model; same descriptor and seed give identical bits."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(descriptor).items():
-        params[name] = Tensor(_init_value(name, shape, rng, descriptor),
-                              requires_grad=True, name=name)
+    params = _init_params(param_shapes(descriptor), rng,
+                         descriptor.lstm_hidden)
     stats = {prefix: RunningStats(channels)
              for prefix, channels in norm_layers(descriptor).items()}
     return Model(descriptor, params, stats)

@@ -1,8 +1,8 @@
 """Evaluation artifacts as plain files.
 
 One directory per evaluation: metrics.json for the numbers, CSVs for the
-confusion matrices, ROC curves, confidence intervals, saliency maps and
-the training history. Writers are deterministic so re-rendering the same
+confusion matrices, ROC curves, confidence intervals and saliency maps.
+Writers are deterministic so re-rendering the same
 inputs reproduces every file byte for byte.
 """
 
@@ -30,7 +30,7 @@ def _matrix_csv(rows, class_names, cell):
 
 
 def render_report(out_dir, metrics=None, matrix=None, curves=None, cis=None,
-                  saliency=None, history=None, ensemble=None,
+                  saliency=None, ensemble=None,
                   class_names=CLASS_NAMES):
     """Write whichever artifacts were computed; returns the file list.
 
@@ -83,13 +83,5 @@ def render_report(out_dir, metrics=None, matrix=None, curves=None, cis=None,
                   for i, v in enumerate(saliency_map.values)]
         written.append(_write_text(out_dir / f"gradcam_{sample_id}.csv",
                                    "\n".join(lines) + "\n"))
-
-    if history is not None:
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            written.append(history.to_csv(out_dir / "history.csv"))
-        except OSError as exc:
-            raise IoError(f"cannot write {out_dir / 'history.csv'}: "
-                          f"{exc}") from None
 
     return sorted(Path(p) for p in written)

@@ -52,7 +52,7 @@ def no_grad():
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name",
-                 "_parents", "_backward", "_hooks")
+                 "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data)
@@ -64,7 +64,6 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._backward = None
-        self._hooks = []
 
     @property
     def shape(self):
@@ -83,11 +82,6 @@ class Tensor:
 
     def detach(self):
         return Tensor(self.data, requires_grad=False, name=self.name)
-
-    def register_hook(self, fn):
-        """Call fn(grad) once per backward pass that reaches this tensor."""
-        self._hooks.append(fn)
-        return fn
 
     def zero_grad(self):
         self.grad = None
@@ -117,11 +111,7 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node.grad is None:
-                continue
-            for hook in node._hooks:
-                hook(node.grad)
-            if node._backward is not None:
+            if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
 
     # arithmetic sugar; heavy ops stay module-level functions
@@ -175,7 +165,7 @@ def _as_tensor(x, like=None):
 
 
 def _tracked(t):
-    return t.requires_grad or t._parents or t._hooks
+    return t.requires_grad or t._parents
 
 
 def _node(data, parents, backward):

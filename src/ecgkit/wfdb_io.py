@@ -379,10 +379,6 @@ def read_record(path, header=None):
     return header, physical
 
 
-def read_annotation_file(path):
-    return parse_annotations(Path(path).read_bytes())
-
-
 def write_record(directory, record_name, channels, sampling_rate=360.0,
                  leads=None, gain=200.0, adc_zero=0, annotations=None):
     """Write a synthetic WFDB record (.hea/.dat and optional .atr).

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ecgkit.checkpoint import MAGIC, load_checkpoint, peek_checkpoint, \
-    save_checkpoint
+from ecgkit.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ecgkit.errors import FormatError
 from ecgkit.models import ModelDescriptor, build
 
@@ -38,22 +37,6 @@ def test_restored_state_bitwise_identical(tmp_path):
     original = model.state_arrays()
     for name, array in restored.state_arrays().items():
         np.testing.assert_array_equal(array, original[name])
-
-
-def test_peek_reports_param_count_without_tensor_data(tmp_path):
-    model = small_model("cnn_lstm")
-    path = save_checkpoint(tmp_path / "m.ckpt", model)
-    info = peek_checkpoint(path)
-    assert info["param_count"] == model.param_count()
-    assert info["descriptor"] == model.descriptor
-
-    # strip everything after the descriptor block: peek still works
-    raw = path.read_bytes()
-    import struct
-    json_len = struct.unpack("<I", raw[7:11])[0]
-    header_only = tmp_path / "header.ckpt"
-    header_only.write_bytes(raw[:11 + json_len])
-    assert peek_checkpoint(header_only)["param_count"] == model.param_count()
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -4,12 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ecgkit import cli
 from ecgkit import tensor as tk
 from ecgkit.beats import read_beats_csv, write_beats_csv
 from ecgkit.checkpoint import load_checkpoint
 from ecgkit.cli import run
-from ecgkit.config import RunManifest
+from ecgkit.config import RunManifest, derive_seed
 from ecgkit.ensemble import read_logits_csv
+from ecgkit.models import ARCHITECTURES
 from ecgkit.wfdb_io import MNEMONIC_TO_CODE, AnnotationEvent, write_record
 
 from helpers import toy_two_class
@@ -475,6 +477,31 @@ def reproduced(tmp_path_factory):
     return {"root": root, "out": out, "config": config}
 
 
+@pytest.fixture(scope="module")
+def reproduced_with_test_csv(tmp_path_factory):
+    """A beats_csv + test_csv reproduce run, counting checkpoint loads."""
+    root = tmp_path_factory.mktemp("repro_csv")
+    beats = write_toy_csv(root / "beats.csv", n_per_class=30)
+    test_csv = write_toy_csv(root / "test.csv", n_per_class=10, seed=5,
+                             include_split=False)
+    out = root / "out"
+    config = reproduce_config(root, "unused", out, beats_csv=str(beats),
+                              test_csv=str(test_csv))
+    payload = json.loads(config.read_text())
+    del payload["records_dir"]
+    config.write_text(json.dumps(payload))
+    loads = []
+
+    def counting_load(path):
+        loads.append(Path(path))
+        return load_checkpoint(path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_checkpoint", counting_load)
+        assert run(["reproduce", "--config", str(config)]) == 0
+    return {"out": out, "payload": payload, "loads": loads}
+
+
 class TestReproduce:
     def test_stage_layout(self, reproduced):
         out = reproduced["out"]
@@ -522,22 +549,41 @@ class TestReproduce:
         assert run(["reproduce", "--config", str(config)]) == 3
         capsys.readouterr()
 
-    def test_beats_csv_and_test_csv_route(self, tmp_path):
-        beats = write_toy_csv(tmp_path / "beats.csv", n_per_class=30)
-        test_csv = write_toy_csv(tmp_path / "test.csv", n_per_class=10,
-                                 seed=5, include_split=False)
-        out = tmp_path / "out"
-        config = reproduce_config(tmp_path, "unused", out,
-                                  beats_csv=str(beats),
-                                  test_csv=str(test_csv))
-        payload = json.loads(config.read_text())
-        del payload["records_dir"]
-        config.write_text(json.dumps(payload))
-        assert run(["reproduce", "--config", str(config)]) == 0
+    def test_beats_csv_and_test_csv_route(self, reproduced_with_test_csv):
+        out = reproduced_with_test_csv["out"]
         assert not (out / "ingest").exists()
         report = json.loads((out / "ensemble" / "report" /
                              "metrics.json").read_text())
         assert 0.0 <= report["accuracy"] <= 1.0
+
+
+class TestReproduceEnsembleStage:
+    def test_each_checkpoint_loads_once(self, reproduced_with_test_csv):
+        loads = reproduced_with_test_csv["loads"]
+        out = reproduced_with_test_csv["out"]
+        assert sorted(loads) == sorted(out / "train" / arch / "model.ckpt"
+                                       for arch in ARCHITECTURES)
+
+    def test_ensemble_command_matches_reproduce(self,
+                                                reproduced_with_test_csv,
+                                                tmp_path):
+        out = reproduced_with_test_csv["out"]
+        payload = reproduced_with_test_csv["payload"]
+        seed = derive_seed(payload["seed"], "ensemble")
+        again = tmp_path / "ensemble"
+        assert run(["ensemble",
+                    "--manifest", str(out / "ensemble" / "models.json"),
+                    "--strategy", payload["strategy"],
+                    "--test", payload["test_csv"], "--seed", str(seed),
+                    "--out", str(again)]) == 0
+        # reproduce keeps the logits in ensemble/ and the report one below
+        staged = [*(out / "ensemble").glob("logits_*.csv"),
+                  *(out / "ensemble" / "report").iterdir()]
+        staged = {p.name: p.read_bytes() for p in staged}
+        fresh = {p.name: p.read_bytes() for p in again.iterdir()
+                 if p.name != "run.manifest.json"}
+        assert len(fresh) > len(ARCHITECTURES)
+        assert fresh == staged
 
 
 def softmax_rows(logits):

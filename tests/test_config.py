@@ -6,6 +6,7 @@ import pytest
 from ecgkit.config import (PipelineConfig, RunManifest, config_from_payload,
                            config_hash, derive_seed, load_config)
 from ecgkit.errors import ConfigError
+from ecgkit.models import _DEFAULT_PLANS, ARCHITECTURES
 from ecgkit.training import TABLE1
 
 
@@ -37,6 +38,13 @@ class TestDefaults:
             assert run.lr == defaults["lr"]
             assert run.epochs == 50
             assert run.early_stop_patience == 8
+
+    def test_per_arch_tables_cover_the_one_architecture_list(self):
+        assert set(TABLE1) == set(ARCHITECTURES) == set(_DEFAULT_PLANS)
+        cfg = PipelineConfig()
+        assert tuple(cfg.train_configs) == ARCHITECTURES
+        resolved = cfg.to_dict()
+        assert tuple(k for k in resolved if k in TABLE1) == ARCHITECTURES
 
     def test_empty_file_means_defaults(self, tmp_path):
         path = write_config(tmp_path, "")
@@ -133,6 +141,12 @@ class TestRejection:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    def test_ensemble_manifest_is_an_unknown_key(self, tmp_path):
+        path = write_config(tmp_path, {"ensemble_manifest": "models.json"})
+        with pytest.raises(ConfigError,
+                           match="unknown config key 'ensemble_manifest'"):
+            load_config(path)
+
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError, match="strategy"):
             config_from_payload({"strategy": "best_one"})
@@ -162,11 +176,6 @@ class TestPathChecks:
     def test_missing_records_dir_rejected(self, tmp_path):
         path = write_config(tmp_path, {"records_dir": "no/such/dir"})
         with pytest.raises(ConfigError, match="records_dir"):
-            load_config(path)
-
-    def test_missing_manifest_rejected(self, tmp_path):
-        path = write_config(tmp_path, {"ensemble_manifest": "gone.json"})
-        with pytest.raises(ConfigError, match="ensemble_manifest"):
             load_config(path)
 
     def test_missing_test_csv_rejected(self, tmp_path):

@@ -12,7 +12,6 @@ from ecgkit.ensemble import (
     predict_classes,
     rank_members,
     read_logits_csv,
-    stack_logit_files,
     top2_weights,
     write_logits_csv,
     write_manifest,
@@ -254,19 +253,6 @@ class TestLogitCsv:
         with pytest.raises(ParseError) as exc:
             read_logits_csv(path)
         assert exc.value.line == 2
-
-    def test_stacking_checks_sample_agreement(self, tmp_path):
-        a = write_logits_csv(tmp_path / "a.csv", np.zeros((3, 5)))
-        b = write_logits_csv(tmp_path / "b.csv", np.ones((3, 5)))
-        sample_ids, logit_set = stack_logit_files([a, b])
-        assert sample_ids == ["0", "1", "2"]
-        assert len(logit_set) == 2
-        c = write_logits_csv(tmp_path / "c.csv", np.ones((3, 5)),
-                             sample_ids=["9", "1", "2"])
-        with pytest.raises(ConfigError):
-            stack_logit_files([a, c])
-        with pytest.raises(ConfigError):
-            stack_logit_files([])
 
 
 class TestManifest:

@@ -11,7 +11,6 @@ from ecgkit.metrics import (
     one_vs_rest_auc,
     prf1,
     roc_auc,
-    run_level_ci,
 )
 
 
@@ -299,20 +298,3 @@ class TestBootstrap:
         ci = bootstrap_ci(np.ones(40), np.mean, n_resamples=250, seed=0)
         assert ci.n_resamples == 250
         assert ci.level == 0.95
-
-
-class TestRunLevelCi:
-    def test_basic_interval(self):
-        values = [0.94, 0.95, 0.96, 0.95, 0.93]
-        ci = run_level_ci(values, seed=0, name="macro_f1")
-        assert min(values) <= ci.lower <= ci.mean <= ci.upper <= max(values)
-        assert ci.name == "macro_f1"
-
-    def test_needs_two_runs(self):
-        with pytest.raises(MetricError):
-            run_level_ci([0.9])
-
-    def test_deterministic(self):
-        a = run_level_ci([0.1, 0.5, 0.9], seed=4)
-        b = run_level_ci([0.1, 0.5, 0.9], seed=4)
-        assert (a.lower, a.mean, a.upper) == (b.lower, b.mean, b.upper)

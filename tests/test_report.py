@@ -9,7 +9,6 @@ from ecgkit.gradcam import SaliencyMap
 from ecgkit.metrics import (bootstrap_ci, confusion, evaluate_predictions,
                             roc_auc)
 from ecgkit.report import render_report
-from ecgkit.training import EpochRecord, TrainingHistory
 
 
 def full_inputs(seed=0):
@@ -27,12 +26,10 @@ def full_inputs(seed=0):
     values = np.linspace(0, 1, 64)
     saliency = {"7": SaliencyMap(values, 1, values.copy()),
                 "12": SaliencyMap(values[::-1].copy(), 2, values.copy())}
-    history = TrainingHistory([EpochRecord(1, 0.9, 0.8, 0.6, 0.55),
-                               EpochRecord(2, 0.7, 0.75, 0.7, 0.64)])
     ensemble = EnsembleSpec(("cnn", "cnn_lstm"), (0.50131, 0.49869),
                             "top2_weighted")
     return dict(metrics=metrics, matrix=matrix, curves=curves, cis=cis,
-                saliency=saliency, history=history, ensemble=ensemble)
+                saliency=saliency, ensemble=ensemble)
 
 
 def tree_digest(root):
@@ -49,7 +46,7 @@ class TestRenderReport:
         written = render_report(out, **full_inputs())
         names = {p.name for p in written}
         expected = {"metrics.json", "confusion.csv",
-                    "confusion_normalized.csv", "ci.csv", "history.csv",
+                    "confusion_normalized.csv", "ci.csv",
                     "gradcam_7.csv", "gradcam_12.csv"}
         expected |= {f"roc_class_{k}.csv" for k in range(5)}
         assert names == expected
@@ -134,10 +131,3 @@ class TestRenderReport:
         blocker.write_text("a file, not a directory")
         with pytest.raises(IoError):
             render_report(blocker / "report", **full_inputs())
-
-    def test_history_round_trips(self, tmp_path):
-        inputs = full_inputs()
-        out = tmp_path / "report"
-        render_report(out, **inputs)
-        assert TrainingHistory.from_csv(out / "history.csv") == \
-            inputs["history"]
