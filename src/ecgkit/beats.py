@@ -225,30 +225,42 @@ def stratified_split(dataset, train_fraction=0.85, seed=17):
 
 
 def write_beats_csv(path, dataset, include_split=True, include_source=True):
-    """Write the canonical beat CSV; extra columns are appended after label."""
+    """Write the canonical beat CSV; extra columns are appended after label.
+
+    Each sample is written as ``%.9g``, which round-trips float32 exactly
+    (nan, inf and -inf for the non-finite values).  Label, split and source
+    are CSV-quoted only when they need it, for example a source holding a
+    comma, a quote or a newline.  Rows end in ``\\r\\n``.  A dataset whose
+    beats differ in length is refused before the file is opened.
+    """
     path = Path(path)
     if not dataset.beats:
         raise IoError("refusing to write an empty beat file")
     length = len(dataset.beats[0].samples)
+    for beat in dataset.beats:
+        if len(beat.samples) != length:
+            raise IoError(
+                f"beat length {len(beat.samples)} != {length}; "
+                f"dataset is not rectangular")
     header = [f"s{i}" for i in range(length)] + ["label"]
     if include_split:
         header.append("split")
     if include_source:
         header.append("source")
+    # float32 -> Python float is exact, so "%.9g" of tolist() matches the
+    # per-sample format of the float32 value byte for byte
+    samples_fmt = "%.9g," * length
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for beat in dataset.beats:
-            if len(beat.samples) != length:
-                raise IoError(
-                    f"beat length {len(beat.samples)} != {length}; "
-                    f"dataset is not rectangular")
-            row = [f"{v:.9g}" for v in beat.samples] + [str(beat.label)]
+            fh.write(samples_fmt % tuple(beat.samples.tolist()))
+            tail = [str(beat.label)]
             if include_split:
-                row.append(beat.split_tag)
+                tail.append(beat.split_tag)
             if include_source:
-                row.append(beat.source)
-            writer.writerow(row)
+                tail.append(beat.source)
+            writer.writerow(tail)
     return path
 
 

@@ -504,15 +504,18 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
     group = max(1, _CONV_BLOCK_ROWS // per)   # batch elements per block
     blocks = [(b0, min(b0 + group, batch)) for b0 in range(0, batch, group)]
 
+    # with one input channel each tap is an outer product [n, 1] x [1, c_out]:
+    # a broadcast multiply gives the same values as a K=1 GEMM, faster
+    tap_product = np.multiply if c_in == 1 else np.matmul
     out = np.empty((batch, out_len, c_out), dtype=dtype)
     acc = np.empty((min(group, batch) * per, c_out), dtype=dtype)
     part = np.empty_like(acc)
     for b0, b1 in blocks:
         n, lo = (b1 - b0) * per, b0 * pitch
-        np.matmul(flat[lo:lo + n * stride:stride], wt[0], out=acc[:n])
+        tap_product(flat[lo:lo + n * stride:stride], wt[0], out=acc[:n])
         for j in range(1, k):
-            np.matmul(flat[lo + j:lo + j + n * stride:stride], wt[j],
-                      out=part[:n])
+            tap_product(flat[lo + j:lo + j + n * stride:stride], wt[j],
+                        out=part[:n])
             acc[:n] += part[:n]
         np.add(acc[:n].reshape(b1 - b0, per, c_out)[:, :out_len], bias_data,
                out=out[b0:b1])

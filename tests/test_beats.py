@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from ecgkit.beats import (
     BeatDataset,
     BeatRecord,
     CLASS_NAMES,
+    SPLIT_TAGS,
     load_records_dir,
     map_code_to_label,
     normalize_beat,
@@ -235,6 +239,42 @@ class TestBeatCsv:
     def test_empty_dataset_refused(self, tmp_path):
         with pytest.raises(IoError):
             write_beats_csv(tmp_path / "x.csv", BeatDataset())
+
+    def test_ragged_dataset_refused_before_any_file_is_written(self, tmp_path):
+        ds = BeatDataset([BeatRecord(np.zeros(8), 0), BeatRecord(np.ones(5), 1)])
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(IoError, match="not rectangular"):
+            write_beats_csv(path, ds)
+        assert not path.exists()
+
+    def test_byte_format_pinned_on_tricky_values(self, tmp_path):
+        tricky = [np.nan, np.inf, -np.inf, -0.0, 1e-45, 1e-5, 123456789.0,
+                  3.4028235e38, 0.1]
+        sources = ["rec,100:5", 'say "hi"', "line\nbreak", "plain"]
+        beats = [BeatRecord(np.roll(tricky, i), i % 5, source=src,
+                            split_tag=SPLIT_TAGS[i % 3])
+                 for i, src in enumerate(sources)]
+        path = write_beats_csv(tmp_path / "tricky.csv", BeatDataset(beats))
+
+        # reference: one csv.writer row per beat, each sample formatted as
+        # the float32 value with "{:.9g}"
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow([f"s{i}" for i in range(len(tricky))]
+                        + ["label", "split", "source"])
+        for beat in beats:
+            writer.writerow([f"{v:.9g}" for v in beat.samples]
+                            + [str(beat.label), beat.split_tag, beat.source])
+        assert path.read_bytes() == ref.getvalue().encode()
+
+        back = read_beats_csv(path)
+        assert len(back) == len(beats)
+        for got, want in zip(back, beats):
+            np.testing.assert_array_equal(got.samples.view(np.uint32),
+                                          want.samples.view(np.uint32))
+        assert [b.label for b in back] == [b.label for b in beats]
+        assert [b.split_tag for b in back] == [b.split_tag for b in beats]
+        assert [b.source for b in back] == sources
 
 
 class TestRecordsDirLoader:

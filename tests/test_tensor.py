@@ -315,13 +315,11 @@ class TestConv1d:
         with pytest.raises(ShapeError):
             tk.conv1d(t(np.ones((1, 3, 1))), t(np.ones((1, 1, 9))))
 
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    @pytest.mark.parametrize("k", [1, 2, 5, 7])
-    def test_matches_per_window_reference_with_gradients(self, k, stride):
-        rng = np.random.default_rng(50 + 3 * k + stride)
+    @staticmethod
+    def check_per_window_reference_with_gradients(rng, c_in, k, stride):
         for padding in range(4):
-            x, w, b = (rng.normal(size=(2, 11, 3)), rng.normal(size=(4, 3, k)),
-                       rng.normal(size=4))
+            x, w, b = (rng.normal(size=(2, 11, c_in)),
+                       rng.normal(size=(4, c_in, k)), rng.normal(size=4))
             tensors = [t(a, requires_grad=True) for a in (x, w, b)]
             out = tk.conv1d(*tensors, stride=stride, padding=padding)
             ref = direct_conv1d(x, w, b, stride, padding)
@@ -332,6 +330,43 @@ class TestConv1d:
                     x, w, g, stride, padding)):
                 np.testing.assert_allclose(tensor.grad, ref_grad,
                                            rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5, 7])
+    def test_matches_per_window_reference_with_gradients(self, k, stride):
+        self.check_per_window_reference_with_gradients(
+            np.random.default_rng(50 + 3 * k + stride), 3, k, stride)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5, 7])
+    def test_one_input_channel_matches_per_window_reference_with_gradients(
+            self, k, stride):
+        # one input channel takes the broadcast-multiply tap product
+        self.check_per_window_reference_with_gradients(
+            np.random.default_rng(150 + 3 * k + stride), 1, k, stride)
+
+    @pytest.mark.parametrize("c_out,k,stride,padding", [
+        (128, 5, 1, 2),   # cnn block0.conv1
+        (32, 7, 2, 3),    # resnet1d stem
+    ])
+    def test_one_input_channel_float32_bit_equal_to_tap_gemms(
+            self, c_out, k, stride, padding):
+        rng = np.random.default_rng(70 + k)
+        x = rng.normal(size=(6, 187, 1)).astype(np.float32)
+        w = rng.normal(scale=0.3, size=(c_out, 1, k)).astype(np.float32)
+        b = rng.normal(size=c_out).astype(np.float32)
+        out = tk.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                        padding=padding).data
+        xp = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
+        out_len = (xp.shape[1] - k) // stride + 1
+        wt = w.transpose(2, 1, 0)                        # [k, 1, c_out]
+        acc = np.matmul(xp[:, 0:stride * out_len:stride], wt[0])
+        for j in range(1, k):
+            acc += np.matmul(xp[:, j:j + stride * out_len:stride], wt[j])
+        ref = acc + b
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.view(np.uint32),
+                                      ref.view(np.uint32))
 
     def test_untracked_input_still_trains_weights(self):
         rng = np.random.default_rng(60)
