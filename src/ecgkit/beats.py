@@ -73,18 +73,8 @@ class BeatDataset:
     def __iter__(self):
         return iter(self.beats)
 
-    def append(self, beat):
-        self.beats.append(beat)
-
     def extend(self, beats):
         self.beats.extend(beats)
-
-    @property
-    def class_counts(self):
-        counts = {label: 0 for label in range(len(CLASS_NAMES))}
-        for beat in self.beats:
-            counts[beat.label] += 1
-        return counts
 
     def counts_for_split(self, split_tag):
         counts = {label: 0 for label in range(len(CLASS_NAMES))}
@@ -117,11 +107,12 @@ def normalize_beat(samples):
 
 
 def segment_beats(signal, annotations, beat_len=DEFAULT_BEAT_LEN,
-                  source_record="", normalize=True):
+                  source_record=""):
     """Cut one fixed window per mapped annotation, centered on the R-peak.
 
     The window spans floor(L/2) samples before the peak and L-1-floor(L/2)
     after it; windows that would cross either record edge are dropped.
+    Each kept window is min-max normalized with normalize_beat.
     """
     if beat_len < 3:
         raise ConfigError(f"beat length {beat_len} too short, need >= 3")
@@ -136,9 +127,7 @@ def segment_beats(signal, annotations, beat_len=DEFAULT_BEAT_LEN,
         end = start + beat_len
         if start < 0 or end > len(signal):
             continue
-        window = signal[start:end]
-        if normalize:
-            window = normalize_beat(window)
+        window = normalize_beat(signal[start:end])
         source = (f"{source_record}:{event.sample_index}"
                   if source_record else f"beat:{event.sample_index}")
         beats.append(BeatRecord(window, label, source=source))
@@ -224,8 +213,8 @@ def stratified_split(dataset, train_fraction=0.85, seed=17):
     return dataset
 
 
-def write_beats_csv(path, dataset, include_split=True, include_source=True):
-    """Write the canonical beat CSV; extra columns are appended after label.
+def write_beats_csv(path, dataset):
+    """Write the canonical beat CSV: samples, label, split and source.
 
     Each sample is written as ``%.9g``, which round-trips float32 exactly
     (nan, inf and -inf for the non-finite values).  Label, split and source
@@ -242,11 +231,7 @@ def write_beats_csv(path, dataset, include_split=True, include_source=True):
             raise IoError(
                 f"beat length {len(beat.samples)} != {length}; "
                 f"dataset is not rectangular")
-    header = [f"s{i}" for i in range(length)] + ["label"]
-    if include_split:
-        header.append("split")
-    if include_source:
-        header.append("source")
+    header = [f"s{i}" for i in range(length)] + ["label", "split", "source"]
     # float32 -> Python float is exact, so "%.9g" of tolist() matches the
     # per-sample format of the float32 value byte for byte
     samples_fmt = "%.9g," * length
@@ -255,12 +240,7 @@ def write_beats_csv(path, dataset, include_split=True, include_source=True):
         writer.writerow(header)
         for beat in dataset.beats:
             fh.write(samples_fmt % tuple(beat.samples.tolist()))
-            tail = [str(beat.label)]
-            if include_split:
-                tail.append(beat.split_tag)
-            if include_source:
-                tail.append(beat.source)
-            writer.writerow(tail)
+            writer.writerow([str(beat.label), beat.split_tag, beat.source])
     return path
 
 

@@ -28,7 +28,7 @@ from .errors import ConfigError, EcgkitError
 from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
                   balance_summary, gan_train)
 from .gradcam import grad_cam
-from .metrics import bootstrap_ci, confusion, evaluate_predictions, prf1, roc_auc
+from .metrics import bootstrap_ci, confusion, evaluate_predictions, prf1
 from .models import ARCHITECTURES, ModelDescriptor, build
 from .report import render_report
 from .training import train
@@ -86,14 +86,7 @@ def _normalized_sources(dataset):
     return BeatDataset(beats, rng_seed=dataset.rng_seed)
 
 
-def _evaluate_arrays(y_true, y_pred, probabilities, seed, n_resamples):
-    bundle = evaluate_predictions(y_true, y_pred, probabilities)
-    matrix = confusion(y_true, y_pred)
-    curves = {}
-    for k in range(probabilities.shape[1]):
-        positives = y_true == k
-        if positives.any() and (~positives).any():
-            curves[k] = roc_auc(probabilities[:, k], positives)
+def _confidence_intervals(y_true, y_pred, seed, n_resamples):
     cis = []
     if len(y_true) >= MIN_CI_SAMPLES:
         correct = (y_pred == y_true).astype(np.float64)
@@ -106,7 +99,7 @@ def _evaluate_arrays(y_true, y_pred, probabilities, seed, n_resamples):
                                 n_resamples=n_resamples,
                                 seed=derive_seed(seed, "ci/macro_f1"),
                                 name="macro_f1"))
-    return bundle, matrix, curves, cis
+    return cis
 
 
 def _saliency_for(model, X, y_pred, count):
@@ -226,14 +219,13 @@ def _report_run(out_dir, manifest, model=None, X=None, y=None,
     with tk.no_grad():
         probabilities = tk.softmax(tk.Tensor(logits)).data
     y_pred = predict_classes(logits)
-    bundle, matrix, curves, cis = _evaluate_arrays(y, y_pred, probabilities,
-                                                   seed, n_resamples)
+    bundle = evaluate_predictions(y, y_pred, probabilities)
+    cis = _confidence_intervals(y, y_pred, seed, n_resamples)
     saliency = None
     if gradcam_count and model is not None:
         saliency = _saliency_for(model, X, y_pred, gradcam_count)
-    written = render_report(out_dir, metrics=bundle, matrix=matrix,
-                            curves=curves, cis=cis, saliency=saliency,
-                            ensemble=ensemble)
+    written = render_report(out_dir, metrics=bundle, cis=cis,
+                            saliency=saliency, ensemble=ensemble)
     manifest.add_files(written)
     return written
 
@@ -499,7 +491,7 @@ def run(argv):
     except ConfigError as exc:
         print(f"ecgkit: config error: {exc}", file=sys.stderr)
         return 3
-    except EcgkitError as exc:
+    except (EcgkitError, OSError) as exc:
         print(f"ecgkit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -61,12 +61,19 @@ _GAN_FIELD_TYPES = {
 
 
 def _check_type(key, value, allowed):
+    """The value of a schema-conforming key; float keys come back float."""
     if isinstance(value, bool) or not isinstance(value, allowed):
         names = "/".join("null" if t is type(None) else t.__name__
                          for t in allowed)
         raise ConfigError(f"config key {key!r} expects {names}, "
                           f"got {value!r}")
-    return value
+    if float not in allowed:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"config key {key!r} is out of float "
+                          f"range") from None
 
 
 def _check_section(name, payload, field_types):
@@ -77,9 +84,8 @@ def _check_section(name, payload, field_types):
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} "
                           f"in section {name!r}")
-    for key, value in payload.items():
-        _check_type(f"{name}.{key}", value, field_types[key])
-    return payload
+    return {key: _check_type(f"{name}.{key}", value, field_types[key])
+            for key, value in payload.items()}
 
 
 @dataclass
@@ -140,18 +146,13 @@ class PipelineConfig:
 
 
 def _train_config_from(arch, payload):
-    payload = dict(payload)
     focal_kwargs = {}
     if "focal_alpha" in payload:
-        focal_kwargs["alpha"] = float(payload.pop("focal_alpha"))
+        focal_kwargs["alpha"] = payload.pop("focal_alpha")
     if "focal_gamma" in payload:
-        focal_kwargs["gamma"] = float(payload.pop("focal_gamma"))
+        focal_kwargs["gamma"] = payload.pop("focal_gamma")
     if focal_kwargs:
         payload["focal"] = FocalLossConfig(**focal_kwargs)
-    if "lr" in payload:
-        payload["lr"] = float(payload["lr"])
-    if "weight_decay" in payload:
-        payload["weight_decay"] = float(payload["weight_decay"])
     return TrainRunConfig.for_arch(arch, **payload)
 
 
@@ -168,8 +169,6 @@ def config_from_payload(payload):
     for key, allowed in _TOP_LEVEL_TYPES.items():
         if key in payload:
             kwargs[key] = _check_type(key, payload[key], allowed)
-    if "train_fraction" in kwargs:
-        kwargs["train_fraction"] = float(kwargs["train_fraction"])
 
     train_configs = {}
     for arch in ARCHITECTURES:
@@ -178,11 +177,7 @@ def config_from_payload(payload):
             train_configs[arch] = _train_config_from(arch, section)
     gan_payload = {}
     if "gan" in payload:
-        gan_payload = dict(_check_section("gan", payload["gan"],
-                                          _GAN_FIELD_TYPES))
-        for key in ("g_lr", "d_lr", "tau", "dropout", "balance_ratio"):
-            if key in gan_payload:
-                gan_payload[key] = float(gan_payload[key])
+        gan_payload = _check_section("gan", payload["gan"], _GAN_FIELD_TYPES)
     return PipelineConfig(train_configs=train_configs,
                           gan=GanTrainConfig(**gan_payload), **kwargs)
 

@@ -68,14 +68,6 @@ class LogitSet:
     def __len__(self):
         return len(self.matrices)
 
-    @property
-    def n_samples(self):
-        return self.matrices[0].shape[0]
-
-    @property
-    def n_classes(self):
-        return self.matrices[0].shape[1]
-
 
 def fuse(logit_set, weights):
     """Weighted average of member logits.

@@ -5,7 +5,7 @@ matrices, precision/recall/F1, one-vs-rest ROC curves with AUC, and
 percentile-bootstrap confidence intervals.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,10 +27,6 @@ class ConfusionMatrix:
     @property
     def n_samples(self):
         return int(self.counts.sum())
-
-    @property
-    def n_classes(self):
-        return self.counts.shape[0]
 
     def support(self):
         return self.counts.sum(axis=1)
@@ -63,7 +59,9 @@ class MetricBundle:
     """Threshold metrics plus optional ranking metrics.
 
     Per-class entries are tuples indexed by class label. AUC entries are
-    None for classes the test labels never exercise on both sides.
+    None for classes the test labels never exercise on both sides. The
+    bundle keeps the confusion matrix its numbers came from and, with the
+    AUCs, the ROC curves by class index.
     """
 
     accuracy: float
@@ -75,6 +73,8 @@ class MetricBundle:
     macro_f1: float
     auc: tuple = None
     macro_auc: float = None
+    matrix: ConfusionMatrix = field(default=None, compare=False, repr=False)
+    curves: dict = field(default=None, compare=False, repr=False)
 
     def to_dict(self, class_names=CLASS_NAMES):
         per_class = {}
@@ -123,6 +123,7 @@ def prf1(matrix):
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
+        matrix=matrix,
     )
 
 
@@ -162,22 +163,23 @@ def roc_auc(scores, labels):
 
 def one_vs_rest_auc(probabilities, y_true, n_classes=N_CLASSES):
     """Per-class AUC tuple (None where the class lacks a positive or a
-    negative example) and their unweighted mean."""
+    negative example), their unweighted mean, and the RocCurve of every
+    class that has both, keyed by class index."""
     probabilities = np.asarray(probabilities, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.int64)
     if probabilities.ndim != 2 or probabilities.shape[0] != y_true.size:
         raise UsageError("probabilities must be [n_samples, n_classes]")
-    per_class = []
+    curves = {}
     for label in range(n_classes):
         positives = y_true == label
         if positives.any() and (~positives).any():
-            per_class.append(roc_auc(probabilities[:, label], positives).auc)
-        else:
-            per_class.append(None)
-    defined = [value for value in per_class if value is not None]
-    if not defined:
+            curves[label] = roc_auc(probabilities[:, label], positives)
+    if not curves:
         raise MetricError("labels cover a single class; AUC undefined")
-    return tuple(per_class), float(np.mean(defined))
+    per_class = tuple(curves[label].auc if label in curves else None
+                      for label in range(n_classes))
+    macro = float(np.mean([curve.auc for curve in curves.values()]))
+    return per_class, macro, curves
 
 
 def evaluate_predictions(y_true, y_pred, probabilities=None,
@@ -185,7 +187,7 @@ def evaluate_predictions(y_true, y_pred, probabilities=None,
     """Full metric bundle; ranking metrics only when probabilities given."""
     bundle = prf1(confusion(y_true, y_pred, n_classes))
     if probabilities is not None:
-        bundle.auc, bundle.macro_auc = one_vs_rest_auc(
+        bundle.auc, bundle.macro_auc, bundle.curves = one_vs_rest_auc(
             probabilities, y_true, n_classes)
     return bundle
 

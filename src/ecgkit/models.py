@@ -73,31 +73,6 @@ class ModelDescriptor:
         return cls(**d)
 
 
-def _pool_out(length, kernel=2, stride=2):
-    return (length - kernel) // stride + 1
-
-
-def _conv_out(length, kernel, stride, padding):
-    return (length + 2 * padding - kernel) // stride + 1
-
-
-def conv_feature_info(descriptor):
-    """(channels, length) of the final conv-stage feature map.
-
-    The captured feature tensor itself is [b, length, channels].
-    """
-    length = descriptor.input_len
-    if descriptor.arch == "resnet1d":
-        length = _conv_out(length, 7, 2, 3)
-        length = _pool_out(length)
-        for stage in range(1, len(descriptor.channel_plan)):
-            length = _conv_out(length, 3, 2, 1)
-        return descriptor.channel_plan[-1], length
-    for _ in descriptor.channel_plan:
-        length = _pool_out(length)
-    return descriptor.channel_plan[-1], length
-
-
 def _lstm_layer_shapes(prefix, d_in, hidden):
     """Shapes of one bidirectional LSTM layer's weights under prefix."""
     shapes = {}
@@ -189,14 +164,6 @@ def norm_layers(descriptor):
     return _walk(descriptor)[1]
 
 
-def buffer_shapes(descriptor):
-    out = {}
-    for prefix, channels in norm_layers(descriptor).items():
-        out[f"{prefix}.mean"] = (channels,)
-        out[f"{prefix}.var"] = (channels,)
-    return out
-
-
 def _init_value(name, shape, rng, lstm_hidden):
     leaf = name.rsplit(".", 1)[-1]
     if leaf == "gamma":
@@ -239,9 +206,6 @@ class Model:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
-
-    def param_count(self):
-        return sum(p.data.size for p in self.params.values())
 
     def named_buffers(self):
         for prefix in sorted(self.stats):

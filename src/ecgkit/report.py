@@ -29,19 +29,21 @@ def _matrix_csv(rows, class_names, cell):
     return "\n".join(lines) + "\n"
 
 
-def render_report(out_dir, metrics=None, matrix=None, curves=None, cis=None,
-                  saliency=None, ensemble=None,
-                  class_names=CLASS_NAMES):
+def render_report(out_dir, metrics=None, cis=None, saliency=None,
+                  ensemble=None, class_names=CLASS_NAMES):
     """Write whichever artifacts were computed; returns the file list.
 
-    curves maps class index to a RocCurve, saliency maps a sample id to a
-    SaliencyMap, ensemble is an EnsembleSpec whose weights belong in the
-    metrics file for traceability.
+    metrics is a MetricBundle; its confusion matrix and ROC curves, where
+    it carries them, are written beside metrics.json. saliency maps a
+    sample id to a SaliencyMap, ensemble is an EnsembleSpec whose weights
+    belong in the metrics file for traceability.
     """
     from pathlib import Path
     out_dir = Path(out_dir)
     written = []
 
+    matrix = metrics.matrix if metrics is not None else None
+    curves = metrics.curves if metrics is not None else None
     if metrics is not None:
         payload = metrics.to_dict(class_names)
         if ensemble is not None:

@@ -9,13 +9,13 @@ Recurrent layers are fused: lstm_sequence runs a whole LSTM direction as one
 tape node (one input-projection GEMM over all steps, the recurrence in
 preallocated buffers, and backpropagation through time inside its backward
 closure), so a sequence of any length adds one node per direction, not a
-graph per step.  lstm_step stays as the single-step reference.
+graph per step.
 
 Sequences are channels-last: every time-series op (conv1d, batch_norm1d,
-max_pool1d, adaptive_pool1d, lstm_sequence, bilstm, attention_pool) takes
-and returns [batch, time, channels], so the whole tape runs on one memory
-layout and no op works through transposed views.  Parameters keep their
-usual shapes (conv weights [c_out, c_in, k], norm scales [channels]).
+max_pool1d, lstm_sequence, bilstm, attention_pool) takes and returns
+[batch, time, channels], so the whole tape runs on one memory layout and no
+op works through transposed views.  Parameters keep their usual shapes
+(conv weights [c_out, c_in, k], norm scales [channels]).
 
 Training runs in 32-bit floats; the gradient-check suite feeds 64-bit arrays
 and every op preserves the input dtype.
@@ -80,12 +80,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self._backward is None and not self.requires_grad:
             raise UsageError(
@@ -128,17 +122,8 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other, like=self)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other, like=self), neg(self))
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
 
     def sum(self, axis=None, keepdims=False):
         return _reduce(self, "sum", axis, keepdims)
@@ -150,11 +135,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
 
 def _as_tensor(x, like=None):
@@ -295,15 +275,6 @@ def reshape(a, shape):
         _accum(a, g.reshape(old))
 
     return _node(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a, axes):
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        _accum(a, g.transpose(inverse))
-
-    return _node(a.data.transpose(axes), (a,), backward)
 
 
 def concat(tensors, axis):
@@ -673,64 +644,7 @@ def max_pool1d(x, kernel, stride=None):
     return _node(out, (x,), backward)
 
 
-def adaptive_pool1d(x, out_len, mode="avg"):
-    """Reduce time of x[batch, len, ch] into out_len bins.
-
-    Bin i covers [floor(i*len/out), floor((i+1)*len/out)); the result is
-    [batch, out_len, ch].  Max mode routes the gradient to each bin's first
-    maximum.
-    """
-    if x.data.ndim != 3:
-        raise ShapeError(f"adaptive_pool1d expects [batch, len, ch], "
-                         f"got {x.data.shape}")
-    if mode not in ("avg", "max"):
-        raise UsageError(f"adaptive pool mode must be avg or max, got {mode!r}")
-    batch, length, channels = x.data.shape
-    if not 1 <= out_len <= length:
-        raise ShapeError(f"adaptive out_len {out_len} must lie in "
-                         f"[1, {length}]")
-    bounds = [(i * length // out_len, (i + 1) * length // out_len)
-              for i in range(out_len)]
-    out = np.empty((batch, out_len, channels), dtype=x.data.dtype)
-    args = []
-    for i, (lo, hi) in enumerate(bounds):
-        segment = x.data[:, lo:hi]
-        if mode == "avg":
-            out[:, i] = segment.mean(axis=1)
-        else:
-            arg = segment.argmax(axis=1)
-            args.append(arg)
-            out[:, i] = np.take_along_axis(segment, arg[:, None],
-                                           axis=1)[:, 0]
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        bi = np.arange(batch).reshape(batch, 1)
-        ci = np.arange(channels).reshape(1, channels)
-        for i, (lo, hi) in enumerate(bounds):
-            if mode == "avg":
-                gx[:, lo:hi] += g[:, i:i + 1] / (hi - lo)
-            else:
-                gx[bi, lo + args[i], ci] += g[:, i]
-        _accum(x, gx)
-
-    return _node(out, (x,), backward)
-
-
 # -- recurrent and attention layers ------------------------------------------
-
-def lstm_step(x_t, h_prev, c_prev, w_ih, w_hh, b):
-    """One LSTM cell step; gate layout (input, forget, cell, output)."""
-    hidden = h_prev.data.shape[1]
-    z = add(dense(x_t, w_ih, b), dense(h_prev, w_hh, None))
-    i = sigmoid(narrow(z, 1, 0, hidden))
-    f = sigmoid(narrow(z, 1, hidden, hidden))
-    g = tanh(narrow(z, 1, 2 * hidden, hidden))
-    o = sigmoid(narrow(z, 1, 3 * hidden, hidden))
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh(c))
-    return h, c
-
 
 def lstm_sequence(x, w_ih, w_hh, b, reverse=False):
     """One LSTM direction over x[batch, time, d] as a single tape node.

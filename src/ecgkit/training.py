@@ -142,10 +142,6 @@ class PlateauScheduler:
         self.best = np.inf
         self.stagnant = 0
 
-    @property
-    def lr(self):
-        return self.optimizer.lr
-
     def step(self, val_loss):
         if val_loss < self.best - self.threshold:
             self.best = val_loss
@@ -211,9 +207,6 @@ class TrainingHistory:
 
     def append(self, record):
         self.records.append(record)
-
-    def val_losses(self):
-        return [r.val_loss for r in self.records]
 
     def best_epoch(self):
         if not self.records:

@@ -14,7 +14,7 @@ from ecgkit.ensemble import read_logits_csv
 from ecgkit.models import ARCHITECTURES
 from ecgkit.wfdb_io import MNEMONIC_TO_CODE, AnnotationEvent, write_record
 
-from helpers import toy_two_class
+from helpers import toy_two_class, write_splitless_csv
 
 BEAT_LEN = 32
 
@@ -43,8 +43,8 @@ def write_toy_csv(path, n_per_class=60, length=BEAT_LEN, seed=0,
                   train_fraction=0.75, include_split=True):
     dataset = toy_two_class(n_per_class=n_per_class, length=length,
                             seed=seed, train_fraction=train_fraction)
-    write_beats_csv(path, dataset, include_split=include_split)
-    return path
+    writer = write_beats_csv if include_split else write_splitless_csv
+    return writer(path, dataset)
 
 
 def write_train_config(path, beats_csv, out_dir, epochs=2, batch_size=16,
@@ -114,6 +114,37 @@ class TestDispatch:
                     "--test", str(beats),
                     "--out", str(tmp_path / "rep")]) == 4
         capsys.readouterr()
+
+    @staticmethod
+    def assert_one_line_data_error(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("ecgkit: ") and err.count("\n") == 1
+
+    def test_missing_augment_input_is_data_error(self, tmp_path, capsys):
+        code = run(["augment", "--in", str(tmp_path / "missing.csv"),
+                    "--out", str(tmp_path / "o.csv")])
+        self.assert_one_line_data_error(code, capsys)
+
+    def test_missing_train_beats_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
+        code = run(["train", "--arch", "cnn", "--config", str(config),
+                    "--beats", str(tmp_path / "missing.csv")])
+        self.assert_one_line_data_error(code, capsys)
+
+    def test_ingest_missing_signal_file_is_data_error(self, tmp_path, capsys):
+        records = make_records_dir(tmp_path / "records")
+        (records / "r01.dat").unlink()
+        code = run(["ingest", "--records-dir", str(records),
+                    "--out", str(tmp_path / "beats.csv")])
+        self.assert_one_line_data_error(code, capsys)
+
+    def test_ingest_out_directory_is_data_error(self, tmp_path, capsys):
+        records = make_records_dir(tmp_path / "records")
+        code = run(["ingest", "--records-dir", str(records),
+                    "--beat-len", str(BEAT_LEN), "--out", str(tmp_path)])
+        self.assert_one_line_data_error(code, capsys)
 
 
 class TestIngest:

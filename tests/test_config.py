@@ -3,8 +3,10 @@ from datetime import datetime
 
 import pytest
 
-from ecgkit.config import (PipelineConfig, RunManifest, config_from_payload,
-                           config_hash, derive_seed, load_config)
+from ecgkit.config import (_ARCH_FIELD_TYPES, _GAN_FIELD_TYPES,
+                           _TOP_LEVEL_TYPES, PipelineConfig, RunManifest,
+                           config_from_payload, config_hash, derive_seed,
+                           load_config)
 from ecgkit.errors import ConfigError
 from ecgkit.models import _DEFAULT_PLANS, ARCHITECTURES
 from ecgkit.training import TABLE1
@@ -17,6 +19,17 @@ def write_config(tmp_path, payload, name="cfg.json"):
     else:
         path.write_text(json.dumps(payload))
     return path
+
+
+FLOAT_KEYS = [
+    f"{section}.{key}".lstrip(".")
+    for section, types in [("", _TOP_LEVEL_TYPES), ("gan", _GAN_FIELD_TYPES)]
+    + [(arch, _ARCH_FIELD_TYPES) for arch in ARCHITECTURES]
+    for key, allowed in types.items() if float in allowed]
+# whole numbers the float keys accept; other keys take 1, and the two whose
+# open range holds no whole number must report it as 1.0
+WHOLE_VALUES = {"weight_decay": 0, "focal_gamma": 0, "dropout": 0}
+NO_WHOLE_VALUE = {"train_fraction", "tau"}
 
 
 class TestDefaults:
@@ -100,6 +113,29 @@ class TestOverrides:
         assert cfg.train_configs["cnn"].lr == 1.0
         assert isinstance(cfg.train_configs["cnn"].lr, float)
 
+    @pytest.mark.parametrize("name", FLOAT_KEYS)
+    def test_whole_number_resolves_to_float(self, tmp_path, name):
+        *section, key = name.split(".")
+        whole = WHOLE_VALUES.get(key, 1)
+
+        def resolve(value, file_name):
+            payload = {key: value}
+            for outer in section:
+                payload = {outer: payload}
+            return load_config(write_config(tmp_path, payload, file_name))
+
+        if key in NO_WHOLE_VALUE:
+            with pytest.raises(ConfigError, match=r"got 1\.0$"):
+                resolve(whole, "whole.json")
+            return
+        cfg = resolve(whole, "whole.json")
+        resolved = cfg.to_dict()
+        for outer in section:
+            resolved = resolved[outer]
+        assert isinstance(resolved[key], float) and resolved[key] == whole
+        assert config_hash(cfg) == config_hash(resolve(float(whole),
+                                                       "float.json"))
+
 
 class TestRejection:
     def test_misspelled_arch_key_is_named(self, tmp_path):
@@ -127,6 +163,11 @@ class TestRejection:
             config_from_payload({"cnn": {"lr": "fast"}})
         with pytest.raises(ConfigError, match="gan.tau"):
             config_from_payload({"gan": {"tau": True}})
+
+    def test_whole_number_beyond_float_range_names_key(self, tmp_path):
+        path = write_config(tmp_path, '{"cnn": {"lr": 1' + "0" * 400 + "}}")
+        with pytest.raises(ConfigError, match="cnn.lr"):
+            load_config(path)
 
     def test_non_object_root(self, tmp_path):
         with pytest.raises(ConfigError):

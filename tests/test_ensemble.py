@@ -52,7 +52,7 @@ class TestLogitSet:
     def test_shape_agreement_required(self):
         good = LogitSet([np.zeros((4, 5)), np.ones((4, 5))])
         assert len(good) == 2
-        assert good.n_samples == 4 and good.n_classes == 5
+        assert [m.shape for m in good.matrices] == [(4, 5), (4, 5)]
         with pytest.raises(ShapeError):
             LogitSet([np.zeros((4, 5)), np.zeros((3, 5))])
         with pytest.raises(ShapeError):

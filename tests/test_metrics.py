@@ -197,9 +197,10 @@ class TestOneVsRest:
     def test_perfect_probabilities(self):
         y = np.array([0, 1, 2, 3, 4] * 3)
         probs = np.eye(5)[y]
-        per_class, macro = one_vs_rest_auc(probs, y)
+        per_class, macro, curves = one_vs_rest_auc(probs, y)
         assert per_class == (1.0,) * 5
         assert macro == 1.0
+        assert sorted(curves) == [0, 1, 2, 3, 4]
 
     def test_absent_class_skipped(self):
         y = np.array([0, 0, 1, 1])
@@ -207,10 +208,11 @@ class TestOneVsRest:
                           [0.6, 0.2, 0.05, 0.05, 0.1],
                           [0.2, 0.6, 0.05, 0.05, 0.1],
                           [0.1, 0.7, 0.05, 0.05, 0.1]])
-        per_class, macro = one_vs_rest_auc(probs, y)
+        per_class, macro, curves = one_vs_rest_auc(probs, y)
         assert per_class[0] == 1.0 and per_class[1] == 1.0
         assert per_class[2] is None
         assert macro == 1.0
+        assert sorted(curves) == [0, 1]
 
     def test_single_class_labels_rejected(self):
         probs = np.full((4, 5), 0.2)

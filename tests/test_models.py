@@ -8,8 +8,7 @@ from ecgkit.models import (
     Model,
     ModelDescriptor,
     build,
-    buffer_shapes,
-    conv_feature_info,
+    norm_layers,
     param_shapes,
 )
 from ecgkit.tensor import Tensor
@@ -98,22 +97,16 @@ class TestBuild:
         bound = 1.0 / np.sqrt(1 * 5)
         assert np.abs(w).max() <= bound
 
-    def test_param_count_matches_shapes(self):
-        for arch in ARCHITECTURES:
-            d = ModelDescriptor(arch)
-            m = build(d, 0)
-            expected = sum(int(np.prod(s))
-                           for s in param_shapes(d).values())
-            assert m.param_count() == expected
-
     def test_buffer_shapes_cover_all_norm_layers(self):
         d = ModelDescriptor("resnet1d")
-        m = build(d, 0)
-        from_model = dict(m.named_buffers())
-        declared = buffer_shapes(d)
-        assert set(from_model) == set(declared)
-        for name, arr in from_model.items():
-            assert arr.shape == declared[name]
+        state = build(d, 0).state_arrays()
+        buffers = {name for name in state if name.endswith((".mean", ".var"))}
+        layers = norm_layers(d)
+        assert buffers == {f"{prefix}.{stat}" for prefix in layers
+                           for stat in ("mean", "var")}
+        for prefix, channels in layers.items():
+            assert state[f"{prefix}.mean"].shape == (channels,)
+            assert state[f"{prefix}.var"].shape == (channels,)
 
 
 SMALL = {
@@ -176,36 +169,41 @@ class TestForward:
         assert m.params["head.w"].grad is not None
 
 
+def captured_features(descriptor, length=187, seed=0):
+    capture = {}
+    build(descriptor, seed).forward(batch(1, length), training=False,
+                                    capture=capture)
+    return capture["features"].data.shape
+
+
+# [1, time, channels] of the SMALL models on 64-sample beats: two pooled
+# blocks give 16 steps; the resnet stem and pool give 16, its stride-2
+# second stage 8
+SMALL_FEATURE_SHAPES = {
+    "cnn": (1, 16, 8),
+    "cnn_lstm": (1, 16, 8),
+    "cnn_lstm_attn": (1, 16, 8),
+    "resnet1d": (1, 8, 16),
+}
+
+
 class TestFeatureCapture:
     def test_cnn_default_plan_feature_length(self):
-        d = ModelDescriptor("cnn")
-        assert conv_feature_info(d) == (32, 23)   # 187 -> 93 -> 46 -> 23
-        m = build(d, 0)
-        capture = {}
-        m.forward(batch(2), training=False, capture=capture)
-        assert capture["features"].data.shape == (2, 23, 32)
+        # 187 -> 93 -> 46 -> 23
+        assert captured_features(ModelDescriptor("cnn")) == (1, 23, 32)
 
     def test_lstm_trunk_feature_length(self):
         d = ModelDescriptor("cnn_lstm", lstm_hidden=8, lstm_layers=1)
-        assert conv_feature_info(d) == (32, 46)
+        assert captured_features(d) == (1, 46, 32)
 
     def test_resnet_feature_length(self):
-        d = ModelDescriptor("resnet1d")
         # 187 -(k7 s2 p3)-> 94 -(pool)-> 47 -(stage strides)-> 24 -> 12
-        assert conv_feature_info(d) == (128, 12)
-        m = build(d, 0)
-        capture = {}
-        m.forward(batch(2), training=False, capture=capture)
-        assert capture["features"].data.shape == (2, 12, 128)
+        assert captured_features(ModelDescriptor("resnet1d")) == (1, 12, 128)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_capture_matches_declared_info(self, arch):
         d = ModelDescriptor(arch, input_len=64, **SMALL[arch])
-        m = build(d, 1)
-        capture = {}
-        m.forward(batch(2, 64), training=False, capture=capture)
-        channels, length = conv_feature_info(d)
-        assert capture["features"].data.shape == (2, length, channels)
+        assert captured_features(d, 64, seed=1) == SMALL_FEATURE_SHAPES[arch]
 
     def test_feature_grad_has_feature_shape(self):
         m = small_model("cnn")

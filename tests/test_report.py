@@ -11,16 +11,25 @@ from ecgkit.metrics import (bootstrap_ci, confusion, evaluate_predictions,
 from ecgkit.report import render_report
 
 
-def full_inputs(seed=0):
+def draws(seed=0):
+    """Labels and softmax probabilities that mostly agree with them."""
     rng = np.random.default_rng(seed)
     y_true = rng.integers(0, 5, size=100)
     logits = rng.normal(size=(100, 5))
     logits[np.arange(100), y_true] += 2.5
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    return y_true, probs
+
+
+def reference_matrix(seed=0):
+    y_true, probs = draws(seed)
+    return confusion(y_true, probs.argmax(axis=1))
+
+
+def full_inputs(seed=0):
+    y_true, probs = draws(seed)
     y_pred = probs.argmax(axis=1)
-    matrix = confusion(y_true, y_pred)
     metrics = evaluate_predictions(y_true, y_pred, probs)
-    curves = {k: roc_auc(probs[:, k], y_true == k) for k in range(5)}
     cis = [bootstrap_ci((y_true == y_pred).astype(float), np.mean,
                         n_resamples=200, seed=1, name="accuracy")]
     values = np.linspace(0, 1, 64)
@@ -28,8 +37,8 @@ def full_inputs(seed=0):
                 "12": SaliencyMap(values[::-1].copy(), 2, values.copy())}
     ensemble = EnsembleSpec(("cnn", "cnn_lstm"), (0.50131, 0.49869),
                             "top2_weighted")
-    return dict(metrics=metrics, matrix=matrix, curves=curves, cis=cis,
-                saliency=saliency, ensemble=ensemble)
+    return dict(metrics=metrics, cis=cis, saliency=saliency,
+                ensemble=ensemble)
 
 
 def tree_digest(root):
@@ -81,7 +90,7 @@ class TestRenderReport:
             assert cells[0] == ",N,A,V,f,F".split(",")[row_index + 1]
             np.testing.assert_array_equal(
                 [int(c) for c in cells[1:]],
-                inputs["matrix"].counts[row_index])
+                reference_matrix().counts[row_index])
 
     def test_normalized_rows_parse_back(self, tmp_path):
         inputs = full_inputs()
@@ -91,13 +100,16 @@ class TestRenderReport:
             .split("\n")[1:]
         parsed = np.array([[float(c) for c in line.split(",")[1:]]
                            for line in lines])
-        np.testing.assert_array_equal(parsed, inputs["matrix"].normalized())
+        np.testing.assert_array_equal(parsed,
+                                      reference_matrix().normalized())
 
     def test_roc_csv_round_trips(self, tmp_path):
         inputs = full_inputs()
         out = tmp_path / "report"
         render_report(out, **inputs)
-        for k, curve in inputs["curves"].items():
+        y_true, probs = draws()
+        for k in range(5):
+            curve = roc_auc(probs[:, k], y_true == k)
             lines = (out / f"roc_class_{k}.csv").read_text().strip() \
                 .split("\n")
             assert lines[0] == "fpr,tpr"
@@ -119,10 +131,11 @@ class TestRenderReport:
         assert int(cells[5]) == 200
 
     def test_partial_render(self, tmp_path):
-        inputs = full_inputs()
+        y_true, probs = draws()
+        # without probabilities the bundle carries no ROC curves
+        metrics = evaluate_predictions(y_true, probs.argmax(axis=1))
         out = tmp_path / "partial"
-        written = render_report(out, metrics=inputs["metrics"],
-                                matrix=inputs["matrix"])
+        written = render_report(out, metrics=metrics)
         assert {p.name for p in written} == \
             {"metrics.json", "confusion.csv", "confusion_normalized.csv"}
 

@@ -314,7 +314,8 @@ class TestTrainLoop:
         assert len(history) < 50   # plateaued long before the epoch budget
         X_val, y_val = dataset.matrix("val")
         val_loss, _ = evaluate_split(model, X_val, y_val, cfg.focal)
-        assert val_loss == pytest.approx(min(history.val_losses()), rel=1e-5)
+        best = min(record.val_loss for record in history.records)
+        assert val_loss == pytest.approx(best, rel=1e-5)
 
     def test_missing_split_tags_rejected(self):
         from ecgkit.beats import BeatDataset, BeatRecord
