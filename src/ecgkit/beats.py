@@ -63,9 +63,8 @@ class BeatDataset:
     dataset should be treated as read-only.
     """
 
-    def __init__(self, beats=None, rng_seed=None):
+    def __init__(self, beats=None):
         self.beats: list[BeatRecord] = list(beats) if beats else []
-        self.rng_seed = rng_seed
 
     def __len__(self):
         return len(self.beats)
@@ -209,7 +208,6 @@ def stratified_split(dataset, train_fraction=0.85, seed=17):
             dataset.beats[i].split_tag = "val"
         for i in shuffled[n_val:]:
             dataset.beats[i].split_tag = "train"
-    dataset.rng_seed = seed
     return dataset
 
 
@@ -286,4 +284,6 @@ def read_beats_csv(path):
                 len(row) > source_col else "unknown"
             beats.append(BeatRecord(samples, label, source=source,
                                     split_tag=split_tag))
+    if not beats:
+        raise ParseError(f"{path}: no beat rows", line=2)
     return BeatDataset(beats)

@@ -28,12 +28,11 @@ from .errors import ConfigError, EcgkitError
 from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
                   balance_summary, gan_train)
 from .gradcam import grad_cam
-from .metrics import bootstrap_ci, confusion, evaluate_predictions, prf1
-from .models import ARCHITECTURES, ModelDescriptor, build
+from .metrics import (MIN_BOOTSTRAP_SAMPLES, bootstrap_ci, confusion,
+                      evaluate_predictions, prf1)
+from .models import ARCHITECTURES, MIN_INPUT_LEN, ModelDescriptor, build
 from .report import render_report
 from .training import train
-
-MIN_CI_SAMPLES = 30
 
 
 def _macro_f1_of_pairs(pairs):
@@ -49,17 +48,16 @@ def _write_json(path, payload):
     return path
 
 
-def _manifest_for(args, params):
-    command = "ecgkit " + " ".join(getattr(args, "_argv", []))
-    digest = config_hash(params if isinstance(params, dict)
-                         else params.to_dict())
-    return RunManifest(command=command, config_hash=digest,
+def _manifest(command, params):
+    """A started manifest; params is a PipelineConfig or a plain dict."""
+    return RunManifest(command=command, config_hash=config_hash(params),
                        version=__version__, started_at=RunManifest.now())
 
 
-def _sibling_manifest_path(out_file):
+def _sibling(out_file, suffix):
+    """The file beside out_file named <stem><suffix>."""
     out_file = Path(out_file)
-    return out_file.parent / (out_file.stem + ".manifest.json")
+    return out_file.parent / (out_file.stem + suffix)
 
 
 def _select_rows(dataset, split_tag):
@@ -83,12 +81,12 @@ def _normalized_sources(dataset):
     beats = [dataclasses.replace(
         beat, source="synthetic" if beat.source == "synthetic" else "real")
         for beat in dataset.beats]
-    return BeatDataset(beats, rng_seed=dataset.rng_seed)
+    return BeatDataset(beats)
 
 
 def _confidence_intervals(y_true, y_pred, seed, n_resamples):
     cis = []
-    if len(y_true) >= MIN_CI_SAMPLES:
+    if len(y_true) >= MIN_BOOTSTRAP_SAMPLES:
         correct = (y_pred == y_true).astype(np.float64)
         cis.append(bootstrap_ci(correct, lambda a: float(a.mean()),
                                 n_resamples=n_resamples,
@@ -108,66 +106,67 @@ def _saliency_for(model, X, y_pred, count):
             for i in range(count)}
 
 
-def cmd_ingest(args):
-    manifest = _manifest_for(args, {
+def _ingest(records_dir, lead, beat_len, train_fraction, seed, out):
+    """Segment and split records_dir into beat file out; (dataset, out)."""
+    dataset = load_records_dir(records_dir, lead=lead, beat_len=beat_len)
+    stratified_split(dataset, train_fraction=train_fraction, seed=seed)
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return dataset, write_beats_csv(out, dataset)
+
+
+def cmd_ingest(args, command):
+    manifest = _manifest(command, {
         "records_dir": args.records_dir, "lead": args.lead,
         "beat_len": args.beat_len, "seed": args.seed,
         "train_fraction": args.train_fraction, "out": str(args.out)})
-    dataset = load_records_dir(args.records_dir, lead=args.lead,
-                               beat_len=args.beat_len)
-    stratified_split(dataset, train_fraction=args.train_fraction,
-                     seed=args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_beats_csv(out, dataset)
+    _, out = _ingest(args.records_dir, args.lead, args.beat_len,
+                     args.train_fraction, args.seed, args.out)
     manifest.add_files([out])
-    manifest.write(_sibling_manifest_path(out))
+    manifest.write(_sibling(out, ".manifest.json"))
 
 
-def _train_generators(dataset, gan_config, labels, seed, stage_prefix):
-    """One adversarial pair per deficient class, each on its own seed."""
-    def job(label):
+def _augment(dataset, gan_config, seed, out):
+    """Top up deficient train classes with beats from one adversarial
+    pair per class, each on its own seed. Writes out and the class counts
+    before and after beside it; returns (balanced, written paths).
+    """
+    gan_config = dataclasses.replace(gan_config,
+                                     beat_len=_beat_length(dataset))
+    generators = {}
+    for label in balance_deficits(dataset, gan_config.balance_ratio):
         records = [b for b in dataset.beats
                    if b.split_tag == "train" and b.label == label]
-        stage_seed = derive_seed(seed, f"{stage_prefix}/{CLASS_NAMES[label]}")
+        stage_seed = derive_seed(seed, f"augment/{CLASS_NAMES[label]}")
         generator, discriminator, _ = gan_train(records, gan_config,
                                                 seed=stage_seed)
-        return label, (generator, discriminator)
-
-    return dict(job(label) for label in labels)
-
-
-def _augment_dataset(dataset, gan_config, tau, balance_ratio, seed,
-                     stage_prefix="augment"):
-    # checked before the GAN stage, which can run for hours
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must lie in [0, 1], got {tau}")
-    deficient = balance_deficits(dataset, balance_ratio)
-    generators = _train_generators(dataset, gan_config, deficient, seed,
-                                   stage_prefix)
-    return balance_dataset(dataset, generators, tau=tau, seed=seed,
-                           balance_ratio=balance_ratio)
+        generators[label] = (generator, discriminator)
+    balanced = _normalized_sources(balance_dataset(
+        dataset, generators, tau=gan_config.tau, seed=seed,
+        balance_ratio=gan_config.balance_ratio))
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_beats_csv(out, balanced)
+    summary_path = _write_json(_sibling(out, ".summary.json"),
+                               balance_summary(dataset, balanced))
+    return balanced, [out, summary_path]
 
 
-def cmd_augment(args):
-    manifest = _manifest_for(args, {
+def cmd_augment(args, command):
+    manifest = _manifest(command, {
         "in": str(args.in_path), "tau": args.tau,
         "balance_ratio": args.balance_ratio, "epochs": args.epochs,
         "batch_size": args.batch_size, "seed": args.seed,
         "out": str(args.out)})
-    dataset = read_beats_csv(args.in_path)
-    gan_config = GanTrainConfig(beat_len=_beat_length(dataset),
+    # checked before the GAN stage, which can run for hours
+    gan_config = GanTrainConfig(tau=args.tau,
+                                balance_ratio=args.balance_ratio,
                                 epochs=args.epochs,
                                 batch_size=args.batch_size)
-    balanced = _augment_dataset(dataset, gan_config, args.tau,
-                                args.balance_ratio, args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_beats_csv(out, _normalized_sources(balanced))
-    summary_path = out.parent / (out.stem + ".summary.json")
-    _write_json(summary_path, balance_summary(dataset, balanced))
-    manifest.add_files([out, summary_path])
-    manifest.write(_sibling_manifest_path(out))
+    dataset = read_beats_csv(args.in_path)
+    _, written = _augment(dataset, gan_config, args.seed, args.out)
+    manifest.add_files(written)
+    manifest.write(_sibling(args.out, ".manifest.json"))
 
 
 def _train_one_arch(config, dataset, arch, command):
@@ -193,14 +192,13 @@ def _train_one_arch(config, dataset, arch, command):
                "epochs_run": len(history)}
     summary_path = _write_json(stage / "summary.json", summary)
 
-    manifest = RunManifest(command=command, config_hash=config_hash(config),
-                           version=__version__, started_at=RunManifest.now())
+    manifest = _manifest(command, config)
     manifest.add_files([checkpoint_path, history_path, summary_path])
     manifest.write(stage / "run.manifest.json")
     return summary
 
 
-def cmd_train(args):
+def cmd_train(args, command):
     config = load_config(args.config)
     beats_path = args.beats or config.beats_csv
     if beats_path is None:
@@ -208,7 +206,6 @@ def cmd_train(args):
                           "beats_csv in the config")
     dataset = read_beats_csv(beats_path)
     archs = ARCHITECTURES if args.arch == "all" else [args.arch]
-    command = "ecgkit " + " ".join(getattr(args, "_argv", []))
     for arch in archs:
         _train_one_arch(config, dataset, arch, command)
 
@@ -230,8 +227,8 @@ def _report_run(out_dir, manifest, model=None, X=None, y=None,
     return written
 
 
-def cmd_evaluate(args):
-    manifest = _manifest_for(args, {
+def cmd_evaluate(args, command):
+    manifest = _manifest(command, {
         "checkpoint": str(args.checkpoint), "test": str(args.test),
         "split": args.split, "seed": args.seed,
         "resamples": args.resamples, "gradcam": args.gradcam,
@@ -280,8 +277,8 @@ def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
     return logits_by_model
 
 
-def cmd_ensemble(args):
-    manifest = _manifest_for(args, {
+def cmd_ensemble(args, command):
+    manifest = _manifest(command, {
         "manifest": str(args.manifest), "strategy": args.strategy,
         "test": str(args.test), "seed": args.seed,
         "resamples": args.resamples, "out": str(args.out)})
@@ -293,8 +290,8 @@ def cmd_ensemble(args):
     manifest.write(out / "run.manifest.json")
 
 
-def cmd_gradcam(args):
-    manifest = _manifest_for(args, {
+def cmd_gradcam(args, command):
+    manifest = _manifest(command, {
         "checkpoint": str(args.checkpoint), "in": str(args.in_path),
         "samples": args.samples, "target_class": args.target_class,
         "out": str(args.out)})
@@ -325,46 +322,38 @@ def cmd_gradcam(args):
     manifest.write(out / "run.manifest.json")
 
 
-def cmd_reproduce(args):
+def cmd_reproduce(args, command):
     config = load_config(args.config)
-    manifest = _manifest_for(args, config)
+    manifest = _manifest(command, config)
     out = Path(config.out_dir)
     master = config.seed
 
     # stage 1: beats from raw records, or a pre-segmented file
     if config.records_dir is not None:
-        dataset = load_records_dir(config.records_dir, lead=config.lead,
-                                   beat_len=config.beat_len)
-        stratified_split(dataset, train_fraction=config.train_fraction,
-                         seed=derive_seed(master, "ingest"))
-        ingest_dir = out / "ingest"
-        ingest_dir.mkdir(parents=True, exist_ok=True)
-        beats_path = write_beats_csv(ingest_dir / "beats.csv", dataset)
+        dataset, beats_path = _ingest(
+            config.records_dir, config.lead, config.beat_len,
+            config.train_fraction, derive_seed(master, "ingest"),
+            out / "ingest" / "beats.csv")
         manifest.add_files([beats_path])
     elif config.beats_csv is not None:
         dataset = read_beats_csv(config.beats_csv)
+        length = _beat_length(dataset)
+        # checked before the GAN stage, which can run for hours
+        if length < MIN_INPUT_LEN:
+            raise ConfigError(f"beats in {config.beats_csv} are {length} "
+                              f"samples long; the models need >= "
+                              f"{MIN_INPUT_LEN}")
     else:
         raise ConfigError("reproduce needs records_dir or beats_csv "
                           "in the config")
 
     # stage 2: class balance via per-class adversarial synthesis
-    follows_beat_len = config.gan.noise_len == config.gan.beat_len
-    gan_config = dataclasses.replace(
-        config.gan, beat_len=_beat_length(dataset),
-        noise_len=None if follows_beat_len else config.gan.noise_len)
-    balanced = _augment_dataset(dataset, gan_config, config.gan.tau,
-                                config.gan.balance_ratio,
-                                derive_seed(master, "augment"))
-    augment_dir = out / "augment"
-    augment_dir.mkdir(parents=True, exist_ok=True)
-    balanced = _normalized_sources(balanced)
-    augmented_path = write_beats_csv(augment_dir / "beats_aug.csv", balanced)
-    summary_path = _write_json(augment_dir / "beats_aug.summary.json",
-                               balance_summary(dataset, balanced))
-    manifest.add_files([augmented_path, summary_path])
+    balanced, written = _augment(dataset, config.gan,
+                                 derive_seed(master, "augment"),
+                                 out / "augment" / "beats_aug.csv")
+    manifest.add_files(written)
 
     # stage 3: all four architectures
-    command = "ecgkit " + " ".join(getattr(args, "_argv", []))
     summaries = [_train_one_arch(config, balanced, arch, command)
                  for arch in ARCHITECTURES]
 
@@ -382,11 +371,7 @@ def cmd_reproduce(args):
     models_path = write_manifest(ensemble_dir / "models.json", entries)
     manifest.add_files([models_path])
 
-    def stage_manifest():
-        return RunManifest(command=command, config_hash=config_hash(config),
-                           version=__version__, started_at=RunManifest.now())
-
-    ensemble_manifest = stage_manifest()
+    ensemble_manifest = _manifest(command, config)
     logits_by_model = _ensemble_run(
         entries, models_path, X, y, config.strategy, ensemble_dir,
         ensemble_dir / "report", ensemble_manifest,
@@ -396,7 +381,7 @@ def cmd_reproduce(args):
     # stage 5: per-model reports on the same split, from the stage 4 logits
     for entry in entries:
         stage = out / "evaluate" / entry.model_id
-        evaluate_manifest = stage_manifest()
+        evaluate_manifest = _manifest(command, config)
         _report_run(stage, evaluate_manifest, y=y,
                     logits=logits_by_model[entry.model_id],
                     seed=derive_seed(master, f"evaluate/{entry.model_id}"))
@@ -485,9 +470,8 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    args._argv = list(argv)
     try:
-        args.handler(args)
+        args.handler(args, "ecgkit " + " ".join(argv))
     except ConfigError as exc:
         print(f"ecgkit: config error: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ from .beats import DEFAULT_BEAT_LEN
 from .ensemble import STRATEGIES
 from .errors import ConfigError
 from .gan import GanTrainConfig
-from .models import ARCHITECTURES
+from .models import ARCHITECTURES, MIN_INPUT_LEN
 from .training import FocalLossConfig, TrainRunConfig
 
 _TOP_LEVEL_TYPES = {
@@ -44,9 +44,8 @@ _ARCH_FIELD_TYPES = {
     "seed": (int,),
 }
 
+# beat_len is not a key: the augment stage takes it from the data
 _GAN_FIELD_TYPES = {
-    "beat_len": (int,),
-    "noise_len": (int,),
     "noise_dim": (int,),
     "epochs": (int,),
     "batch_size": (int,),
@@ -109,39 +108,22 @@ class PipelineConfig:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train fraction must lie in (0, 1), got "
                               f"{self.train_fraction}")
-        if self.beat_len < 3:
-            raise ConfigError(f"beat length must be >= 3, got {self.beat_len}")
+        if self.beat_len < MIN_INPUT_LEN:
+            raise ConfigError(f"beat length must be >= {MIN_INPUT_LEN}, "
+                              f"got {self.beat_len}")
         for arch in ARCHITECTURES:
             self.train_configs.setdefault(arch,
                                           TrainRunConfig.for_arch(arch))
 
     def to_dict(self):
         """Fully resolved plain dict; the canonical hashing input."""
-        out = {
-            "records_dir": self.records_dir,
-            "beats_csv": self.beats_csv,
-            "test_csv": self.test_csv,
-            "beat_len": self.beat_len,
-            "lead": self.lead,
-            "seed": self.seed,
-            "train_fraction": self.train_fraction,
-            "out_dir": self.out_dir,
-            "strategy": self.strategy,
-        }
+        out = {key: getattr(self, key) for key in _TOP_LEVEL_TYPES}
         for arch in ARCHITECTURES:
             cfg = self.train_configs[arch]
-            out[arch] = {
-                "batch_size": cfg.batch_size,
-                "lr": cfg.lr,
-                "epochs": cfg.epochs,
-                "early_stop_patience": cfg.early_stop_patience,
-                "weight_decay": cfg.weight_decay,
-                "focal_alpha": cfg.focal.alpha,
-                "focal_gamma": cfg.focal.gamma,
-                "seed": cfg.seed,
-            }
-        gan = self.gan
-        out["gan"] = {key: getattr(gan, key) for key in _GAN_FIELD_TYPES}
+            out[arch] = {key: getattr(cfg.focal, key[len("focal_"):])
+                         if key.startswith("focal_") else getattr(cfg, key)
+                         for key in _ARCH_FIELD_TYPES}
+        out["gan"] = {key: getattr(self.gan, key) for key in _GAN_FIELD_TYPES}
         return out
 
 

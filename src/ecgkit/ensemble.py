@@ -148,26 +148,20 @@ def build_strategy(models, val_macro_f1, strategy):
                         weights=tuple(weights), strategy=strategy)
 
 
-def logit_header(n_classes=5):
+def logit_header(n_classes):
     return ["sample_id"] + [f"logit_{k}" for k in range(n_classes)]
 
 
-def write_logits_csv(path, logits, sample_ids=None):
-    """One row per sample: its id followed by the per-class logits."""
+def write_logits_csv(path, logits):
+    """One row per sample: its row index followed by the per-class logits."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got {logits.shape}")
-    if sample_ids is None:
-        sample_ids = range(logits.shape[0])
-    sample_ids = [str(s) for s in sample_ids]
-    if len(sample_ids) != logits.shape[0]:
-        raise ShapeError(f"{len(sample_ids)} sample ids for "
-                         f"{logits.shape[0]} rows")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(logit_header(logits.shape[1]))
-        for sid, row in zip(sample_ids, logits):
-            writer.writerow([sid] + [repr(float(v)) for v in row])
+        for index, row in enumerate(logits):
+            writer.writerow([str(index)] + [repr(float(v)) for v in row])
     return path
 
 

@@ -29,12 +29,11 @@ ATTEMPT_BUDGET_FACTOR = 50
 class GanTrainConfig:
     """Hyperparameters shared by the generator and discriminator.
 
-    noise_len defaults to the beat length so the noise sequence and the
-    produced beat cover the same number of time steps.
+    The noise sequence and the produced beat cover the same beat_len time
+    steps.
     """
 
     beat_len: int = 187
-    noise_len: int = None
     noise_dim: int = 1
     epochs: int = 200
     batch_size: int = 32
@@ -47,21 +46,17 @@ class GanTrainConfig:
     balance_ratio: float = 1.0
 
     def __post_init__(self):
-        if self.noise_len is None:
-            self.noise_len = self.beat_len
         if self.beat_len < 2:
             raise ConfigError(f"beat length must be >= 2, got {self.beat_len}")
-        if self.noise_len < 1 or self.noise_dim < 1:
-            raise ConfigError("noise sequence needs positive length and width")
+        if self.noise_dim < 1:
+            raise ConfigError(f"noise width must be >= 1, got {self.noise_dim}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.g_lr <= 0 or self.d_lr <= 0:
             raise ConfigError("learning rates must be positive")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError(
-                f"acceptance threshold must lie in (0, 1), got {self.tau}")
+        _check_tau(self.tau)
         if self.hidden < 1 or self.dense_width < 1:
             raise ConfigError("hidden and dense widths must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -71,8 +66,13 @@ class GanTrainConfig:
                 f"balance ratio must lie in (0, 1], got {self.balance_ratio}")
 
 
+def _check_tau(tau):
+    if not 0.0 <= tau <= 1.0:
+        raise ConfigError(f"acceptance threshold must lie in [0, 1], got {tau}")
+
+
 def sample_noise(config, n, rng):
-    shape = (n, config.noise_len, config.noise_dim)
+    shape = (n, config.beat_len, config.noise_dim)
     return rng.standard_normal(shape).astype(np.float32)
 
 
@@ -237,8 +237,7 @@ def synthesize(generator, discriminator, n_needed, tau=0.5, seed=17):
     """
     if n_needed < 1:
         raise ConfigError(f"requested beat count must be >= 1, got {n_needed}")
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"acceptance threshold must lie in [0, 1], got {tau}")
+    _check_tau(tau)
     if generator.label is None:
         raise ConfigError("generator carries no class label; train it on "
                           "labelled beats first")
@@ -316,8 +315,7 @@ def balance_dataset(dataset, generators, tau=0.5, seed=17, balance_ratio=1.0):
         generator, discriminator = generators[label]
         synthetic.extend(synthesize(generator, discriminator, needed,
                                     tau=tau, seed=[seed, label]))
-    return BeatDataset(list(dataset.beats) + synthetic,
-                       rng_seed=dataset.rng_seed)
+    return BeatDataset(list(dataset.beats) + synthetic)
 
 
 def class_count_report(dataset, split_tag="train"):

@@ -20,6 +20,9 @@ from .tensor import RunningStats, Tensor
 
 ARCHITECTURES = ("cnn", "cnn_lstm", "cnn_lstm_attn", "resnet1d")
 
+# shortest beat every architecture can take
+MIN_INPUT_LEN = 8
+
 _DEFAULT_PLANS = {
     "cnn": (128, 64, 32),
     "cnn_lstm": (64, 32),
@@ -49,8 +52,9 @@ class ModelDescriptor:
         self.channel_plan = tuple(int(c) for c in self.channel_plan)
         if not self.channel_plan or any(c < 1 for c in self.channel_plan):
             raise ConfigError(f"bad channel plan {self.channel_plan}")
-        if self.input_len < 8:
-            raise ConfigError(f"input length {self.input_len} too short")
+        if self.input_len < MIN_INPUT_LEN:
+            raise ConfigError(f"input length {self.input_len} too short, "
+                              f"need >= {MIN_INPUT_LEN}")
         if self.n_classes < 2:
             raise ConfigError("need at least 2 output classes")
         if self.arch in ("cnn_lstm", "cnn_lstm_attn"):

@@ -140,6 +140,15 @@ class TestDispatch:
                     "--out", str(tmp_path / "beats.csv")])
         self.assert_one_line_data_error(code, capsys)
 
+    def test_header_only_beat_file_is_data_error(self, tmp_path, capsys):
+        full = imbalanced_csv(tmp_path / "full.csv")
+        header = full.read_text().splitlines()[0]
+        beats = tmp_path / "header_only.csv"
+        beats.write_text(header + "\n")
+        code = run(["augment", "--in", str(beats),
+                    "--out", str(tmp_path / "o.csv")])
+        self.assert_one_line_data_error(code, capsys)
+
     def test_ingest_out_directory_is_data_error(self, tmp_path, capsys):
         records = make_records_dir(tmp_path / "records")
         code = run(["ingest", "--records-dir", str(records),
@@ -263,6 +272,26 @@ class TestAugment:
         assert run(["augment", "--in", str(src), "--tau", "1.5",
                     "--out", str(tmp_path / "o.csv")]) == 3
         capsys.readouterr()
+
+    def test_flags_reach_gan_config(self, tmp_path, monkeypatch):
+        seen = []
+        real_gan_train = cli.gan_train
+
+        def recording_train(beats, config, seed):
+            seen.append(config)
+            return real_gan_train(beats, config, seed=seed)
+
+        monkeypatch.setattr(cli, "gan_train", recording_train)
+        src = imbalanced_csv(tmp_path / "in.csv")
+        assert run(["augment", "--in", str(src), "--tau", "0.0",
+                    "--balance-ratio", "0.9", "--epochs", "1",
+                    "--batch-size", "8", "--out",
+                    str(tmp_path / "o.csv")]) == 0
+        assert len(seen) == 1
+        config = seen[0]
+        assert (config.tau, config.balance_ratio) == (0.0, 0.9)
+        assert (config.epochs, config.batch_size) == (1, 8)
+        assert config.beat_len == 16
 
     def test_scarce_minority_is_config_error(self, tmp_path, capsys):
         src = imbalanced_csv(tmp_path / "in.csv", n_minority=20)
@@ -579,6 +608,26 @@ class TestReproduce:
         config.write_text(json.dumps({"out_dir": str(tmp_path / "o")}))
         assert run(["reproduce", "--config", str(config)]) == 3
         capsys.readouterr()
+
+    def test_short_beats_fail_before_augment(self, tmp_path, capsys):
+        records = make_records_dir(tmp_path / "records")
+        out = tmp_path / "out"
+        config = reproduce_config(tmp_path, records, out, beat_len=5)
+        assert run(["reproduce", "--config", str(config)]) == 3
+        assert "beat length must be >= 8" in capsys.readouterr().err
+        assert not (out / "augment").exists()
+
+    def test_short_beat_file_fails_before_augment(self, tmp_path, capsys):
+        beats = write_toy_csv(tmp_path / "beats.csv", length=5)
+        out = tmp_path / "out"
+        config = reproduce_config(tmp_path, "unused", out,
+                                  beats_csv=str(beats))
+        payload = json.loads(config.read_text())
+        del payload["records_dir"]
+        config.write_text(json.dumps(payload))
+        assert run(["reproduce", "--config", str(config)]) == 3
+        assert "5 samples long" in capsys.readouterr().err
+        assert not (out / "augment").exists()
 
     def test_beats_csv_and_test_csv_route(self, reproduced_with_test_csv):
         out = reproduced_with_test_csv["out"]

@@ -26,10 +26,10 @@ FLOAT_KEYS = [
     for section, types in [("", _TOP_LEVEL_TYPES), ("gan", _GAN_FIELD_TYPES)]
     + [(arch, _ARCH_FIELD_TYPES) for arch in ARCHITECTURES]
     for key, allowed in types.items() if float in allowed]
-# whole numbers the float keys accept; other keys take 1, and the two whose
+# whole numbers the float keys accept; other keys take 1, and the one whose
 # open range holds no whole number must report it as 1.0
 WHOLE_VALUES = {"weight_decay": 0, "focal_gamma": 0, "dropout": 0}
-NO_WHOLE_VALUE = {"train_fraction", "tau"}
+NO_WHOLE_VALUE = {"train_fraction"}
 
 
 class TestDefaults:
@@ -180,6 +180,15 @@ class TestRejection:
     def test_invalid_json(self, tmp_path):
         path = write_config(tmp_path, "{nope")
         with pytest.raises(ConfigError, match="JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["beat_len", "noise_len"])
+    def test_gan_lengths_are_unknown_keys(self, tmp_path, key):
+        # the augment stage takes the beat length from the data
+        path = write_config(tmp_path, {"gan": {key: 32}})
+        with pytest.raises(ConfigError,
+                           match=f"unknown config key '{key}' in section "
+                                 f"'gan'"):
             load_config(path)
 
     def test_ensemble_manifest_is_an_unknown_key(self, tmp_path):

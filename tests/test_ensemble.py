@@ -228,12 +228,6 @@ class TestLogitCsv:
         assert sample_ids == [str(i) for i in range(7)]
         np.testing.assert_array_equal(loaded, logits)
 
-    def test_custom_sample_ids(self, tmp_path):
-        path = write_logits_csv(tmp_path / "m.csv", np.zeros((2, 5)),
-                                sample_ids=["s1", "s2"])
-        sample_ids, _ = read_logits_csv(path)
-        assert sample_ids == ["s1", "s2"]
-
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,l0,l1,l2,l3,l4\n0,1,2,3,4,5\n")

@@ -39,18 +39,18 @@ def pulse_beats(n, label, length=24, seed=0, split_tag="train"):
 class TestConfig:
     def test_defaults(self):
         cfg = GanTrainConfig()
-        assert (cfg.beat_len, cfg.noise_len, cfg.noise_dim) == (187, 187, 1)
+        assert (cfg.beat_len, cfg.noise_dim) == (187, 1)
         assert (cfg.epochs, cfg.batch_size) == (200, 32)
         assert (cfg.g_lr, cfg.d_lr) == (2e-4, 2e-4)
         assert cfg.tau == 0.5
 
-    def test_noise_len_follows_beat_len(self):
-        assert GanTrainConfig(beat_len=64).noise_len == 64
-        assert GanTrainConfig(beat_len=64, noise_len=32).noise_len == 32
-
     @pytest.mark.parametrize("tau", [0.0, 1.0, -0.1, 1.5])
     def test_threshold_must_be_interior(self, tau):
-        with pytest.raises(ConfigError):
+        # one rule, [0, 1], shared with synthesize
+        if 0.0 <= tau <= 1.0:
+            assert GanTrainConfig(tau=tau).tau == tau
+            return
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
             GanTrainConfig(tau=tau)
 
     def test_balance_ratio_bounds(self):
@@ -97,9 +97,9 @@ class TestNets:
         np.testing.assert_array_equal(scores, d.score(x))
 
     def test_noise_shape(self):
-        cfg = small_config(noise_len=10, noise_dim=3)
+        cfg = small_config(noise_dim=3)
         z = sample_noise(cfg, 5, np.random.default_rng(0))
-        assert z.shape == (5, 10, 3)
+        assert z.shape == (5, cfg.beat_len, 3)
         assert z.dtype == np.float32
 
 
