@@ -282,8 +282,11 @@ def read_beats_csv(path):
                     f"{path}: unknown split tag {split_tag!r}", line=line_no)
             source = row[source_col] if source_col is not None and \
                 len(row) > source_col else "unknown"
-            beats.append(BeatRecord(samples, label, source=source,
-                                    split_tag=split_tag))
+            try:
+                beats.append(BeatRecord(samples, label, source=source,
+                                        split_tag=split_tag))
+            except ConfigError as exc:
+                raise ParseError(f"{path}: {exc}", line=line_no) from None
     if not beats:
         raise ParseError(f"{path}: no beat rows", line=2)
     return BeatDataset(beats)

@@ -20,7 +20,8 @@ from . import tensor as tk
 from .beats import (CLASS_NAMES, BeatDataset, load_records_dir,
                     read_beats_csv, stratified_split, write_beats_csv)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunManifest, config_hash, derive_seed, load_config
+from .config import (PipelineConfig, RunManifest, config_hash, derive_seed,
+                     load_config)
 from .ensemble import (STRATEGIES, LogitSet, ManifestEntry, build_strategy,
                        fuse, load_manifest, predict_classes, write_logits_csv,
                        write_manifest)
@@ -28,8 +29,8 @@ from .errors import ConfigError, EcgkitError
 from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
                   balance_summary, gan_train)
 from .gradcam import grad_cam
-from .metrics import (MIN_BOOTSTRAP_SAMPLES, bootstrap_ci, confusion,
-                      evaluate_predictions, prf1)
+from .metrics import (DEFAULT_RESAMPLES, MIN_BOOTSTRAP_SAMPLES, bootstrap_ci,
+                      confusion, evaluate_predictions, prf1)
 from .models import ARCHITECTURES, MIN_INPUT_LEN, ModelDescriptor, build
 from .report import render_report
 from .training import train
@@ -134,16 +135,15 @@ def _augment(dataset, gan_config, seed, out):
     gan_config = dataclasses.replace(gan_config,
                                      beat_len=_beat_length(dataset))
     generators = {}
-    for label in balance_deficits(dataset, gan_config.balance_ratio):
+    for label in balance_deficits(dataset, gan_config):
         records = [b for b in dataset.beats
                    if b.split_tag == "train" and b.label == label]
         stage_seed = derive_seed(seed, f"augment/{CLASS_NAMES[label]}")
         generator, discriminator, _ = gan_train(records, gan_config,
                                                 seed=stage_seed)
         generators[label] = (generator, discriminator)
-    balanced = _normalized_sources(balance_dataset(
-        dataset, generators, tau=gan_config.tau, seed=seed,
-        balance_ratio=gan_config.balance_ratio))
+    balanced = _normalized_sources(
+        balance_dataset(dataset, generators, gan_config, seed))
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_beats_csv(out, balanced)
@@ -210,8 +210,8 @@ def cmd_train(args, command):
         _train_one_arch(config, dataset, arch, command)
 
 
-def _report_run(out_dir, manifest, model=None, X=None, y=None,
-                logits=None, seed=17, n_resamples=1000, gradcam_count=0,
+def _report_run(out_dir, manifest, y, logits, seed, model=None, X=None,
+                n_resamples=DEFAULT_RESAMPLES, gradcam_count=0,
                 ensemble=None):
     with tk.no_grad():
         probabilities = tk.softmax(tk.Tensor(logits)).data
@@ -254,7 +254,7 @@ def _resolve_checkpoint(entry, manifest_path):
 
 
 def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
-                  manifest, seed, n_resamples=1000):
+                  manifest, seed, n_resamples=DEFAULT_RESAMPLES):
     """Load each member once, dump its logits to out, fuse them with
     strategy and report the fused scores in report_dir.
 
@@ -400,22 +400,25 @@ def _build_parser():
 
     p = sub.add_parser("ingest", help="segment WFDB records into a beat CSV")
     p.add_argument("--records-dir", required=True)
-    p.add_argument("--lead", default=None)
-    p.add_argument("--beat-len", type=int, default=187)
+    p.add_argument("--lead")
+    p.add_argument("--beat-len", type=int, default=PipelineConfig.beat_len)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=17)
-    p.add_argument("--train-fraction", type=float, default=0.85)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--train-fraction", type=float,
+                   default=PipelineConfig.train_fraction)
     p.set_defaults(handler=cmd_ingest)
 
     p = sub.add_parser("augment",
                        help="balance minority classes with synthetic beats")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--balance-ratio", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--tau", type=float, default=GanTrainConfig.tau)
+    p.add_argument("--balance-ratio", type=float,
+                   default=GanTrainConfig.balance_ratio)
+    p.add_argument("--epochs", type=int, default=GanTrainConfig.epochs)
+    p.add_argument("--batch-size", type=int,
+                   default=GanTrainConfig.batch_size)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=17)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.set_defaults(handler=cmd_augment)
 
     p = sub.add_parser("train", help="train one architecture, or all four")
@@ -432,17 +435,18 @@ def _build_parser():
     p.add_argument("--split", default="test")
     p.add_argument("--gradcam", type=int, default=0,
                    help="also explain the first N rows")
-    p.add_argument("--seed", type=int, default=17)
-    p.add_argument("--resamples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("ensemble", help="fuse models from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--strategy", default="top2_weighted", choices=STRATEGIES)
+    p.add_argument("--strategy", default=PipelineConfig.strategy,
+                   choices=STRATEGIES)
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=17)
-    p.add_argument("--resamples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
     p.set_defaults(handler=cmd_ensemble)
 
     p = sub.add_parser("gradcam", help="saliency maps for chosen beats")

@@ -1,8 +1,9 @@
 """Pipeline configuration, seed derivation, and run bookkeeping.
 
-Config files are strict JSON: every key must belong to the documented
-schema, and anything the file leaves out falls back to the published
-per-architecture training defaults. A resolved config hashes canonically
+Config files are strict JSON: every key must be a field of the settings
+dataclasses (PipelineConfig, TrainRunConfig, GanTrainConfig), whose
+annotations give its JSON type, and anything the file leaves out falls back
+to the published per-architecture training defaults. A resolved config hashes canonically
 so reordered keys produce the same fingerprint.
 """
 
@@ -10,7 +11,8 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -19,44 +21,19 @@ from .ensemble import STRATEGIES
 from .errors import ConfigError
 from .gan import GanTrainConfig
 from .models import ARCHITECTURES, MIN_INPUT_LEN
-from .training import FocalLossConfig, TrainRunConfig
+from .training import TrainRunConfig
 
-_TOP_LEVEL_TYPES = {
-    "records_dir": (str, type(None)),
-    "beats_csv": (str, type(None)),
-    "test_csv": (str, type(None)),
-    "beat_len": (int,),
-    "lead": (str, type(None)),
-    "seed": (int,),
-    "train_fraction": (float, int),
-    "out_dir": (str,),
-    "strategy": (str,),
-}
+# JSON types a config value may take, by the annotation of its field
+_JSON_TYPES = {int: (int,), float: (float, int), str: (str,)}
 
-_ARCH_FIELD_TYPES = {
-    "batch_size": (int,),
-    "lr": (float, int),
-    "epochs": (int,),
-    "early_stop_patience": (int,),
-    "weight_decay": (float, int),
-    "focal_alpha": (float, int),
-    "focal_gamma": (float, int),
-    "seed": (int,),
-}
 
-# beat_len is not a key: the augment stage takes it from the data
-_GAN_FIELD_TYPES = {
-    "noise_dim": (int,),
-    "epochs": (int,),
-    "batch_size": (int,),
-    "g_lr": (float, int),
-    "d_lr": (float, int),
-    "tau": (float, int),
-    "hidden": (int,),
-    "dense_width": (int,),
-    "dropout": (float, int),
-    "balance_ratio": (float, int),
-}
+def _schema(cls, skip=()):
+    """{key: accepted JSON types} over the fields of a settings dataclass;
+    a field whose default is None also accepts null."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _JSON_TYPES[hints[f.name]]
+            + ((type(None),) if f.default is None else ())
+            for f in fields(cls) if f.name not in skip}
 
 
 def _check_type(key, value, allowed):
@@ -75,15 +52,15 @@ def _check_type(key, value, allowed):
                           f"range") from None
 
 
-def _check_section(name, payload, field_types):
+def _check_section(name, payload, schema):
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {name!r} must be an object, "
                           f"got {payload!r}")
-    unknown = set(payload) - set(field_types)
+    unknown = set(payload) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} "
                           f"in section {name!r}")
-    return {key: _check_type(f"{name}.{key}", value, field_types[key])
+    return {key: _check_type(f"{name}.{key}", value, schema[key])
             for key, value in payload.items()}
 
 
@@ -117,49 +94,42 @@ class PipelineConfig:
 
     def to_dict(self):
         """Fully resolved plain dict; the canonical hashing input."""
-        out = {key: getattr(self, key) for key in _TOP_LEVEL_TYPES}
+        out = {key: getattr(self, key) for key in _TOP_SCHEMA}
         for arch in ARCHITECTURES:
             cfg = self.train_configs[arch]
-            out[arch] = {key: getattr(cfg.focal, key[len("focal_"):])
-                         if key.startswith("focal_") else getattr(cfg, key)
-                         for key in _ARCH_FIELD_TYPES}
-        out["gan"] = {key: getattr(self.gan, key) for key in _GAN_FIELD_TYPES}
+            out[arch] = {key: getattr(cfg, key) for key in _ARCH_SCHEMA}
+        out["gan"] = {key: getattr(self.gan, key) for key in _GAN_SCHEMA}
         return out
 
 
-def _train_config_from(arch, payload):
-    focal_kwargs = {}
-    if "focal_alpha" in payload:
-        focal_kwargs["alpha"] = payload.pop("focal_alpha")
-    if "focal_gamma" in payload:
-        focal_kwargs["gamma"] = payload.pop("focal_gamma")
-    if focal_kwargs:
-        payload["focal"] = FocalLossConfig(**focal_kwargs)
-    return TrainRunConfig.for_arch(arch, **payload)
+_TOP_SCHEMA = _schema(PipelineConfig, skip=("train_configs", "gan"))
+_ARCH_SCHEMA = _schema(TrainRunConfig, skip=("arch",))
+# beat_len is not a key: the augment stage takes it from the data
+_GAN_SCHEMA = _schema(GanTrainConfig, skip=("beat_len",))
 
 
 def config_from_payload(payload):
     """Validate a parsed JSON object against the schema and resolve it."""
     if not isinstance(payload, dict):
         raise ConfigError(f"config root must be an object, got {payload!r}")
-    known = set(_TOP_LEVEL_TYPES) | set(ARCHITECTURES) | {"gan"}
+    known = set(_TOP_SCHEMA) | set(ARCHITECTURES) | {"gan"}
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
 
     kwargs = {}
-    for key, allowed in _TOP_LEVEL_TYPES.items():
+    for key, allowed in _TOP_SCHEMA.items():
         if key in payload:
             kwargs[key] = _check_type(key, payload[key], allowed)
 
     train_configs = {}
     for arch in ARCHITECTURES:
         if arch in payload:
-            section = _check_section(arch, payload[arch], _ARCH_FIELD_TYPES)
-            train_configs[arch] = _train_config_from(arch, section)
+            section = _check_section(arch, payload[arch], _ARCH_SCHEMA)
+            train_configs[arch] = TrainRunConfig.for_arch(arch, **section)
     gan_payload = {}
     if "gan" in payload:
-        gan_payload = _check_section("gan", payload["gan"], _GAN_FIELD_TYPES)
+        gan_payload = _check_section("gan", payload["gan"], _GAN_SCHEMA)
     return PipelineConfig(train_configs=train_configs,
                           gan=GanTrainConfig(**gan_payload), **kwargs)
 

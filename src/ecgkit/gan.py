@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tk
-from .beats import CLASS_NAMES, BeatDataset, BeatRecord
+from .beats import CLASS_NAMES, DEFAULT_BEAT_LEN, BeatDataset, BeatRecord
 from .errors import AugmentError, ConfigError
 from .models import _init_params, _lstm_layer_params, _lstm_layer_shapes
 from .tensor import Tensor
@@ -33,7 +33,7 @@ class GanTrainConfig:
     steps.
     """
 
-    beat_len: int = 187
+    beat_len: int = DEFAULT_BEAT_LEN
     noise_dim: int = 1
     epochs: int = 200
     batch_size: int = 32
@@ -229,7 +229,7 @@ def gan_train(minority_beats, config=None, seed=17):
     return generator, discriminator, history
 
 
-def synthesize(generator, discriminator, n_needed, tau=0.5, seed=17):
+def synthesize(generator, discriminator, n_needed, tau, seed=17):
     """Draw candidate beats and keep those scoring at least tau.
 
     Stops once n_needed beats are accepted; gives up with an AugmentError
@@ -270,36 +270,34 @@ def synthesize(generator, discriminator, n_needed, tau=0.5, seed=17):
     return accepted
 
 
-def balance_deficits(dataset, balance_ratio=1.0):
+def balance_deficits(dataset, config):
     """Beats each class lacks in the train split to reach the balance target.
 
-    The target is the majority-class train count scaled by balance_ratio.
-    Returns {label: target - count} for every class present in the train
-    split but below target, in label order; classes absent from the train
-    split entirely are left alone.
+    The target is the majority-class train count scaled by
+    config.balance_ratio. Returns {label: target - count} for every class
+    present in the train split but below target, in label order; classes
+    absent from the train split entirely are left alone.
     """
-    if not 0.0 < balance_ratio <= 1.0:
-        raise ConfigError(
-            f"balance ratio must lie in (0, 1], got {balance_ratio}")
     counts = dataset.counts_for_split("train")
     majority = max(counts.values())
     if majority == 0:
         raise ConfigError("dataset has no beats tagged train")
-    target = int(round(majority * balance_ratio))
+    target = int(round(majority * config.balance_ratio))
     return {label: target - count for label, count in sorted(counts.items())
             if 0 < count < target}
 
 
-def balance_dataset(dataset, generators, tau=0.5, seed=17, balance_ratio=1.0):
+def balance_dataset(dataset, generators, config, seed=17):
     """Top every deficient class in the train split up to the balance target.
 
-    balance_deficits decides which classes fall short and by how much.
+    balance_deficits decides which classes fall short and by how much;
+    candidates are kept when they score at least config.tau.
     generators maps class label to a (generator, discriminator) pair; a
     class below target without one is an error. Returns a new dataset
     sharing the original BeatRecord objects; the input order is preserved
     and synthetic beats are appended at the end.
     """
-    deficits = balance_deficits(dataset, balance_ratio)
+    deficits = balance_deficits(dataset, config)
     missing = [label for label in deficits if label not in generators]
     if missing:
         label = missing[0]
@@ -314,7 +312,7 @@ def balance_dataset(dataset, generators, tau=0.5, seed=17, balance_ratio=1.0):
     for label, needed in deficits.items():
         generator, discriminator = generators[label]
         synthetic.extend(synthesize(generator, discriminator, needed,
-                                    tau=tau, seed=[seed, label]))
+                                    tau=config.tau, seed=[seed, label]))
     return BeatDataset(list(dataset.beats) + synthetic)
 
 

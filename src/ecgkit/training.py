@@ -5,7 +5,7 @@ early stopping, and the per-architecture run configurations.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,27 +26,12 @@ DEFAULT_EPOCHS = 50
 DEFAULT_EARLY_STOP = 8
 
 
-@dataclass
-class FocalLossConfig:
-    alpha: float = 1.0
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError(f"focusing exponent must be >= 0, "
-                              f"got {self.gamma}")
-        if self.alpha <= 0:
-            raise ConfigError(f"loss weight must be > 0, got {self.alpha}")
-
-
-def focal_loss(probabilities, targets, config=None):
+def focal_loss(probabilities, targets, alpha=1.0, gamma=2.0):
     """Mean of -alpha * (1 - p_t)^gamma * log(p_t) over the batch.
 
     Expects class probabilities (rows summing to 1), not logits; p_t is
     clamped to 1e-12 before the log.  gamma=0 recovers plain cross-entropy.
     """
-    if config is None:
-        config = FocalLossConfig()
     if probabilities.data.ndim != 2:
         raise UsageError(f"probabilities must be [batch, classes], "
                          f"got {probabilities.data.shape}")
@@ -64,13 +49,13 @@ def focal_loss(probabilities, targets, config=None):
                          "output, not logits")
     p_t = tk.clamp_min(tk.gather_rows(probabilities, targets), 1e-12)
     nll = tk.neg(tk.log(p_t))
-    if config.gamma == 0.0:
+    if gamma == 0.0:
         scaled = nll
     else:
-        modulator = tk.pow_const(tk.add(tk.neg(p_t), 1.0), config.gamma)
+        modulator = tk.pow_const(tk.add(tk.neg(p_t), 1.0), gamma)
         scaled = tk.mul(modulator, nll)
-    if config.alpha != 1.0:
-        scaled = tk.mul(scaled, config.alpha)
+    if alpha != 1.0:
+        scaled = tk.mul(scaled, alpha)
     return scaled.mean()
 
 
@@ -164,7 +149,8 @@ class TrainRunConfig:
     early_stop_patience: int = DEFAULT_EARLY_STOP
     seed: int = 17
     weight_decay: float = 1e-4
-    focal: FocalLossConfig = field(default_factory=FocalLossConfig)
+    focal_alpha: float = 1.0
+    focal_gamma: float = 2.0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -173,6 +159,12 @@ class TrainRunConfig:
             raise ConfigError(f"learning rate must be > 0, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.focal_gamma < 0:
+            raise ConfigError(f"focusing exponent must be >= 0, "
+                              f"got {self.focal_gamma}")
+        if self.focal_alpha <= 0:
+            raise ConfigError(f"loss weight must be > 0, "
+                              f"got {self.focal_alpha}")
 
     @classmethod
     def for_arch(cls, arch, **overrides):
@@ -246,7 +238,7 @@ class TrainingHistory:
         return cls(records)
 
 
-def evaluate_split(model, X, y, focal_config, batch_size=256):
+def evaluate_split(model, X, y, alpha, gamma, batch_size=256):
     """Eval-mode loss and accuracy over one split."""
     total_loss = 0.0
     correct = 0
@@ -258,7 +250,7 @@ def evaluate_split(model, X, y, focal_config, batch_size=256):
             logits = model.forward(
                 Tensor(xb.reshape(len(xb), 1, -1)), training=False)
             probs = tk.softmax(logits, axis=-1)
-            loss = focal_loss(probs, yb, focal_config)
+            loss = focal_loss(probs, yb, alpha, gamma)
             total_loss += loss.item() * len(xb)
             correct += int((np.argmax(logits.data, axis=1) == yb).sum())
     return total_loss / n, correct / n
@@ -296,14 +288,16 @@ def train(model, dataset, run_config):
             logits = model.forward(Tensor(xb.reshape(len(xb), 1, -1)),
                                    training=True, rng=rng)
             probs = tk.softmax(logits, axis=-1)
-            loss = focal_loss(probs, yb, run_config.focal)
+            loss = focal_loss(probs, yb, run_config.focal_alpha,
+                              run_config.focal_gamma)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             epoch_loss += loss.item() * len(xb)
             epoch_correct += int((np.argmax(logits.data, axis=1) == yb).sum())
         val_loss, val_acc = evaluate_split(model, X_val, y_val,
-                                           run_config.focal)
+                                           run_config.focal_alpha,
+                                           run_config.focal_gamma)
         history.append(EpochRecord(epoch, epoch_loss / n, val_loss,
                                    epoch_correct / n, val_acc))
         scheduler.step(val_loss)

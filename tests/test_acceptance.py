@@ -47,7 +47,6 @@ from ecgkit.models import ModelDescriptor, build
 from ecgkit.tensor import Tensor
 from ecgkit.training import (
     AdamW,
-    FocalLossConfig,
     PlateauScheduler,
     TrainRunConfig,
     focal_loss,
@@ -102,7 +101,6 @@ def test_autodiff_matches_finite_differences_for_every_op():
 
 def test_focal_loss_with_unit_alpha_zero_gamma_is_cross_entropy():
     rng = np.random.default_rng(42)
-    config = FocalLossConfig(alpha=1.0, gamma=0.0)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 65))
@@ -111,7 +109,8 @@ def test_focal_loss_with_unit_alpha_zero_gamma_is_cross_entropy():
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         targets = rng.integers(0, k, size=n)
-        focal = focal_loss(Tensor(probs), targets, config).item()
+        focal = focal_loss(Tensor(probs), targets, alpha=1.0,
+                           gamma=0.0).item()
         picked = np.clip(probs[np.arange(n), targets], 1e-12, None)
         worst = max(worst, abs(focal - float(-np.log(picked).mean())))
     assert worst < 1e-9
@@ -175,7 +174,8 @@ def test_balancing_restores_minority_classes_with_valid_synthetics():
                                  config, seed=1000 + label)
         generators[label] = (gen, disc)
 
-    balanced = balance_dataset(dataset, generators, tau=0.2, seed=5)
+    balanced = balance_dataset(dataset, generators, GanTrainConfig(tau=0.2),
+                               seed=5)
     after = balanced.counts_for_split("train")
     majority = max(after.values())
     for label in before:
@@ -389,7 +389,8 @@ def _clinical_run():
             gen, disc, _ = gan_train(minority, GanTrainConfig(),
                                      seed=derive_seed(17, f"gan/{label}"))
             generators[label] = (gen, disc)
-    balanced = balance_dataset(dataset, generators, tau=0.5, seed=17)
+    balanced = balance_dataset(dataset, generators, GanTrainConfig(tau=0.5),
+                               seed=17)
 
     X_val, y_val = balanced.matrix("val")
     logits = {}

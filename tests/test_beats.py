@@ -240,6 +240,14 @@ class TestBeatCsv:
             read_beats_csv(path)
         assert exc.value.line == 2
 
+    def test_out_of_range_label_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("s0,label\n0.5,1\n0.5,7\n")
+        with pytest.raises(ParseError, match="beat label 7") as exc:
+            read_beats_csv(path)
+        assert exc.value.line == 3
+        assert str(path) in str(exc.value)
+
     def test_empty_dataset_refused(self, tmp_path):
         with pytest.raises(IoError):
             write_beats_csv(tmp_path / "x.csv", BeatDataset())

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecgkit import cli
+from ecgkit import __version__, cli
 from ecgkit import tensor as tk
 from ecgkit.beats import read_beats_csv, write_beats_csv
 from ecgkit.checkpoint import load_checkpoint
@@ -148,6 +151,26 @@ class TestDispatch:
         code = run(["augment", "--in", str(beats),
                     "--out", str(tmp_path / "o.csv")])
         self.assert_one_line_data_error(code, capsys)
+
+    def test_out_of_range_label_is_data_error(self, tmp_path, capsys):
+        beats = tmp_path / "bad_label.csv"
+        beats.write_text("s0,label\n0.5,1\n0.5,7\n")
+        code = run(["augment", "--in", str(beats),
+                    "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("ecgkit: ParseError: line 3: ")
+        assert str(beats) in err and err.count("\n") == 1
+
+    def test_module_entry_point(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "ecgkit", "--version"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == f"ecgkit {__version__}\n"
+        assert "RuntimeWarning" not in done.stderr
 
     def test_ingest_out_directory_is_data_error(self, tmp_path, capsys):
         records = make_records_dir(tmp_path / "records")

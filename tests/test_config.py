@@ -3,10 +3,9 @@ from datetime import datetime
 
 import pytest
 
-from ecgkit.config import (_ARCH_FIELD_TYPES, _GAN_FIELD_TYPES,
-                           _TOP_LEVEL_TYPES, PipelineConfig, RunManifest,
-                           config_from_payload, config_hash, derive_seed,
-                           load_config)
+from ecgkit import config as config_module
+from ecgkit.config import (PipelineConfig, RunManifest, config_from_payload,
+                           config_hash, derive_seed, load_config)
 from ecgkit.errors import ConfigError
 from ecgkit.models import _DEFAULT_PLANS, ARCHITECTURES
 from ecgkit.training import TABLE1
@@ -21,10 +20,47 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return path
 
 
+NULL = type(None)
+# every accepted key and the JSON types it takes; the schema is derived from
+# the settings dataclasses, so a changed field shows up here
+TOP_LEVEL_SCHEMA = {
+    "records_dir": (str, NULL),
+    "beats_csv": (str, NULL),
+    "test_csv": (str, NULL),
+    "beat_len": (int,),
+    "lead": (str, NULL),
+    "seed": (int,),
+    "train_fraction": (float, int),
+    "out_dir": (str,),
+    "strategy": (str,),
+}
+ARCH_SCHEMA = {
+    "batch_size": (int,),
+    "lr": (float, int),
+    "epochs": (int,),
+    "early_stop_patience": (int,),
+    "weight_decay": (float, int),
+    "focal_alpha": (float, int),
+    "focal_gamma": (float, int),
+    "seed": (int,),
+}
+GAN_SCHEMA = {
+    "noise_dim": (int,),
+    "epochs": (int,),
+    "batch_size": (int,),
+    "g_lr": (float, int),
+    "d_lr": (float, int),
+    "tau": (float, int),
+    "hidden": (int,),
+    "dense_width": (int,),
+    "dropout": (float, int),
+    "balance_ratio": (float, int),
+}
+
 FLOAT_KEYS = [
     f"{section}.{key}".lstrip(".")
-    for section, types in [("", _TOP_LEVEL_TYPES), ("gan", _GAN_FIELD_TYPES)]
-    + [(arch, _ARCH_FIELD_TYPES) for arch in ARCHITECTURES]
+    for section, types in [("", TOP_LEVEL_SCHEMA), ("gan", GAN_SCHEMA)]
+    + [(arch, ARCH_SCHEMA) for arch in ARCHITECTURES]
     for key, allowed in types.items() if float in allowed]
 # whole numbers the float keys accept; other keys take 1, and the one whose
 # open range holds no whole number must report it as 1.0
@@ -59,6 +95,31 @@ class TestDefaults:
         resolved = cfg.to_dict()
         assert tuple(k for k in resolved if k in TABLE1) == ARCHITECTURES
 
+    def test_resolved_defaults_are_pinned(self):
+        def arch(batch_size, lr):
+            return {"batch_size": batch_size, "lr": lr, "epochs": 50,
+                    "early_stop_patience": 8, "weight_decay": 0.0001,
+                    "focal_alpha": 1.0, "focal_gamma": 2.0, "seed": 17}
+
+        assert PipelineConfig().to_dict() == {
+            "records_dir": None, "beats_csv": None, "test_csv": None,
+            "beat_len": 187, "lead": None, "seed": 17,
+            "train_fraction": 0.85, "out_dir": "out",
+            "strategy": "top2_weighted",
+            "cnn": arch(128, 0.00115),
+            "cnn_lstm": arch(96, 0.001),
+            "cnn_lstm_attn": arch(96, 0.001),
+            "resnet1d": arch(96, 0.00122),
+            "gan": {"noise_dim": 1, "epochs": 200, "batch_size": 32,
+                    "g_lr": 0.0002, "d_lr": 0.0002, "tau": 0.5,
+                    "hidden": 32, "dense_width": 64, "dropout": 0.2,
+                    "balance_ratio": 1.0}}
+
+    def test_schema_is_pinned(self):
+        assert config_module._TOP_SCHEMA == TOP_LEVEL_SCHEMA
+        assert config_module._ARCH_SCHEMA == ARCH_SCHEMA
+        assert config_module._GAN_SCHEMA == GAN_SCHEMA
+
     def test_empty_file_means_defaults(self, tmp_path):
         path = write_config(tmp_path, "")
         cfg = load_config(path)
@@ -86,8 +147,8 @@ class TestOverrides:
                                 "seed": 99, "epochs": 3}}
         cfg = load_config(write_config(tmp_path, payload))
         run = cfg.train_configs["resnet1d"]
-        assert run.focal.gamma == 1.5
-        assert run.focal.alpha == 0.25
+        assert run.focal_gamma == 1.5
+        assert run.focal_alpha == 0.25
         assert run.seed == 99
         assert run.epochs == 3
 
@@ -252,6 +313,15 @@ class TestHash:
     def test_hash_accepts_plain_dict(self):
         assert config_hash({"a": 1}) == config_hash({"a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+    def test_digests_are_pinned(self):
+        assert config_hash(PipelineConfig()) == \
+            "38071bc5fc13bd1aaf8e348d852c5e71c70fb859fc99171c098313c1f44130ac"
+        overridden = config_from_payload(
+            {"resnet1d": {"focal_gamma": 1.5, "focal_alpha": 0.25},
+             "gan": {"tau": 1}})
+        assert config_hash(overridden) == \
+            "4c5500a85aade5c9549a489787908b3b32be4a8c798d1062bd11636a6d2f07c9"
 
     def test_hash_is_hex_sha256(self):
         digest = config_hash(PipelineConfig())

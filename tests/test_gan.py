@@ -326,7 +326,7 @@ class TestBalanceDataset:
         dataset = imbalanced_dataset()
         before = len(dataset)
         balanced = balance_dataset(dataset, {1: nets_for(1), 2: nets_for(2)},
-                                   tau=0.0, seed=5)
+                                   GanTrainConfig(tau=0.0), seed=5)
         counts = balanced.counts_for_split("train")
         assert counts == {0: 12, 1: 12, 2: 12, 3: 0, 4: 0}
         present = [c for c in counts.values() if c]
@@ -341,7 +341,7 @@ class TestBalanceDataset:
     def test_val_and_test_untouched(self):
         dataset = imbalanced_dataset()
         balanced = balance_dataset(dataset, {1: nets_for(1), 2: nets_for(2)},
-                                   tau=0.0)
+                                   GanTrainConfig(tau=0.0))
         assert balanced.counts_for_split("val") == \
             dataset.counts_for_split("val")
         assert balanced.counts_for_split("test") == \
@@ -351,36 +351,39 @@ class TestBalanceDataset:
 
     def test_missing_generator_named(self):
         with pytest.raises(ConfigError) as exc:
-            balance_dataset(imbalanced_dataset(), {2: nets_for(2)}, tau=0.0)
+            balance_dataset(imbalanced_dataset(), {2: nets_for(2)},
+                            GanTrainConfig(tau=0.0))
         assert "A" in str(exc.value)   # label 1 has no generator
 
     def test_balanced_input_returned_unchanged(self):
         dataset = BeatDataset(pulse_beats(6, 0, seed=0)
                               + pulse_beats(6, 3, seed=1))
-        assert balance_dataset(dataset, {}, tau=0.0) is dataset
+        assert balance_dataset(dataset, {}, GanTrainConfig(tau=0.0)) is dataset
 
     def test_partial_ratio_lowers_target(self):
         dataset = imbalanced_dataset()
-        balanced = balance_dataset(dataset, {1: nets_for(1)}, tau=0.0,
-                                   balance_ratio=0.5)
+        balanced = balance_dataset(
+            dataset, {1: nets_for(1)},
+            GanTrainConfig(tau=0.0, balance_ratio=0.5))
         counts = balanced.counts_for_split("train")
         assert counts == {0: 12, 1: 6, 2: 7, 3: 0, 4: 0}
 
     def test_ratio_bounds(self):
         with pytest.raises(ConfigError):
-            balance_dataset(imbalanced_dataset(), {}, balance_ratio=0.0)
+            balance_dataset(imbalanced_dataset(), {},
+                            GanTrainConfig(balance_ratio=0.0))
 
     def test_no_train_split(self):
         dataset = BeatDataset(pulse_beats(5, 0, split_tag="val"))
         with pytest.raises(ConfigError):
-            balance_dataset(dataset, {})
+            balance_dataset(dataset, {}, GanTrainConfig())
 
     def test_deterministic_given_seed(self):
         outs = []
         for _ in range(2):
             balanced = balance_dataset(imbalanced_dataset(),
                                        {1: nets_for(1), 2: nets_for(2)},
-                                       tau=0.0, seed=9)
+                                       GanTrainConfig(tau=0.0), seed=9)
             X, y = balanced.matrix("train")
             outs.append((X, y))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
@@ -403,7 +406,7 @@ class TestSummary:
     def test_summary_shape(self):
         dataset = imbalanced_dataset()
         balanced = balance_dataset(dataset, {1: nets_for(1), 2: nets_for(2)},
-                                   tau=0.0)
+                                   GanTrainConfig(tau=0.0))
         summary = balance_summary(dataset, balanced)
         assert set(summary) == {"before", "after"}
         assert summary["before"]["A"]["count"] == 4

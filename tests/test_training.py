@@ -8,7 +8,6 @@ from ecgkit.tensor import Tensor
 from ecgkit.training import (
     AdamW,
     EpochRecord,
-    FocalLossConfig,
     PlateauScheduler,
     TABLE1,
     TrainRunConfig,
@@ -27,12 +26,12 @@ def probs_from_logits(logits):
 class TestFocalLoss:
     def test_certain_prediction_has_zero_loss(self):
         p = Tensor(np.array([[1.0, 0.0, 0.0]]))
-        loss = focal_loss(p, [0], FocalLossConfig(alpha=1, gamma=2))
+        loss = focal_loss(p, [0], alpha=1, gamma=2)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_half_confidence_value(self):
         p = Tensor(np.array([[0.5, 0.5]]))
-        loss = focal_loss(p, [0], FocalLossConfig(alpha=1, gamma=2))
+        loss = focal_loss(p, [0], alpha=1, gamma=2)
         assert loss.item() == pytest.approx(0.25 * np.log(2), rel=1e-9)
 
     def test_gamma_zero_is_cross_entropy(self):
@@ -41,15 +40,15 @@ class TestFocalLoss:
             logits = rng.normal(scale=3, size=(16, 5))
             y = rng.integers(0, 5, size=16)
             p = probs_from_logits(logits)
-            fl = focal_loss(p, y, FocalLossConfig(alpha=1, gamma=0)).item()
+            fl = focal_loss(p, y, alpha=1, gamma=0).item()
             ce = -np.log(p.data[np.arange(16), y]).mean()
             assert fl == pytest.approx(ce, abs=1e-9)
 
     def test_alpha_scales_linearly(self):
         p = probs_from_logits(np.random.default_rng(1).normal(size=(8, 5)))
         y = np.arange(8) % 5
-        base = focal_loss(p, y, FocalLossConfig(alpha=1, gamma=2)).item()
-        double = focal_loss(p, y, FocalLossConfig(alpha=2, gamma=2)).item()
+        base = focal_loss(p, y, alpha=1, gamma=2).item()
+        double = focal_loss(p, y, alpha=2, gamma=2).item()
         assert double == pytest.approx(2 * base, rel=1e-9)
 
     def test_monotone_decreasing_in_confidence(self):
@@ -66,8 +65,8 @@ class TestFocalLoss:
         for _ in range(20):
             p = probs_from_logits(rng.normal(scale=2, size=(12, 5)))
             y = rng.integers(0, 5, size=12)
-            fl = focal_loss(p, y, FocalLossConfig(gamma=2)).item()
-            ce = focal_loss(p, y, FocalLossConfig(gamma=0)).item()
+            fl = focal_loss(p, y, gamma=2).item()
+            ce = focal_loss(p, y, gamma=0).item()
             assert fl <= ce + 1e-12
 
     def test_target_range_checked(self):
@@ -83,9 +82,9 @@ class TestFocalLoss:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            FocalLossConfig(gamma=-1)
+            TrainRunConfig("cnn", batch_size=8, lr=1e-3, focal_gamma=-1)
         with pytest.raises(ConfigError):
-            FocalLossConfig(alpha=0)
+            TrainRunConfig("cnn", batch_size=8, lr=1e-3, focal_alpha=0)
 
     def test_gradient_flows_to_logits(self):
         logits = Tensor(np.random.default_rng(3).normal(size=(4, 5)),
@@ -313,7 +312,8 @@ class TestTrainLoop:
         model, history = train(model, dataset, cfg)
         assert len(history) < 50   # plateaued long before the epoch budget
         X_val, y_val = dataset.matrix("val")
-        val_loss, _ = evaluate_split(model, X_val, y_val, cfg.focal)
+        val_loss, _ = evaluate_split(model, X_val, y_val, cfg.focal_alpha,
+                                     cfg.focal_gamma)
         best = min(record.val_loss for record in history.records)
         assert val_loss == pytest.approx(best, rel=1e-5)
 
