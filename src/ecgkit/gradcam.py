@@ -54,6 +54,8 @@ def grad_cam(model, beat, target_class):
                          "saliency is undefined for this architecture")
 
     target = tk.narrow(tk.reshape(logits, (n_classes,)), 0, target_class, 1)
+    # backward keeps .grad only on tensors that ask for it
+    features.requires_grad = True
     target.backward()
     grad = features.grad
     model.zero_grad()

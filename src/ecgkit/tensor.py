@@ -3,7 +3,11 @@
 Every op that sees a tracked input returns a Tensor carrying its parents and
 a closure mapping the output gradient to parent gradients.  backward() walks
 the tape iteratively in reverse topological order, so deep graphs never
-touch Python's recursion limit.
+touch Python's recursion limit, and releases each node as soon as its
+closure has run: the closure (with the forward buffers it captured), the
+parent links and, unless the tensor has requires_grad set, the gradient.
+After backward() only tensors with requires_grad hold a .grad, and the
+released graph cannot be walked again.
 
 Recurrent layers are fused: lstm_sequence runs a whole LSTM direction as one
 tape node (one input-projection GEMM over all steps, the recurrence in
@@ -23,6 +27,8 @@ and every op preserves the input dtype.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import threading
 import warnings
 from contextlib import contextmanager
@@ -30,6 +36,32 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ShapeError, UsageError
+
+
+def _keep_freed_heap():
+    """Keep the heap that a released tape frees for the next step.
+
+    backward() frees a whole step's graph at once, which leaves a large
+    free block at the top of the heap.  glibc's default trim threshold
+    hands that block back to the kernel, and the next forward faults every
+    page of it in again, a cost that varies with the load on the machine.
+    A 1 GiB trim threshold keeps the block.  Fixing one threshold turns off
+    glibc's dynamic adjustment of both, so the mmap threshold is fixed at
+    32 MiB, the largest glibc accepts and where the dynamic one ends up.
+    Other C libraries are left alone.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 1 << 30)
+
+
+_keep_freed_heap()
 
 # per-thread so concurrent training loops cannot untape each other
 _tape_state = threading.local()
@@ -52,7 +84,7 @@ def no_grad():
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name",
-                 "_parents", "_backward")
+                 "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data)
@@ -81,10 +113,19 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def backward(self):
+        """Accumulate d(self)/d(t) into t.grad for every tensor t with
+        requires_grad set, then release the graph behind self.
+
+        .grad is kept exactly on tensors with requires_grad; every other
+        tensor on the tape ends with .grad None, and a second backward()
+        on the same graph raises UsageError.  To read an interior
+        gradient, set requires_grad on that tensor before the call.
+        """
         if self._backward is None and not self.requires_grad:
             raise UsageError(
-                "backward called on a tensor produced outside any taped "
-                "computation")
+                "backward called on a tensor with no tape behind it: it was "
+                "produced outside any taped computation, or an earlier "
+                "backward() already released its graph")
         if self.data.size != 1:
             raise UsageError(
                 f"backward needs a scalar loss, got shape {self.data.shape}")
@@ -104,9 +145,16 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # every consumer of a node comes after it in topo, so once it is
+        # popped its gradient is complete and nothing reads it again
+        while topo:
+            node = topo.pop()
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
+            if not node.requires_grad:
+                node.grad = None
 
     # arithmetic sugar; heavy ops stay module-level functions
     def __add__(self, other):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,16 @@ class TestContract:
         beat = np.random.default_rng(4).random(64, dtype=np.float32)
         grad_cam(model, beat, 0)
         assert all(p.grad is None for p in model.parameters().values())
+
+    def test_raw_map_bytes_are_pinned(self):
+        # exact bytes (NumPy 2.4.6, OpenBLAS 0.3.31): how backward() frees
+        # its tape must never change the feature gradient the map is made of
+        model = small_model(seed=6)
+        beat = np.random.default_rng(6).random(64, dtype=np.float32)
+        raw = grad_cam(model, beat, 2).raw
+        assert raw.max() > 0.0
+        assert hashlib.sha256(raw.tobytes()).hexdigest() == \
+            "2b69fad8bc5af29ca73e5c8d3fee4efbe97a2d95b89ede390b57110726ba9fc4"
 
 
 class TestEdgeCases:

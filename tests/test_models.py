@@ -209,8 +209,9 @@ class TestFeatureCapture:
         m = small_model("cnn")
         capture = {}
         logits = m.forward(batch(2, 64), training=False, capture=capture)
-        logits.sum().backward()
         features = capture["features"]
+        features.requires_grad = True
+        logits.sum().backward()
         assert features.grad.shape == features.data.shape
 
     def test_attention_weights_exposed_and_normalized(self):

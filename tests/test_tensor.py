@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +41,34 @@ class TestAutodiffCore:
         with pytest.raises(UsageError):
             t([1.0]).backward()
 
+    def test_second_backward_raises_and_keeps_leaf_grads(self):
+        x = t([1.0, 2.0], requires_grad=True)
+        y = tk.mul(x, x)
+        loss = tk.mul(y, t([3.0, 3.0])).sum()
+        loss.backward()
+        np.testing.assert_allclose(x.grad, [6.0, 12.0])
+        with pytest.raises(UsageError, match="already released"):
+            loss.backward()
+        np.testing.assert_allclose(x.grad, [6.0, 12.0])
+
+    def test_backward_releases_the_tape(self):
+        def graph():
+            x = t([1.0, 2.0], requires_grad=True)
+            y = tk.mul(x, x)
+            kept = tk.mul(y, t([3.0, 3.0]))
+            kept.requires_grad = True
+            loss = tk.add(y.sum(), kept.sum())
+            return x, kept, weakref.ref(y), loss
+
+        x, kept, y_ref, loss = graph()
+        assert y_ref() is not None
+        loss.backward()
+        assert y_ref() is None
+        assert loss._parents == ()
+        assert loss.grad is None
+        np.testing.assert_allclose(x.grad, [8.0, 16.0])
+        np.testing.assert_allclose(kept.grad, [1.0, 1.0])
+
     def test_no_grad_blocks_taping(self):
         x = t([1.0], requires_grad=True)
         with tk.no_grad():
@@ -70,6 +99,7 @@ class TestAutodiffCore:
     def test_fan_out_grad_sums_every_consumer(self):
         x = t([1.0, 2.0], requires_grad=True)
         y = tk.mul(x, x)
+        y.requires_grad = True  # keep the interior gradient past backward
         # y feeds two consumers; its grad must hold both contributions
         tk.add(y.sum(), tk.mul(y, t([3.0, 3.0])).sum()).backward()
         np.testing.assert_allclose(y.grad, [4.0, 4.0])

@@ -1,9 +1,12 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
 from ecgkit import tensor as tk
 from ecgkit.errors import ConfigError, NumericalError, ParseError, UsageError
-from ecgkit.models import ModelDescriptor, build
+from ecgkit.models import ARCHITECTURES, ModelDescriptor, build
 from ecgkit.tensor import Tensor
 from ecgkit.training import (
     AdamW,
@@ -324,3 +327,78 @@ class TestTrainLoop:
                                for _ in range(10)])
         with pytest.raises(ConfigError):
             train(tiny_cnn(), dataset, TrainRunConfig("cnn", 8, 1e-3))
+
+
+def gradient_digest(arch):
+    """sha256 over every parameter gradient after one focal-loss step."""
+    kwargs = {"input_len": 64, "channel_plan": (8, 8)}
+    if arch == "resnet1d":
+        kwargs["blocks_per_stage"] = 1
+    elif arch != "cnn":
+        kwargs["lstm_hidden"] = 8
+        kwargs["attention_dim"] = 8
+    model = build(ModelDescriptor(arch, **kwargs), 11)
+    data = np.random.default_rng(12)
+    xb = data.random((6, 1, 64), dtype=np.float32)
+    yb = np.array([0, 1, 2, 3, 4, 1])
+    logits = model.forward(Tensor(xb), training=True,
+                           rng=np.random.default_rng(13))
+    focal_loss(tk.softmax(logits, axis=-1), yb).backward()
+    digest = hashlib.sha256()
+    for name, p in sorted(model.parameters().items()):
+        digest.update(name.encode())
+        digest.update(p.grad.tobytes())
+    return digest.hexdigest()
+
+
+class TestGradientBytes:
+    # exact bytes (NumPy 2.4.6, OpenBLAS 0.3.31): how backward() frees its
+    # tape must never change one bit of any parameter gradient
+    PINNED = {
+        "cnn":
+            "8567b197a21304d6b7af25e152ff3789a9e500df5e18b41256397d23db1c8355",
+        "cnn_lstm":
+            "7a21280334e30b2edc15d98811df5432a4ff7fd5a3d2042a379a6c2dd9243c1d",
+        "cnn_lstm_attn":
+            "d5d5a64a80f8d9b53fc9c31fff8e9ee35dccd8c80a7d3f04765e1d313303ce96",
+        "resnet1d":
+            "5429460060b4cf701aff0a01f8b0acde715fd12217712ea99e98ab0546faee9a",
+    }
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_one_step_gradients_are_pinned(self, arch):
+        assert gradient_digest(arch) == self.PINNED[arch]
+
+
+def _glibc():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestStepMemory:
+    @pytest.mark.skipif(not _glibc(), reason="tunes glibc malloc only")
+    def test_repeated_steps_reuse_the_freed_heap(self):
+        # backward() frees a whole step's graph at once; the next step must
+        # find that memory in the heap, not fault it in from the kernel
+        # (about 3600 minor faults a step when glibc trims it)
+        resource = pytest.importorskip("resource")
+        model = build(ModelDescriptor("cnn"), 11)
+        data = np.random.default_rng(12)
+        xb = data.random((8, 1, 187), dtype=np.float32)
+        yb = data.integers(0, 5, 8)
+
+        def step():
+            logits = model.forward(Tensor(xb), training=True,
+                                   rng=np.random.default_rng(13))
+            focal_loss(tk.softmax(logits, axis=-1), yb).backward()
+            model.zero_grad()
+
+        step()
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000
