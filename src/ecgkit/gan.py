@@ -7,6 +7,7 @@ confidence threshold, and the accepted beats top the training split up to
 the majority-class count. Validation and test splits are never touched.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,22 @@ def _validate_minority_beats(beats, config):
             f"beat length {config.beat_len}")
 
 
+@contextmanager
+def _untracked(params):
+    """Run the block with requires_grad off on every tensor in params.
+
+    The tape reads requires_grad when an op runs, so ops inside the block
+    record no link to these tensors and compute no gradient for them.
+    """
+    for p in params.values():
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in params.values():
+            p.requires_grad = True
+
+
 def gan_train(minority_beats, config=None, seed=17):
     """Adversarially train a generator/discriminator pair on one class.
 
@@ -216,13 +233,14 @@ def gan_train(minority_beats, config=None, seed=17):
             d_opt.step()
             history.append(("D", float(loss_d.item())))
 
-            # generator update through the frozen-for-this-step discriminator
+            # generator update through the frozen-for-this-step discriminator,
+            # whose parameters stay off the tape so backward skips them
             noise = sample_noise(config, batch, rng)
             fake = generator.forward(Tensor(noise), training=True, rng=rng)
-            scores = discriminator.forward(fake, training=True, rng=rng)
+            with _untracked(discriminator.params):
+                scores = discriminator.forward(fake, training=True, rng=rng)
             loss_g = generator_loss(scores)
             g_opt.zero_grad()
-            d_opt.zero_grad()
             loss_g.backward()
             g_opt.step()
             history.append(("G", float(loss_g.item())))

@@ -1,13 +1,21 @@
 """Reverse-mode autodiff on numpy arrays, sized for small 1D signal models.
 
-Every op that sees a tracked input returns a Tensor carrying its parents and
-a closure mapping the output gradient to parent gradients.  backward() walks
-the tape iteratively in reverse topological order, so deep graphs never
-touch Python's recursion limit, and releases each node as soon as its
-closure has run: the closure (with the forward buffers it captured), the
-parent links and, unless the tensor has requires_grad set, the gradient.
-After backward() only tensors with requires_grad hold a .grad, and the
-released graph cannot be walked again.
+Every op that sees a tracked input returns a Tensor with a tape node
+behind it.  The node is not the value: it links to its inputs' nodes and
+holds a closure mapping the output gradient to one gradient per input,
+and that closure captures only the arrays, shapes and flags its formula
+reads.  The tape holds what backward reads; a forward value lives while
+you hold its Tensor.  A conv output that feeds batch norm, say, is freed
+as soon as the caller drops it, because batch norm's backward reads its
+normalized input, not the conv output.
+
+backward() walks the tape iteratively in reverse topological order, so
+deep graphs never touch Python's recursion limit, and releases each node
+as soon as its closure has run.  After backward() only tensors with
+requires_grad hold a .grad, and the released graph cannot be walked
+again.  A leaf's requires_grad counts when an op reads it; an interior
+tensor's counts when backward() reaches it, so setting it after the
+forward pass still keeps that tensor's gradient.
 
 Recurrent layers are fused: lstm_sequence runs a whole LSTM direction as one
 tape node (one input-projection GEMM over all steps, the recurrence in
@@ -31,6 +39,7 @@ import ctypes
 import os
 import threading
 import warnings
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -83,8 +92,8 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name",
-                 "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_node",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data)
@@ -94,8 +103,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self._parents = ()
-        self._backward = None
+        self._node = None
 
     @property
     def shape(self):
@@ -121,7 +129,8 @@ class Tensor:
         on the same graph raises UsageError.  To read an interior
         gradient, set requires_grad on that tensor before the call.
         """
-        if self._backward is None and not self.requires_grad:
+        root = self._node
+        if root is None and not self.requires_grad:
             raise UsageError(
                 "backward called on a tensor with no tape behind it: it was "
                 "produced outside any taped computation, or an earlier "
@@ -129,32 +138,44 @@ class Tensor:
         if self.data.size != 1:
             raise UsageError(
                 f"backward needs a scalar loss, got shape {self.data.shape}")
+        if root is None:
+            self.grad = np.ones_like(self.data)
+            return
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
+            for parent in node.parents:
+                if type(parent) is _Node and parent not in visited:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         # every consumer of a node comes after it in topo, so once it is
         # popped its gradient is complete and nothing reads it again
         while topo:
             node = topo.pop()
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
-            node._backward = None
-            node._parents = ()
-            if not node.requires_grad:
-                node.grad = None
+            grad, step, parents = node.grad, node.backward, node.parents
+            node.grad = node.backward = None
+            node.parents = ()
+            if grad is not None and step is not None:
+                grads = step(grad)
+                step = None  # drop what the closure captured before summing
+                for parent, g in zip(parents, grads):
+                    if parent is not None and g is not None:
+                        _accum(parent, g)
+                grads = g = None  # not held while the next closure runs
+            out = node.tensor()
+            if out is not None:
+                out._node = None
+                if out.requires_grad:
+                    out.grad = grad
 
     # arithmetic sugar; heavy ops stay module-level functions
     def __add__(self, other):
@@ -185,6 +206,27 @@ class Tensor:
         return reshape(self, shape)
 
 
+class _Node:
+    """One taped op: its backward closure and where its gradient goes.
+
+    parents holds one entry per op input: the input's own _Node, the input
+    itself when it is a leaf with requires_grad, or None when no gradient
+    is wanted for it.  backward(g) returns one gradient (or None) per
+    input, computed only from what it captured at forward time.  The node
+    reaches its output Tensor through a weak reference, so it never keeps
+    the output's data alive.
+    """
+
+    __slots__ = ("parents", "backward", "grad", "dtype", "tensor")
+
+    def __init__(self, parents, backward, out):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+        self.dtype = out.data.dtype
+        self.tensor = weakref.ref(out)
+
+
 def _as_tensor(x, like=None):
     if isinstance(x, Tensor):
         return x
@@ -193,24 +235,27 @@ def _as_tensor(x, like=None):
 
 
 def _tracked(t):
-    return t.requires_grad or t._parents
+    return t.requires_grad or t._node is not None
 
 
-def _node(data, parents, backward):
+def _record(data, inputs, backward):
+    """Wrap an op's result; tape it when grad is on and an input is tracked."""
     out = Tensor(data)
-    if _grad_enabled() and any(_tracked(p) for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _grad_enabled():
+        links = tuple(t._node if t._node is not None
+                      else (t if t.requires_grad else None) for t in inputs)
+        if any(link is not None for link in links):
+            out._node = _Node(links, backward, out)
     return out
 
 
-def _accum(t, g):
-    if not _tracked(t):
-        return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+def _accum(target, g):
+    """Add g into a _Node's or a leaf Tensor's .grad; the first is copied."""
+    if target.grad is None:
+        dtype = target.dtype if type(target) is _Node else target.data.dtype
+        target.grad = np.array(g, dtype=dtype)
     else:
-        t.grad += g
+        target.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -224,35 +269,44 @@ def _unbroadcast(g, shape):
 
 
 # -- elementwise and linear primitives --------------------------------------
+#
+# A backward closure reads only arrays, shapes and flags bound at forward
+# time, never an input Tensor, so the tape keeps no value that backward
+# does not read.  A binary op keeps an operand's array only when the other
+# operand's gradient needs it.
 
 def add(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
+    a_shape = a.data.shape if _tracked(a) else None
+    b_shape = b.data.shape if _tracked(b) else None
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(g, b_shape))
 
-    return _node(a.data + b.data, (a, b), backward)
+    return _record(a.data + b.data, (a, b), backward)
 
 
 def neg(a):
     def backward(g):
-        _accum(a, -g)
+        return (-g,)
 
-    return _node(-a.data, (a,), backward)
+    return _record(-a.data, (a,), backward)
 
 
 def mul(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
-    ad, bd = a.data, b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    bd = b.data if _tracked(a) else None
+    ad = a.data if _tracked(b) else None
 
     def backward(g):
-        _accum(a, _unbroadcast(g * bd, ad.shape))
-        _accum(b, _unbroadcast(g * ad, bd.shape))
+        return (None if bd is None else _unbroadcast(g * bd, a_shape),
+                None if ad is None else _unbroadcast(g * ad, b_shape))
 
-    return _node(ad * bd, (a, b), backward)
+    return _record(a.data * b.data, (a, b), backward)
 
 
 def matmul(a, b):
@@ -262,22 +316,23 @@ def matmul(a, b):
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
-    ad, bd = a.data, b.data
+    bd = b.data if _tracked(a) else None
+    ad = a.data if _tracked(b) else None
 
     def backward(g):
-        _accum(a, g @ bd.T)
-        _accum(b, ad.T @ g)
+        return (None if bd is None else g @ bd.T,
+                None if ad is None else ad.T @ g)
 
-    return _node(ad @ bd, (a, b), backward)
+    return _record(a.data @ b.data, (a, b), backward)
 
 
 def log(a):
     ad = a.data
 
     def backward(g):
-        _accum(a, g / ad)
+        return (g / ad,)
 
-    return _node(np.log(ad), (a,), backward)
+    return _record(np.log(ad), (a,), backward)
 
 
 def pow_const(a, exponent):
@@ -285,18 +340,18 @@ def pow_const(a, exponent):
     ad = a.data
 
     def backward(g):
-        _accum(a, g * e * ad ** (e - 1.0))
+        return (g * e * ad ** (e - 1.0),)
 
-    return _node(ad ** e, (a,), backward)
+    return _record(ad ** e, (a,), backward)
 
 
 def clamp_min(a, floor):
     mask = a.data >= floor
 
     def backward(g):
-        _accum(a, g * mask)
+        return (g * mask,)
 
-    return _node(np.maximum(a.data, floor), (a,), backward)
+    return _record(np.maximum(a.data, floor), (a,), backward)
 
 
 def _reduce(a, kind, axis, keepdims):
@@ -305,24 +360,25 @@ def _reduce(a, kind, axis, keepdims):
     else:
         data = a.data.mean(axis=axis, keepdims=keepdims)
     scale = a.data.size / data.size if kind == "mean" else 1.0
+    shape = a.data.shape
 
     def backward(g):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
-        gg = np.broadcast_to(gg, a.data.shape)
-        _accum(a, gg / scale if kind == "mean" else gg)
+        gg = np.broadcast_to(gg, shape)
+        return (gg / scale if kind == "mean" else gg,)
 
-    return _node(data, (a,), backward)
+    return _record(data, (a,), backward)
 
 
 def reshape(a, shape):
     old = a.data.shape
 
     def backward(g):
-        _accum(a, g.reshape(old))
+        return (g.reshape(old),)
 
-    return _node(a.data.reshape(shape), (a,), backward)
+    return _record(a.data.reshape(shape), (a,), backward)
 
 
 def concat(tensors, axis):
@@ -331,26 +387,29 @@ def concat(tensors, axis):
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        grads = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
+            grads.append(g[tuple(idx)])
+        return grads
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis),
-                 tuple(tensors), backward)
+    return _record(np.concatenate([t.data for t in tensors], axis=axis),
+                   tensors, backward)
 
 
 def narrow(a, axis, start, length):
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
-        gx = np.zeros_like(a.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[idx] = g
-        _accum(a, gx)
+        return (gx,)
 
-    return _node(a.data[idx], (a,), backward)
+    return _record(a.data[idx], (a,), backward)
 
 
 def gather_rows(a, indices):
@@ -359,13 +418,14 @@ def gather_rows(a, indices):
         raise ShapeError(f"gather_rows expects 2-D input, got {a.data.shape}")
     indices = np.asarray(indices, dtype=np.int64)
     rows = np.arange(a.data.shape[0])
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
-        gx = np.zeros_like(a.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[rows, indices] = g
-        _accum(a, gx)
+        return (gx,)
 
-    return _node(a.data[rows, indices], (a,), backward)
+    return _record(a.data[rows, indices], (a,), backward)
 
 
 def dropout(x, p, training, rng):
@@ -377,9 +437,9 @@ def dropout(x, p, training, rng):
     mask = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
 
     def backward(g):
-        _accum(x, g * mask)
+        return (g * mask,)
 
-    return _node(x.data * mask, (x,), backward)
+    return _record(x.data * mask, (x,), backward)
 
 
 # -- activations -------------------------------------------------------------
@@ -395,36 +455,36 @@ def sigmoid(a):
     y = _sigmoid_values(a.data)
 
     def backward(g):
-        _accum(a, g * y * (1.0 - y))
+        return (g * y * (1.0 - y),)
 
-    return _node(y, (a,), backward)
+    return _record(y, (a,), backward)
 
 
 def tanh(a):
     y = np.tanh(a.data)
 
     def backward(g):
-        _accum(a, g * (1.0 - y * y))
+        return (g * (1.0 - y * y),)
 
-    return _node(y, (a,), backward)
+    return _record(y, (a,), backward)
 
 
 def relu(a):
     mask = a.data > 0
 
     def backward(g):
-        _accum(a, g * mask)
+        return (g * mask,)
 
-    return _node(np.where(mask, a.data, 0.0), (a,), backward)
+    return _record(np.where(mask, a.data, 0.0), (a,), backward)
 
 
 def leaky_relu(a, slope=0.2):
     mask = a.data > 0
 
     def backward(g):
-        _accum(a, g * np.where(mask, 1.0, slope))
+        return (g * np.where(mask, 1.0, slope),)
 
-    return _node(np.where(mask, a.data, slope * a.data), (a,), backward)
+    return _record(np.where(mask, a.data, slope * a.data), (a,), backward)
 
 
 def swish(a):
@@ -432,9 +492,9 @@ def swish(a):
     ad = a.data
 
     def backward(g):
-        _accum(a, g * (s + ad * s * (1.0 - s)))
+        return (g * (s + ad * s * (1.0 - s)),)
 
-    return _node(ad * s, (a,), backward)
+    return _record(ad * s, (a,), backward)
 
 
 def softmax(a, axis=-1):
@@ -445,9 +505,9 @@ def softmax(a, axis=-1):
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
+        return (y * (g - dot),)
 
-    return _node(y, (a,), backward)
+    return _record(y, (a,), backward)
 
 
 # -- layers ------------------------------------------------------------------
@@ -460,20 +520,21 @@ def dense(x, weight, bias=None):
     if x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(f"dense input width {x.data.shape[1]} != "
                          f"weight fan-in {weight.data.shape[1]}")
-    xd, wd = x.data, weight.data
-    out = xd @ wd.T
-    parents = [x, weight]
+    out = x.data @ weight.data.T
+    inputs = [x, weight]
     if bias is not None:
         out = out + bias.data
-        parents.append(bias)
+        inputs.append(bias)
+    wd = weight.data if _tracked(x) else None
+    xd = x.data if _tracked(weight) else None
+    need_bias = bias is not None and _tracked(bias)
 
     def backward(g):
-        _accum(x, g @ wd)
-        _accum(weight, g.T @ xd)
-        if bias is not None:
-            _accum(bias, g.sum(axis=0))
+        return (None if wd is None else g @ wd,
+                None if xd is None else g.T @ xd,
+                g.sum(axis=0) if need_bias else None)
 
-    return _node(out, tuple(parents), backward)
+    return _record(out, inputs, backward)
 
 
 # output rows per conv1d block: a tap's partial product and the running sum
@@ -538,22 +599,25 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
             acc[:n] += part[:n]
         np.add(acc[:n].reshape(b1 - b0, per, c_out)[:, :out_len], bias_data,
                out=out[b0:b1])
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    need_x, need_w = _tracked(x), _tracked(weight)
+    need_bias = bias is not None and _tracked(bias)
 
     def backward(g):
         grad_rows = np.zeros((batch, per, c_out), dtype=g.dtype)
         grad_rows[:, :out_len] = g
         grad_rows = grad_rows.reshape(rows, c_out)
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 1)))
-        dwt = np.empty_like(wt)
-        for j in range(k):
-            np.matmul(flat[j:j + rows * stride:stride].T, grad_rows,
-                      out=dwt[j])
-        # C order like the weight itself: optimizer updates that mix a
-        # transposed gradient into C-order state run markedly slower
-        _accum(weight, dwt.transpose(2, 1, 0).copy())
-        if _tracked(x):
+        db = g.sum(axis=(0, 1)) if need_bias else None
+        dw = dx = None
+        if need_w:
+            dwt = np.empty_like(wt)
+            for j in range(k):
+                np.matmul(flat[j:j + rows * stride:stride].T, grad_rows,
+                          out=dwt[j])
+            # C order like the weight itself: optimizer updates that mix a
+            # transposed gradient into C-order state run markedly slower
+            dw = dwt.transpose(2, 1, 0).copy()
+        if need_x:
             # tap j of output row r came from flat row r * stride + j
             gflat = np.zeros_like(flat)
             tap = np.empty((min(group, batch) * per, c_in), dtype=g.dtype)
@@ -563,10 +627,11 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
                     np.matmul(grad_rows[b0 * per:b1 * per], wt[j].T,
                               out=tap[:n])
                     gflat[lo + j:lo + j + n * stride:stride] += tap[:n]
-            _accum(x, gflat[:rows * stride].reshape(batch, pitch, c_in)[
-                :, padding:padding + length])
+            dx = gflat[:rows * stride].reshape(batch, pitch, c_in)[
+                :, padding:padding + length]
+        return dx, dw, db
 
-    return _node(out, parents, backward)
+    return _record(out, inputs, backward)
 
 
 class RunningStats:
@@ -613,22 +678,24 @@ def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5):
     gd = gamma.data
     out = xhat * gd
     out += beta.data
+    shape = x.data.shape
+    need_x = _tracked(x)
 
     def backward(g):
         gm = g.reshape(-1, channels)
         sum_g = gm.sum(axis=0)
         sum_gx = (gm * xhat).sum(axis=0)
-        _accum(gamma, sum_gx)
-        _accum(beta, sum_g)
-        if _tracked(x):
+        gx = None
+        if need_x:
             scale = gd * inv
             gx = gm * scale
             if training:
                 gx -= xhat * (scale * sum_gx / n)
                 gx -= scale * sum_g / n
-            _accum(x, gx.reshape(x.data.shape))
+            gx = gx.reshape(shape)
+        return gx, sum_gx, sum_g
 
-    return _node(out.reshape(x.data.shape), (x, gamma, beta), backward)
+    return _record(out.reshape(shape), (x, gamma, beta), backward)
 
 
 def _uint_like(a):
@@ -679,17 +746,19 @@ def max_pool1d(x, kernel, stride=None):
         # the last offset that replaced the running maximum is the winner
         np.maximum(arg, better * arg.dtype.type(j), out=arg)
 
+    shape, dtype = x.data.shape, x.data.dtype
+
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         gbits = g.view(_uint_like(g))
         # descending offsets add overlapping windows in window order, the
         # order a scatter-add over the windows would use
         for j in reversed(range(kernel)):
             routed = gbits & _all_ones(arg == j, gbits.dtype)
             gx[:, j:j + span:stride] += routed.view(g.dtype)
-        _accum(x, gx)
+        return (gx,)
 
-    return _node(out, (x,), backward)
+    return _record(out, (x,), backward)
 
 
 # -- recurrent and attention layers ------------------------------------------
@@ -746,6 +815,11 @@ def lstm_sequence(x, w_ih, w_hh, b, reverse=False):
         np.multiply(o, tanh_cells[s], out=hs[s])
         h_prev, c_prev = hs[s], cells[s]
     out = hs[::-1] if reverse else hs
+    need_x = _tracked(x)
+    need_w_ih, need_w_hh, need_b = _tracked(w_ih), _tracked(w_hh), _tracked(b)
+    # the weight gradients are the only readers of the inputs and states
+    xs_saved = xs if need_w_ih else None
+    hs_saved = hs if need_w_hh else None
 
     def backward(grad):
         gh = grad.transpose(1, 0, 2)
@@ -772,15 +846,20 @@ def lstm_sequence(x, w_ih, w_hh, b, reverse=False):
             dc_next = dc * f[s]
             dh_next = dz[s].reshape(batch, 4 * hidden) @ wh
         dzm = dz.reshape(rows, 4 * hidden)
-        _accum(w_ih, dzm.T @ xs.reshape(rows, feat))
-        _accum(w_hh, dz[1:].reshape(rows - batch, 4 * hidden).T
-               @ hs[:-1].reshape(rows - batch, hidden))
-        _accum(b, dzm.sum(axis=0))
-        if _tracked(x):
+        dx = dw_ih = dw_hh = db = None
+        if need_w_ih:
+            dw_ih = dzm.T @ xs_saved.reshape(rows, feat)
+        if need_w_hh:
+            dw_hh = (dz[1:].reshape(rows - batch, 4 * hidden).T
+                     @ hs_saved[:-1].reshape(rows - batch, hidden))
+        if need_b:
+            db = dzm.sum(axis=0)
+        if need_x:
             dx = (dzm @ wi).reshape(length, batch, feat)
-            _accum(x, (dx[::-1] if reverse else dx).transpose(1, 0, 2))
+            dx = (dx[::-1] if reverse else dx).transpose(1, 0, 2)
+        return dx, dw_ih, dw_hh, db
 
-    return _node(out.transpose(1, 0, 2), (x, w_ih, w_hh, b), backward)
+    return _record(out.transpose(1, 0, 2), (x, w_ih, w_hh, b), backward)
 
 
 def bilstm(x, layer_params, hidden, dropout_rate=0.0, training=False,

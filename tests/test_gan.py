@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ecgkit import gan
 from ecgkit.beats import BeatDataset, BeatRecord
 from ecgkit.errors import AugmentError, ConfigError
 from ecgkit.gan import (
@@ -160,6 +161,33 @@ class TestGanTrain:
         assert sample.shape == (3, 24)
         assert ((sample >= 0) & (sample <= 1)).all()
         assert d.score(sample).shape == (3,)
+
+    def test_generator_step_leaves_discriminator_grads_alone(self,
+                                                             monkeypatch):
+        optimizers, d_grads, g_steps = [], {}, []
+
+        class RecordingAdamW(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+            def step(self):
+                g_opt, d_opt = optimizers  # built generator first
+                if self is d_opt:
+                    d_grads.update((name, p.grad)
+                                   for name, p in d_opt.params.items())
+                else:
+                    # the generator's backward ran since the D step
+                    assert all(p.grad is not None
+                               for p in g_opt.params.values())
+                    g_steps.append(all(
+                        d_opt.params[name].grad is grad
+                        for name, grad in d_grads.items()))
+                super().step()
+
+        monkeypatch.setattr(gan, "AdamW", RecordingAdamW)
+        gan_train(pulse_beats(32, label=2), small_config(), seed=0)
+        assert g_steps == [True] * 4
 
     def test_same_seed_same_run(self):
         beats = pulse_beats(32, label=1)

@@ -58,22 +58,48 @@ class TestAutodiffCore:
             kept = tk.mul(y, t([3.0, 3.0]))
             kept.requires_grad = True
             loss = tk.add(y.sum(), kept.sum())
-            return x, kept, weakref.ref(y), loss
+            return x, kept, weakref.ref(y._node.backward), loss
 
-        x, kept, y_ref, loss = graph()
-        assert y_ref() is not None
+        x, kept, y_step_ref, loss = graph()
+        assert y_step_ref() is not None  # the tape holds y's closure
         loss.backward()
-        assert y_ref() is None
-        assert loss._parents == ()
+        assert y_step_ref() is None
+        assert loss._node is None
         assert loss.grad is None
         np.testing.assert_allclose(x.grad, [8.0, 16.0])
         np.testing.assert_allclose(kept.grad, [1.0, 1.0])
+
+    def test_tape_drops_values_backward_does_not_read(self):
+        rng = np.random.default_rng(0)
+        x = t(rng.standard_normal((2, 8, 3)))
+        w = t(rng.standard_normal((4, 3, 3)), requires_grad=True)
+        bias = t(np.zeros(4), requires_grad=True)
+        gamma = t(np.ones(4), requires_grad=True)
+        beta = t(np.zeros(4), requires_grad=True)
+        h = tk.conv1d(x, w, bias, padding=1)
+        conv_out = weakref.ref(h.data)
+        h = tk.swish(tk.batch_norm1d(h, gamma, beta,
+                                     RunningStats(4, np.float64), True))
+        loss = h.sum()
+        # batch norm keeps its normalized input, not the conv output
+        assert conv_out() is None
+        loss.backward()
+        assert w.grad is not None and gamma.grad is not None
+
+    def test_caller_held_output_keeps_its_value_after_backward(self):
+        x = t([1.0, -2.0], requires_grad=True)
+        y = tk.mul(x, x)
+        loss = tk.mul(y, t([3.0, 3.0])).sum()
+        loss.backward()
+        np.testing.assert_array_equal(y.data, [1.0, 4.0])
+        np.testing.assert_array_equal(loss.data, 15.0)
+        assert y.grad is None
 
     def test_no_grad_blocks_taping(self):
         x = t([1.0], requires_grad=True)
         with tk.no_grad():
             y = tk.mul(x, x)
-        assert y._parents == ()
+        assert y._node is None
         with pytest.raises(UsageError):
             y.backward()
 
@@ -91,7 +117,7 @@ class TestAutodiffCore:
         assert entered.wait(timeout=10)
         try:
             x = t([1.0], requires_grad=True)
-            assert tk.mul(x, x)._parents  # this thread still tapes
+            assert tk.mul(x, x)._node is not None  # this thread still tapes
         finally:
             release.set()
             worker.join()
