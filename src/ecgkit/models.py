@@ -245,10 +245,11 @@ class Model:
             return self._forward_resnet(x, training, capture)
         return self._forward_recurrent(x, training, rng, capture)
 
-    def _bn(self, h, prefix, training):
+    def _bn(self, h, prefix, training, activation=None):
         return tk.batch_norm1d(h, self.params[f"{prefix}.gamma"],
                                self.params[f"{prefix}.beta"],
-                               self.stats[prefix], training)
+                               self.stats[prefix], training,
+                               activation=activation)
 
     def _conv(self, h, prefix, stride=1, padding=0):
         return tk.conv1d(h, self.params[f"{prefix}.w"],
@@ -257,10 +258,10 @@ class Model:
 
     def _conv_norm_pool(self, h, prefix, training):
         source = h
-        h = tk.swish(self._bn(self._conv(h, f"{prefix}.conv1", padding=2),
-                              f"{prefix}.bn1", training))
-        h = tk.swish(self._bn(self._conv(h, f"{prefix}.conv2", padding=2),
-                              f"{prefix}.bn2", training))
+        h = self._bn(self._conv(h, f"{prefix}.conv1", padding=2),
+                     f"{prefix}.bn1", training, "swish")
+        h = self._bn(self._conv(h, f"{prefix}.conv2", padding=2),
+                     f"{prefix}.bn2", training, "swish")
         if f"{prefix}.skip.w" in self.params:
             source = self._conv(source, f"{prefix}.skip")
         h = tk.add(h, source)
@@ -304,9 +305,9 @@ class Model:
 
     def _residual_block(self, h, prefix, stride, training):
         source = h
-        h = tk.relu(self._bn(self._conv(h, f"{prefix}.conv1", stride=stride,
-                                        padding=1),
-                             f"{prefix}.bn1", training))
+        h = self._bn(self._conv(h, f"{prefix}.conv1", stride=stride,
+                                padding=1),
+                     f"{prefix}.bn1", training, "relu")
         h = self._bn(self._conv(h, f"{prefix}.conv2", padding=1),
                      f"{prefix}.bn2", training)
         if f"{prefix}.down.w" in self.params:
@@ -315,8 +316,8 @@ class Model:
         return tk.add(h, source)
 
     def _forward_resnet(self, x, training, capture):
-        h = tk.relu(self._bn(self._conv(x, "stem.conv", stride=2, padding=3),
-                             "stem.bn", training))
+        h = self._bn(self._conv(x, "stem.conv", stride=2, padding=3),
+                     "stem.bn", training, "relu")
         h = tk.max_pool1d(h, 2, 2)
         for stage in range(len(self.descriptor.channel_plan)):
             for block in range(self.descriptor.blocks_per_stage):

@@ -23,6 +23,13 @@ preallocated buffers, and backpropagation through time inside its backward
 closure), so a sequence of any length adds one node per direction, not a
 graph per step.
 
+Batch norm is fused with its activation: batch_norm1d(..., activation=None,
+"relu" or "swish") is one tape node, and no separate swish or relu op
+exists.  In training, or when taped in eval (Grad-CAM), its tape keeps only
+the normalized input xhat; backward recomputes xhat * gamma + beta and the
+activation from it.  Everything after the per-channel statistics runs in
+blocks of rows, and eval under no_grad never builds a full xhat.
+
 Sequences are channels-last: every time-series op (conv1d, batch_norm1d,
 max_pool1d, lstm_sequence, bilstm, attention_pool) takes and returns
 [batch, time, channels], so the whole tape runs on one memory layout and no
@@ -444,11 +451,22 @@ def dropout(x, p, training, rng):
 
 # -- activations -------------------------------------------------------------
 
-def _sigmoid_values(x):
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without boolean masks:
-    # exp(min(x, 0)) is exactly 1 or e^x, so the bits match the two-branch
-    # form (the tanh form does not, and that moves training trajectories)
-    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
+def _sigmoid_values(x, out=None, scratch=None):
+    """Logistic sigmoid of x, written into out when given (out may be x).
+
+    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without boolean masks:
+    exp(min(x, 0)) is exactly 1 or e^x, so the bits match the two-branch
+    form (the tanh form does not, and that moves training trajectories).
+    scratch, shaped like x, takes the denominator; without out and scratch
+    both are allocated.
+    """
+    den = np.abs(x, out=scratch)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    np.add(1.0, den, out=den)
+    num = np.minimum(x, 0, out=out)
+    np.exp(num, out=num)
+    return np.divide(num, den, out=num)
 
 
 def sigmoid(a):
@@ -469,15 +487,6 @@ def tanh(a):
     return _record(y, (a,), backward)
 
 
-def relu(a):
-    mask = a.data > 0
-
-    def backward(g):
-        return (g * mask,)
-
-    return _record(np.where(mask, a.data, 0.0), (a,), backward)
-
-
 def leaky_relu(a, slope=0.2):
     mask = a.data > 0
 
@@ -485,16 +494,6 @@ def leaky_relu(a, slope=0.2):
         return (g * np.where(mask, 1.0, slope),)
 
     return _record(np.where(mask, a.data, slope * a.data), (a,), backward)
-
-
-def swish(a):
-    s = _sigmoid_values(a.data)
-    ad = a.data
-
-    def backward(g):
-        return (g * (s + ad * s * (1.0 - s)),)
-
-    return _record(ad * s, (a,), backward)
 
 
 def softmax(a, axis=-1):
@@ -642,8 +641,17 @@ class RunningStats:
         self.var = np.ones(channels, dtype=dtype)
 
 
-def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5):
-    """Normalize each channel (the last axis) over all other axes.
+# rows per batch-norm block: the affine map, the activation and their
+# scratch stay in cache instead of streaming one full array per step
+_NORM_BLOCK_ROWS = 2048
+
+_NORM_ACTIVATIONS = (None, "relu", "swish")
+
+
+def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5,
+                 activation=None):
+    """Normalize each channel (the last axis) over all other axes, then
+    apply activation (None, "relu" or "swish") in the same tape node.
 
     x is [batch, channels] or [batch, time, channels]; both are handled as
     one [rows, channels] matrix.  Train mode normalizes by batch statistics
@@ -656,8 +664,12 @@ def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5):
     channels = x.data.shape[-1]
     if gamma.data.shape != (channels,) or beta.data.shape != (channels,):
         raise ShapeError(f"norm parameters must have shape ({channels},)")
+    if activation not in _NORM_ACTIVATIONS:
+        raise UsageError(f"batch_norm1d activation must be one of "
+                         f"{_NORM_ACTIVATIONS}, got {activation!r}")
     xm = x.data.reshape(-1, channels)
     n = xm.shape[0]
+    gd, bd = gamma.data, beta.data
     if training:
         if n == 1:
             warnings.warn(
@@ -673,29 +685,83 @@ def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5):
         inv = 1.0 / np.sqrt(var + eps)
         xhat *= inv
     else:
+        mean = stats.mean
         inv = 1.0 / np.sqrt(stats.var + eps)
-        xhat = (xm - stats.mean) * inv
-    gd = gamma.data
-    out = xhat * gd
-    out += beta.data
+        # untaped, each block normalizes its own rows: no full xhat
+        taped = _grad_enabled() and any(map(_tracked, (x, gamma, beta)))
+        xhat = (xm - mean) * inv if taped else None
+    out = np.empty(xm.shape, dtype=np.result_type(xm, mean, inv, gd))
+    blocks = [(r0, min(r0 + _NORM_BLOCK_ROWS, n))
+              for r0 in range(0, n, _NORM_BLOCK_ROWS)]
+    if activation == "swish":
+        s = np.empty((min(n, _NORM_BLOCK_ROWS), channels), dtype=out.dtype)
+        t = np.empty_like(s)
+    for r0, r1 in blocks:
+        ob = out[r0:r1]
+        if xhat is None:
+            np.subtract(xm[r0:r1], mean, out=ob)
+            ob *= inv
+            ob *= gd
+        else:
+            np.multiply(xhat[r0:r1], gd, out=ob)
+        ob += bd
+        if activation == "swish":
+            ob *= _sigmoid_values(ob, out=s[:r1 - r0], scratch=t[:r1 - r0])
+        elif activation == "relu":
+            # where(y > 0, y, 0) without a branch: NaN and -0.0 become +0.0
+            bits = ob.view(_uint_like(ob))
+            bits &= _all_ones(ob > 0, bits.dtype)
     shape = x.data.shape
     need_x = _tracked(x)
 
     def backward(g):
         gm = g.reshape(-1, channels)
+        if activation is not None:
+            gm = _activation_grad(gm, xhat, gd, bd, activation, blocks)
         sum_g = gm.sum(axis=0)
-        sum_gx = (gm * xhat).sum(axis=0)
+        prod = gm * xhat
+        sum_gx = prod.sum(axis=0)
         gx = None
         if need_x:
             scale = gd * inv
-            gx = gm * scale
+            gx = np.multiply(gm, scale, out=prod)
             if training:
-                gx -= xhat * (scale * sum_gx / n)
+                coef = scale * sum_gx / n
+                for r0, r1 in blocks:
+                    gx[r0:r1] -= xhat[r0:r1] * coef
                 gx -= scale * sum_g / n
             gx = gx.reshape(shape)
         return gx, sum_gx, sum_g
 
     return _record(out.reshape(shape), (x, gamma, beta), backward)
+
+
+def _activation_grad(g, xhat, gd, bd, activation, blocks):
+    """g through the activation, recomputing y = xhat*gd + bd by blocks."""
+    dy = np.empty_like(g)
+    y = np.empty((min(len(g), _NORM_BLOCK_ROWS), g.shape[1]), dtype=g.dtype)
+    if activation == "swish":
+        s, t = np.empty_like(y), np.empty_like(y)
+    else:
+        mask = np.empty(y.shape, dtype=bool)
+    for r0, r1 in blocks:
+        m = r1 - r0
+        yb = y[:m]
+        np.multiply(xhat[r0:r1], gd, out=yb)
+        yb += bd
+        if activation == "swish":
+            sb, tb = s[:m], t[:m]
+            _sigmoid_values(yb, out=sb, scratch=tb)
+            # g * (s + y * s * (1 - s)), in the order the terms associate
+            yb *= sb
+            np.subtract(1.0, sb, out=tb)
+            yb *= tb
+            np.add(sb, yb, out=yb)
+            np.multiply(g[r0:r1], yb, out=dy[r0:r1])
+        else:
+            np.greater(yb, 0, out=mask[:m])
+            np.multiply(g[r0:r1], mask[:m], out=dy[r0:r1])
+    return dy
 
 
 def _uint_like(a):
@@ -802,11 +868,12 @@ def lstm_sequence(x, w_ih, w_hh, b, reverse=False):
     hs = np.empty_like(cells)
     h_prev = np.zeros((batch, hidden), dtype=gates.dtype)
     c_prev = np.zeros_like(h_prev)
+    sig_scratch = np.empty_like(gates[0])
     for s in range(length):
         z = gates[s]
         z += (h_prev @ wh.T).reshape(batch, 4, hidden)
         candidate = np.tanh(z[:, 2])
-        z[...] = _sigmoid_values(z)
+        _sigmoid_values(z, out=z, scratch=sig_scratch)
         z[:, 2] = candidate
         i, f, g, o = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
         np.multiply(f, c_prev, out=cells[s])

@@ -1,8 +1,10 @@
 """Shared test fixtures: small synthetic beat sets, a split-less beat file
-writer, and the tape-built LSTM step that fused recurrences are checked
-against."""
+writer, and the unfused reference forms that fused tape nodes are checked
+against (a tape-built LSTM step; batch norm, swish and relu as separate
+nodes)."""
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -56,3 +58,75 @@ def lstm_step(x_t, h_prev, c_prev, w_ih, w_hh, b):
     c = tk.add(tk.mul(f, c_prev), tk.mul(i, g))
     h = tk.mul(o, tk.tanh(c))
     return h, c
+
+
+def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5):
+    """Batch norm as its own tape node, without an activation: the reference
+    for tk.batch_norm1d."""
+    channels = x.data.shape[-1]
+    xm = x.data.reshape(-1, channels)
+    n = xm.shape[0]
+    if training:
+        if n == 1:
+            warnings.warn(
+                "batch normalization saw one value per channel; statistics "
+                "are degenerate and only the eps guard keeps them finite",
+                RuntimeWarning)
+        mean = xm.mean(axis=0)
+        xhat = xm - mean
+        var = np.square(xhat).mean(axis=0)
+        stats.mean[...] = (1.0 - momentum) * stats.mean + momentum * mean
+        unbiased = var * (n / (n - 1)) if n > 1 else var
+        stats.var[...] = (1.0 - momentum) * stats.var + momentum * unbiased
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv
+    else:
+        inv = 1.0 / np.sqrt(stats.var + eps)
+        xhat = (xm - stats.mean) * inv
+    gd = gamma.data
+    out = xhat * gd
+    out += beta.data
+    shape = x.data.shape
+    need_x = tk._tracked(x)
+
+    def backward(g):
+        gm = g.reshape(-1, channels)
+        sum_g = gm.sum(axis=0)
+        sum_gx = (gm * xhat).sum(axis=0)
+        gx = None
+        if need_x:
+            scale = gd * inv
+            gx = gm * scale
+            if training:
+                gx -= xhat * (scale * sum_gx / n)
+                gx -= scale * sum_g / n
+            gx = gx.reshape(shape)
+        return gx, sum_gx, sum_g
+
+    return tk._record(out.reshape(shape), (x, gamma, beta), backward)
+
+
+def sigmoid_values(x):
+    """The two-branch-exact sigmoid, written as one expression."""
+    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
+
+
+def swish(a):
+    """x * sigmoid(x) as its own tape node."""
+    s = sigmoid_values(a.data)
+    ad = a.data
+
+    def backward(g):
+        return (g * (s + ad * s * (1.0 - s)),)
+
+    return tk._record(ad * s, (a,), backward)
+
+
+def relu(a):
+    """max(x, 0) as its own tape node; NaN maps to 0."""
+    mask = a.data > 0
+
+    def backward(g):
+        return (g * mask,)
+
+    return tk._record(np.where(mask, a.data, 0.0), (a,), backward)

@@ -158,17 +158,9 @@ def case_tanh(rng):
     return lambda ts: tk.tanh(ts[0]), [rng.normal(scale=2, size=(3, 5))]
 
 
-def case_relu(rng):
-    return lambda ts: tk.relu(ts[0]), [away_from_zero(rng, (3, 5))]
-
-
 def case_leaky_relu(rng):
     return (lambda ts: tk.leaky_relu(ts[0], 0.2),
             [away_from_zero(rng, (3, 5))])
-
-
-def case_swish(rng):
-    return lambda ts: tk.swish(ts[0]), [rng.normal(scale=2, size=(3, 5))]
 
 
 def case_softmax(rng):
@@ -220,6 +212,69 @@ def case_batch_norm_eval(rng):
         return tk.batch_norm1d(ts[0], ts[1], ts[2], stats, training=False)
     return build, [rng.normal(size=(3, 2, 4)).transpose(0, 2, 1),
                    rng.uniform(0.5, 1.5, 2), rng.normal(size=2)]
+
+
+def clear_of_kink(xhat, gamma):
+    """Per-channel beta that puts 0 mid-way across the widest gap between
+    the values of xhat * gamma, so no relu input lies near the kink."""
+    y = np.sort(xhat.reshape(-1, xhat.shape[-1]) * gamma, axis=0)
+    widest = np.diff(y, axis=0).argmax(axis=0)
+    cols = np.arange(y.shape[1])
+    return -(y[widest, cols] + y[widest + 1, cols]) / 2.0
+
+
+def norm_activation_case(rng, shape, training, activation):
+    """batch_norm1d with a fused activation on channels-last input.
+
+    For relu, x is spaced and beta is chosen clear of the kink (see
+    clear_of_kink), which also bounds 1/std in train mode.
+    """
+    c = shape[-1]
+    x = spaced(rng, shape) if activation == "relu" else rng.normal(size=shape)
+    gamma = rng.uniform(0.5, 1.5, c)
+    beta = rng.normal(size=c)
+    mean, var = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+    if activation == "relu":
+        xm = x.reshape(-1, c)
+        if training:
+            xhat = (xm - xm.mean(axis=0)) / np.sqrt(xm.var(axis=0) + 1e-5)
+        else:
+            xhat = (xm - mean) / np.sqrt(var + 1e-5)
+        beta = clear_of_kink(xhat, gamma)
+
+    def build(ts):
+        stats = RunningStats(c, dtype=np.float64)
+        stats.mean[...] = mean
+        stats.var[...] = var
+        return tk.batch_norm1d(ts[0], ts[1], ts[2], stats, training,
+                               activation=activation)
+    return build, [x, gamma, beta]
+
+
+def case_relu(rng):
+    # relu as the models apply it: fused into batch norm, here in eval form
+    return norm_activation_case(rng, (3, 4, 2), False, "relu")
+
+
+def case_swish(rng):
+    # swish as the models apply it: fused into batch norm, here in eval form
+    return norm_activation_case(rng, (3, 4, 2), False, "swish")
+
+
+def case_batch_norm_train_2d_relu(rng):
+    return norm_activation_case(rng, (4, 3), True, "relu")
+
+
+def case_batch_norm_train_2d_swish(rng):
+    return norm_activation_case(rng, (4, 3), True, "swish")
+
+
+def case_batch_norm_train_3d_relu(rng):
+    return norm_activation_case(rng, (4, 5, 2), True, "relu")
+
+
+def case_batch_norm_train_3d_swish(rng):
+    return norm_activation_case(rng, (4, 5, 2), True, "swish")
 
 
 def case_max_pool(rng):
@@ -347,6 +402,10 @@ CASES = {
     "batch_norm_train_3d": case_batch_norm_train_3d,
     "batch_norm_train_2d": case_batch_norm_train_2d,
     "batch_norm_eval": case_batch_norm_eval,
+    "batch_norm_train_2d_relu": case_batch_norm_train_2d_relu,
+    "batch_norm_train_2d_swish": case_batch_norm_train_2d_swish,
+    "batch_norm_train_3d_relu": case_batch_norm_train_3d_relu,
+    "batch_norm_train_3d_swish": case_batch_norm_train_3d_swish,
     "max_pool": case_max_pool,
     "dropout": case_dropout,
     "lstm_step": case_lstm_step,

@@ -1,5 +1,7 @@
 import tracemalloc
+import warnings
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from ecgkit import tensor as tk
 from ecgkit.errors import ShapeError, UsageError
 from ecgkit.tensor import RunningStats, Tensor
 
+import helpers
 from helpers import lstm_step
 
 
@@ -78,8 +81,8 @@ class TestAutodiffCore:
         beta = t(np.zeros(4), requires_grad=True)
         h = tk.conv1d(x, w, bias, padding=1)
         conv_out = weakref.ref(h.data)
-        h = tk.swish(tk.batch_norm1d(h, gamma, beta,
-                                     RunningStats(4, np.float64), True))
+        h = tk.batch_norm1d(h, gamma, beta, RunningStats(4, np.float64), True,
+                            activation="swish")
         loss = h.sum()
         # batch norm keeps its normalized input, not the conv output
         assert conv_out() is None
@@ -185,16 +188,27 @@ class TestElementwise:
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
 
+def identity_norm(x, activation):
+    """activation(x) through batch_norm1d's eval form, normalized by mean 0,
+    variance 1 and eps 0, scaled by 1 and shifted by -0.0: an exact identity
+    before the activation."""
+    c = x.shape[-1]
+    gamma = Tensor(np.ones(c, dtype=x.dtype))
+    beta = Tensor(np.full(c, -0.0, dtype=x.dtype))
+    return tk.batch_norm1d(Tensor(x), gamma, beta, RunningStats(c, x.dtype),
+                           False, eps=0.0, activation=activation).data
+
+
 class TestActivations:
     def test_swish_values(self):
-        x = t([0.0, 1.0])
-        y = tk.swish(x)
-        assert y.data[0] == 0.0
-        assert y.data[1] == pytest.approx(0.731059, abs=1e-6)
+        y = identity_norm(np.array([[0.0, 1.0]]), "swish")
+        assert y[0, 0] == 0.0
+        assert y[0, 1] == pytest.approx(0.731059, abs=1e-6)
 
     def test_relu(self):
-        np.testing.assert_allclose(tk.relu(t([-2.0, 0.0, 3.0])).data,
-                                   [0.0, 0.0, 3.0])
+        np.testing.assert_allclose(
+            identity_norm(np.array([[-2.0, 0.0, 3.0]]), "relu"),
+            [[0.0, 0.0, 3.0]])
 
     def test_leaky_relu_slope(self):
         y = tk.leaky_relu(t([-1.0, 2.0]), slope=0.2)
@@ -217,9 +231,14 @@ class TestActivations:
         ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         ref[~pos] = ex / (1.0 + ex)
+        # the out= form as lstm_sequence runs it, overwriting its input
+        in_place = x.copy()
+        tk._sigmoid_values(in_place, out=in_place,
+                           scratch=np.empty_like(x))
         with np.errstate(invalid="ignore"):   # swish(-inf) is -inf * 0
             pairs = ((tk.sigmoid(Tensor(x)).data, ref),
-                     (tk.swish(Tensor(x)).data, x * ref))
+                     (in_place, ref),
+                     (identity_norm(x[None, :], "swish")[0], x * ref))
         for got, want in pairs:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
@@ -506,6 +525,124 @@ class TestBatchNorm:
                             tensors[2].grad, stats.mean, stats.var])
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
+
+
+REFERENCE_ACTIVATIONS = {None: lambda h: h, "relu": helpers.relu,
+                         "swish": helpers.swish}
+
+
+def norm_inputs(shape, dtype, special):
+    """x, gamma, beta, upstream gradient and running buffers for a fused
+    norm test.  With special set, channel 0 of x holds +-0, +-inf and NaN,
+    channel 1 has gamma 0 and beta -0.0 (outputs of both zero signs), and
+    channel 2 has gamma inf (infinite outputs, NaN where xhat is 0)."""
+    rng = np.random.default_rng(len(shape) * 10_007 + shape[0])
+    c = shape[-1]
+    x = rng.normal(scale=2.0, size=shape)
+    gamma = rng.uniform(0.5, 1.5, c)
+    beta = rng.normal(size=c)
+    g = rng.normal(size=shape)
+    mean, var = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+    if special:
+        flat = x.reshape(-1, c)
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        flat[:len(values), 0] = values[:len(flat)]
+        gamma[1], beta[1] = 0.0, -0.0
+        gamma[2] = np.inf
+    return [a.astype(dtype) for a in (x, gamma, beta, g, mean, var)]
+
+
+def run_norm(fused, shape, mode, activation, dtype, special):
+    """Forward values, running buffers, warning flag and (when taped) the
+    x, gamma and beta gradients of one batch-norm-plus-activation call."""
+    x, gamma, beta, g, mean, var = norm_inputs(shape, dtype, special)
+    stats = RunningStats(shape[-1], dtype)
+    stats.mean[...], stats.var[...] = mean, var
+    training = mode.startswith("train")
+    taped = mode in ("train", "eval_taped")
+    tensors = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    with warnings.catch_warnings(record=True) as caught, \
+            np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        with nullcontext() if taped else tk.no_grad():
+            if fused:
+                out = tk.batch_norm1d(*tensors, stats, training,
+                                      activation=activation)
+            else:
+                out = REFERENCE_ACTIVATIONS[activation](
+                    helpers.batch_norm1d(*tensors, stats, training))
+        if taped:
+            tk.mul(out, Tensor(g)).sum().backward()
+    warned = any("one value per channel" in str(w.message) for w in caught)
+    results = [out.data, stats.mean, stats.var]
+    if taped:
+        results += [tensor.grad for tensor in tensors]
+    return results, warned
+
+
+BLOCK = tk._NORM_BLOCK_ROWS
+
+
+class TestFusedNormActivation:
+    # one row, part of a block, one block, one block plus a row, and
+    # several blocks of a 3-D input
+    SHAPES = [(1, 6), (7, 6), (BLOCK, 6), (BLOCK + 1, 6), (3, BLOCK + 1, 6)]
+
+    @pytest.mark.parametrize("special", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", [None, "relu", "swish"])
+    @pytest.mark.parametrize("mode",
+                             ["train", "train_no_grad", "eval", "eval_taped"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bytes_equal_unfused_norm_then_activation(
+            self, shape, mode, activation, dtype, special):
+        got, got_warned = run_norm(True, shape, mode, activation, dtype,
+                                   special)
+        want, want_warned = run_norm(False, shape, mode, activation, dtype,
+                                     special)
+        assert got_warned == want_warned
+        assert got_warned == (mode.startswith("train") and
+                              int(np.prod(shape[:-1])) == 1)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            # a NaN's sign bit is not part of the contract: when both
+            # operands of a product are NaN, NumPy's loops return either
+            # one depending on where the element sits in the array
+            nan = np.isnan(b)
+            np.testing.assert_array_equal(np.isnan(a), nan)
+            np.testing.assert_array_equal(a[~nan].view(np.uint8),
+                                          b[~nan].view(np.uint8))
+
+    def test_unknown_activation_is_refused(self):
+        with pytest.raises(UsageError, match="activation"):
+            tk.batch_norm1d(t(np.ones((2, 2))), t(np.ones(2)), t(np.zeros(2)),
+                            RunningStats(2, np.float64), True,
+                            activation="tanh")
+
+    def test_tape_keeps_xhat_and_output_only(self):
+        # one taped conv -> norm + swish at a TABLE1 cnn layer size: beyond
+        # the conv's padded row buffer, only xhat and the output stay live
+        rng = np.random.default_rng(63)
+        batch, length, c = 32, 187, 64
+        x = Tensor(rng.normal(size=(batch, length, c)).astype(np.float32))
+        w = Tensor(rng.normal(scale=0.1, size=(c, c, 5)).astype(np.float32),
+                   requires_grad=True)
+        b = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
+        stats = RunningStats(c)
+        flat_bytes = (batch * (length + 4) + 5) * c * 4
+        activation_bytes = batch * length * c * 4
+        tracemalloc.start()
+        try:
+            out = tk.batch_norm1d(tk.conv1d(x, w, b, padding=2), gamma, beta,
+                                  stats, True, activation="swish")
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out._node is not None
+        assert live - flat_bytes <= 2 * activation_bytes + (1 << 20)
 
 
 class TestPooling:
