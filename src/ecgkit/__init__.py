@@ -44,14 +44,11 @@ from .config import (
 )
 from .ensemble import (
     EnsembleSpec,
-    LogitSet,
     ManifestEntry,
     build_strategy,
     fuse,
     load_manifest,
     predict_classes,
-    rank_members,
-    top2_weights,
     write_manifest,
 )
 from .gan import (
@@ -106,7 +103,6 @@ __all__ = [
     "GanTrainConfig",
     "GeneratorNet",
     "IoError",
-    "LogitSet",
     "ManifestEntry",
     "MetricBundle",
     "MetricError",
@@ -146,7 +142,6 @@ __all__ = [
     "one_vs_rest_auc",
     "predict_classes",
     "prf1",
-    "rank_members",
     "read_beats_csv",
     "render_report",
     "roc_auc",
@@ -155,7 +150,6 @@ __all__ = [
     "segment_beats",
     "stratified_split",
     "synthesize",
-    "top2_weights",
     "train",
     "write_beats_csv",
     "write_manifest",

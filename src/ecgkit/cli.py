@@ -22,8 +22,8 @@ from .beats import (CLASS_NAMES, BeatDataset, load_records_dir,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (PipelineConfig, RunManifest, config_hash, derive_seed,
                      load_config)
-from .ensemble import (STRATEGIES, LogitSet, ManifestEntry, build_strategy,
-                       fuse, load_manifest, predict_classes, write_logits_csv,
+from .ensemble import (STRATEGIES, ManifestEntry, build_strategy, fuse,
+                       load_manifest, predict_classes, write_logits_csv,
                        write_manifest)
 from .errors import ConfigError, EcgkitError
 from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
@@ -270,8 +270,7 @@ def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
         manifest.add_files([path])
     spec = build_strategy([e.model_id for e in entries],
                           [e.val_macro_f1 for e in entries], strategy)
-    fused = fuse(LogitSet([logits_by_model[m] for m in spec.members]),
-                 spec.weights)
+    fused = fuse(spec, logits_by_model)
     _report_run(report_dir, manifest, y=y, logits=fused, seed=seed,
                 n_resamples=n_resamples, ensemble=spec)
     return logits_by_model

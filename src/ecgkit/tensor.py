@@ -184,33 +184,11 @@ class Tensor:
                 if out.requires_grad:
                     out.grad = grad
 
-    # arithmetic sugar; heavy ops stay module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims=False):
         return _reduce(self, "sum", axis, keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return _reduce(self, "mean", axis, keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 class _Node:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tk
-from .errors import ConfigError, NumericalError, ParseError, UsageError
+from .errors import ConfigError, NumericalError, UsageError
 from .tensor import Tensor
 
 # batch size and learning rate per architecture; shared epoch budget 50 and
@@ -193,10 +193,6 @@ class TrainingHistory:
     def __len__(self):
         return len(self.records)
 
-    def __eq__(self, other):
-        return isinstance(other, TrainingHistory) and \
-            self.records == other.records
-
     def append(self, record):
         self.records.append(record)
 
@@ -215,27 +211,6 @@ class TrainingHistory:
                                  repr(r.val_loss), repr(r.train_acc),
                                  repr(r.val_acc)])
         return path
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != cls.CSV_HEADER:
-                raise ParseError(f"{path}: unexpected history header "
-                                 f"{header}", line=1)
-            records = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    records.append(EpochRecord(
-                        int(row[0]), float(row[1]), float(row[2]),
-                        float(row[3]), float(row[4])))
-                except (ValueError, IndexError):
-                    raise ParseError(f"{path}: bad history row",
-                                     line=line_no) from None
-        return cls(records)
 
 
 def evaluate_split(model, X, y, alpha, gamma, batch_size=256):

@@ -33,12 +33,11 @@ from ecgkit.beats import (
 )
 from ecgkit.config import derive_seed
 from ecgkit.ensemble import (
-    LogitSet,
     STRATEGIES,
+    EnsembleSpec,
     build_strategy,
     fuse,
     predict_classes,
-    top2_weights,
 )
 from ecgkit.gan import GanTrainConfig, balance_dataset, gan_train
 from ecgkit.gradcam import grad_cam
@@ -237,7 +236,8 @@ def test_threshold_metrics_and_auc_match_brute_force():
 
 
 def test_fusion_weights_match_reference_pair_and_scale_invariance():
-    w_best, w_second = top2_weights(0.956, 0.951)
+    w_best, w_second = build_strategy(["best", "second"], [0.956, 0.951],
+                                      "top2_weighted").weights
     assert abs(w_best - 0.50131) <= 1e-5
     assert abs(w_second - 0.49869) <= 1e-5
     assert abs((w_best + w_second) - 1.0) <= 1e-9
@@ -255,7 +255,8 @@ def test_fusion_weights_match_reference_pair_and_scale_invariance():
         mats = [rng.normal(size=(n, 5)) for _ in range(n_models)]
         raw = rng.uniform(0.1, 1.0, size=n_models)
         weights = raw / raw.sum()
-        base = predict_classes(fuse(LogitSet(mats), weights))
+        spec = EnsembleSpec(ids[:n_models], weights, "all_equal")
+        base = predict_classes(fuse(spec, dict(zip(ids, mats))))
         scale = float(rng.uniform(0.25, 4.0))
         scaled = np.tensordot(weights * scale, np.stack(mats), axes=1)
         assert (predict_classes(scaled) == base).all()
@@ -414,9 +415,9 @@ def test_full_recurrent_model_macro_f1_in_expected_band():
 @needs_full_budget
 def test_full_weighted_pair_metrics_in_expected_bands():
     logits, scores, y_val = _clinical_run()
-    ranked = sorted(("cnn", "cnn_lstm"), key=lambda arch: -scores[arch])
-    weights = top2_weights(scores[ranked[0]], scores[ranked[1]])
-    fused = fuse(LogitSet([logits[arch] for arch in ranked]), weights)
+    spec = build_strategy(["cnn", "cnn_lstm"],
+                          [scores["cnn"], scores["cnn_lstm"]], "top2_weighted")
+    fused = fuse(spec, logits)
     bundle = evaluate_predictions(y_val, predict_classes(fused))
     assert abs(bundle.macro_f1 - 0.958) <= 0.03
     assert abs(bundle.macro_precision - 0.986) <= 0.02

@@ -10,11 +10,10 @@ import pytest
 from ecgkit import __version__, cli
 from ecgkit import tensor as tk
 from ecgkit.beats import read_beats_csv, write_beats_csv
-from ecgkit.checkpoint import load_checkpoint
+from ecgkit.checkpoint import load_checkpoint, save_checkpoint
 from ecgkit.cli import run
 from ecgkit.config import RunManifest, derive_seed
-from ecgkit.ensemble import read_logits_csv
-from ecgkit.models import ARCHITECTURES
+from ecgkit.models import ARCHITECTURES, ModelDescriptor, build
 from ecgkit.wfdb_io import MNEMONIC_TO_CODE, AnnotationEvent, write_record
 
 from helpers import toy_two_class, write_splitless_csv
@@ -480,7 +479,8 @@ class TestEnsemble:
         run(["ensemble", "--manifest", str(ensemble_inputs["manifest"]),
              "--test", str(ensemble_inputs["test"]),
              "--resamples", "150", "--out", str(out)])
-        _, logits = read_logits_csv(out / "logits_cnn.csv")
+        logits = np.loadtxt(out / "logits_cnn.csv", delimiter=",",
+                            skiprows=1)[:, 1:]
         model = load_checkpoint(workspace["out"] / "train" / "cnn"
                                 / "model.ckpt")
         X, _ = read_beats_csv(ensemble_inputs["test"]).matrix()
@@ -497,6 +497,45 @@ class TestEnsemble:
                     "--out", str(tmp_path / "r")])
         assert code == 3
         assert "at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"models": 5}, "'models'"),
+        ({"models": [{"id": "cnn", "checkpoint": "c.ckpt",
+                      "val_macro_f1": "high"}]}, "'val_macro_f1'"),
+        ({"models": [{"id": "cnn", "checkpoint": "c.ckpt",
+                      "val_macro_f1": True}]}, "'val_macro_f1'"),
+    ])
+    def test_malformed_manifest_is_config_error(self, ensemble_inputs,
+                                                tmp_path, capsys, payload,
+                                                key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code = run(["ensemble", "--manifest", str(bad),
+                    "--test", str(ensemble_inputs["test"]),
+                    "--out", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    def test_mixed_class_counts_are_shape_error(self, workspace,
+                                                ensemble_inputs, tmp_path,
+                                                capsys):
+        two_class = save_checkpoint(
+            tmp_path / "two.ckpt",
+            build(ModelDescriptor(arch="cnn", input_len=BEAT_LEN,
+                                  n_classes=2), seed=3))
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps({"models": [
+            {"id": "cnn", "val_macro_f1": 0.9, "checkpoint":
+             str(workspace["out"] / "train" / "cnn" / "model.ckpt")},
+            {"id": "two", "val_macro_f1": 0.8, "checkpoint": str(two_class)},
+        ]}))
+        code = run(["ensemble", "--manifest", str(mixed),
+                    "--strategy", "all_equal",
+                    "--test", str(ensemble_inputs["test"]),
+                    "--out", str(tmp_path / "r")])
+        assert code == 4
+        assert "ShapeError" in capsys.readouterr().err
 
     def test_unknown_strategy_is_usage_error(self, ensemble_inputs,
                                              tmp_path, capsys):

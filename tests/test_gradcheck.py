@@ -126,7 +126,7 @@ def case_mean_axis(rng):
 
 
 def case_reshape(rng):
-    return (lambda ts: ts[0].reshape(4, 6), [rng.normal(size=(2, 3, 4))])
+    return (lambda ts: tk.reshape(ts[0], (4, 6)), [rng.normal(size=(2, 3, 4))])
 
 
 def case_concat(rng):
