@@ -178,7 +178,7 @@ def load_records_dir(directory, lead=None, beat_len=DEFAULT_BEAT_LEN):
     return dataset
 
 
-def stratified_split(dataset, train_fraction=0.85, seed=17):
+def stratified_split(dataset, train_fraction, seed):
     """Tag every beat train or val, per class, keyed on ``seed``.
 
     Each class contributes floor(count x (1 - train_fraction)) beats to

@@ -25,7 +25,7 @@ from .config import (PipelineConfig, RunManifest, config_hash, derive_seed,
 from .ensemble import (STRATEGIES, ManifestEntry, build_strategy, fuse,
                        load_manifest, predict_classes, write_logits_csv,
                        write_manifest)
-from .errors import ConfigError, EcgkitError
+from .errors import ConfigError, EcgkitError, ShapeError
 from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
                   balance_summary, gan_train)
 from .gradcam import grad_cam
@@ -101,6 +101,16 @@ def _confidence_intervals(y_true, y_pred, seed, n_resamples):
     return cis
 
 
+def _load_scorer(path):
+    """A checkpoint's model, refused unless it scores the beat classes."""
+    model = load_checkpoint(path)
+    n_classes = model.descriptor.n_classes
+    if n_classes != len(CLASS_NAMES):
+        raise ShapeError(f"checkpoint {path} scores {n_classes} classes, not "
+                         f"the {len(CLASS_NAMES)} beat classes")
+    return model
+
+
 def _saliency_for(model, X, y_pred, count):
     count = min(count, len(X))
     return {str(i): grad_cam(model, X[i], int(y_pred[i]))
@@ -132,8 +142,6 @@ def _augment(dataset, gan_config, seed, out):
     pair per class, each on its own seed. Writes out and the class counts
     before and after beside it; returns (balanced, written paths).
     """
-    gan_config = dataclasses.replace(gan_config,
-                                     beat_len=_beat_length(dataset))
     generators = {}
     for label in balance_deficits(dataset, gan_config):
         records = [b for b in dataset.beats
@@ -200,11 +208,12 @@ def _train_one_arch(config, dataset, arch, command):
 
 def cmd_train(args, command):
     config = load_config(args.config)
-    beats_path = args.beats or config.beats_csv
-    if beats_path is None:
+    if args.beats:  # the override enters the manifest's config hash
+        config = dataclasses.replace(config, beats_csv=args.beats)
+    if config.beats_csv is None:
         raise ConfigError("train needs beat data: pass --beats or set "
                           "beats_csv in the config")
-    dataset = read_beats_csv(beats_path)
+    dataset = read_beats_csv(config.beats_csv)
     archs = ARCHITECTURES if args.arch == "all" else [args.arch]
     for arch in archs:
         _train_one_arch(config, dataset, arch, command)
@@ -233,7 +242,7 @@ def cmd_evaluate(args, command):
         "split": args.split, "seed": args.seed,
         "resamples": args.resamples, "gradcam": args.gradcam,
         "out": str(args.out)})
-    model = load_checkpoint(args.checkpoint)
+    model = _load_scorer(args.checkpoint)
     dataset = read_beats_csv(args.test)
     X, y = _select_rows(dataset, args.split)
     logits = model.logits_array(X)
@@ -263,7 +272,7 @@ def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
     out.mkdir(parents=True, exist_ok=True)
     logits_by_model = {}
     for entry in entries:
-        model = load_checkpoint(_resolve_checkpoint(entry, manifest_path))
+        model = _load_scorer(_resolve_checkpoint(entry, manifest_path))
         logits_by_model[entry.model_id] = model.logits_array(X)
         path = write_logits_csv(out / f"logits_{entry.model_id}.csv",
                                 logits_by_model[entry.model_id])

@@ -10,7 +10,6 @@ so reordered keys produce the same fingerprint.
 import hashlib
 import json
 import os
-import tempfile
 import typing
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -27,7 +26,7 @@ from .training import TrainRunConfig
 _JSON_TYPES = {int: (int,), float: (float, int), str: (str,)}
 
 
-def _schema(cls, skip=()):
+def _schema(cls, skip):
     """{key: accepted JSON types} over the fields of a settings dataclass;
     a field whose default is None also accepts null."""
     hints = typing.get_type_hints(cls)
@@ -104,8 +103,7 @@ class PipelineConfig:
 
 _TOP_SCHEMA = _schema(PipelineConfig, skip=("train_configs", "gan"))
 _ARCH_SCHEMA = _schema(TrainRunConfig, skip=("arch",))
-# beat_len is not a key: the augment stage takes it from the data
-_GAN_SCHEMA = _schema(GanTrainConfig, skip=("beat_len",))
+_GAN_SCHEMA = _schema(GanTrainConfig, ())
 
 
 def config_from_payload(payload):
@@ -216,10 +214,10 @@ class RunManifest:
                    "files": sorted(self.files)}
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(dir=path.parent,
-                                         prefix=".manifest-")
+        # plain open(): the mode follows the umask, as for other artifacts
+        temp_name = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
         try:
-            with os.fdopen(fd, "w") as handle:
+            with open(temp_name, "w") as handle:
                 json.dump(payload, handle, indent=2)
                 handle.write("\n")
             os.replace(temp_name, path)

@@ -175,13 +175,16 @@ def load_manifest(path):
         missing = _MANIFEST_KEYS - set(item)
         if missing:
             raise ConfigError(f"model entry missing keys: {sorted(missing)}")
-        score = item["val_macro_f1"]
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise ConfigError(f"manifest key 'val_macro_f1' expects a "
-                              f"number, got {score!r}")
-        entries.append(ManifestEntry(model_id=str(item["id"]),
-                                     checkpoint=str(item["checkpoint"]),
-                                     val_macro_f1=score))
+        for key, types, kind in (("id", str, "a string"),
+                                 ("checkpoint", str, "a string"),
+                                 ("val_macro_f1", (int, float), "a number")):
+            value = item[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"manifest key {key!r} expects {kind}, "
+                                  f"got {value!r}")
+        entries.append(ManifestEntry(model_id=item["id"],
+                                     checkpoint=item["checkpoint"],
+                                     val_macro_f1=item["val_macro_f1"]))
     ids = [entry.model_id for entry in entries]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate model ids in manifest: {ids}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tk
-from .beats import CLASS_NAMES, DEFAULT_BEAT_LEN, BeatDataset, BeatRecord
+from .beats import CLASS_NAMES, BeatDataset, BeatRecord
 from .errors import AugmentError, ConfigError
 from .models import _init_params, _lstm_layer_params, _lstm_layer_shapes
 from .tensor import Tensor
@@ -28,13 +28,8 @@ ATTEMPT_BUDGET_FACTOR = 50
 
 @dataclass
 class GanTrainConfig:
-    """Hyperparameters shared by the generator and discriminator.
+    """Hyperparameters shared by the generator and discriminator."""
 
-    The noise sequence and the produced beat cover the same beat_len time
-    steps.
-    """
-
-    beat_len: int = DEFAULT_BEAT_LEN
     noise_dim: int = 1
     epochs: int = 200
     batch_size: int = 32
@@ -47,8 +42,6 @@ class GanTrainConfig:
     balance_ratio: float = 1.0
 
     def __post_init__(self):
-        if self.beat_len < 2:
-            raise ConfigError(f"beat length must be >= 2, got {self.beat_len}")
         if self.noise_dim < 1:
             raise ConfigError(f"noise width must be >= 1, got {self.noise_dim}")
         if self.epochs < 1:
@@ -72,11 +65,6 @@ def _check_tau(tau):
         raise ConfigError(f"acceptance threshold must lie in [0, 1], got {tau}")
 
 
-def sample_noise(config, n, rng):
-    shape = (n, config.beat_len, config.noise_dim)
-    return rng.standard_normal(shape).astype(np.float32)
-
-
 class _RecurrentNet:
     """Shared trunk: bidirectional LSTM encoder, time-mean summary, then a
     hidden dense layer with LeakyReLU and dropout."""
@@ -92,7 +80,7 @@ class _RecurrentNet:
 
     def _encode(self, sequence, training, rng):
         layer = _lstm_layer_params(self.params, "lstm")
-        h = tk.bilstm(sequence, [layer], self.config.hidden)
+        h = tk.bilstm(sequence, [layer])
         summary = h.mean(axis=1)
         hidden = tk.leaky_relu(
             tk.dense(summary, self.params["fc.w"], self.params["fc.b"]))
@@ -101,18 +89,24 @@ class _RecurrentNet:
 
 
 class GeneratorNet(_RecurrentNet):
-    """Maps a noise sequence to one beat in [0, 1] per row."""
+    """Maps a noise sequence to one beat of class label in [0, 1] per row;
+    noise and beat span the same beat_len time steps."""
 
-    def __init__(self, config, rng, label=None):
-        super().__init__(config, rng, config.noise_dim, config.beat_len)
+    def __init__(self, config, rng, label, beat_len):
+        super().__init__(config, rng, config.noise_dim, beat_len)
         self.label = label
+        self.beat_len = beat_len
+
+    def sample_noise(self, n, rng):
+        shape = (n, self.beat_len, self.config.noise_dim)
+        return rng.standard_normal(shape).astype(np.float32)
 
     def forward(self, noise, training=False, rng=None):
         return tk.sigmoid(self._encode(noise, training, rng))
 
     def generate(self, n, rng):
         """Draw n beats as a float32 array [n, beat_len]."""
-        noise = sample_noise(self.config, n, rng)
+        noise = self.sample_noise(n, rng)
         with tk.no_grad():
             out = self.forward(Tensor(noise), training=False)
         return out.data
@@ -153,6 +147,7 @@ def generator_loss(fake_scores):
 
 
 def _validate_minority_beats(beats, config):
+    """The common length of the beats, once they suit adversarial training."""
     if not beats:
         raise ConfigError("no beats supplied for adversarial training")
     labels = sorted({beat.label for beat in beats})
@@ -168,10 +163,10 @@ def _validate_minority_beats(beats, config):
         raise ConfigError(
             f"{len(beats)} beats cannot fill a batch of {config.batch_size}")
     lengths = {len(beat.samples) for beat in beats}
-    if lengths != {config.beat_len}:
-        raise ConfigError(
-            f"beats of length {sorted(lengths)} do not match the configured "
-            f"beat length {config.beat_len}")
+    if len(lengths) > 1 or min(lengths) < 2:
+        raise ConfigError(f"beats must share one length >= 2, got lengths "
+                          f"{sorted(lengths)}")
+    return lengths.pop()
 
 
 @contextmanager
@@ -190,22 +185,21 @@ def _untracked(params):
             p.requires_grad = True
 
 
-def gan_train(minority_beats, config=None, seed=17):
+def gan_train(minority_beats, config, seed):
     """Adversarially train a generator/discriminator pair on one class.
 
     Each step first updates the discriminator on a real batch plus detached
     fakes, then updates the generator against the refreshed discriminator.
     Returns (generator, discriminator, history) where history holds one
-    ("D", loss) and one ("G", loss) entry per step, in update order.
+    ("D", loss) and one ("G", loss) entry per step, in update order. The
+    generator draws beats of the real beats' class and length.
     """
-    config = config if config is not None else GanTrainConfig()
     beats = list(minority_beats)
-    _validate_minority_beats(beats, config)
-    label = beats[0].label
+    beat_len = _validate_minority_beats(beats, config)
 
     real = np.stack([beat.samples for beat in beats]).astype(np.float32)
     rng = np.random.default_rng(seed)
-    generator = GeneratorNet(config, rng, label=label)
+    generator = GeneratorNet(config, rng, beats[0].label, beat_len)
     discriminator = DiscriminatorNet(config, rng)
     g_opt = AdamW(generator.params, config.g_lr)
     d_opt = AdamW(discriminator.params, config.d_lr)
@@ -220,7 +214,7 @@ def gan_train(minority_beats, config=None, seed=17):
             real_batch = Tensor(real[rows])
 
             # discriminator update; fakes are detached so only D moves
-            noise = sample_noise(config, batch, rng)
+            noise = generator.sample_noise(batch, rng)
             with tk.no_grad():
                 fake_data = generator.forward(
                     Tensor(noise), training=True, rng=rng).data
@@ -235,7 +229,7 @@ def gan_train(minority_beats, config=None, seed=17):
 
             # generator update through the frozen-for-this-step discriminator,
             # whose parameters stay off the tape so backward skips them
-            noise = sample_noise(config, batch, rng)
+            noise = generator.sample_noise(batch, rng)
             fake = generator.forward(Tensor(noise), training=True, rng=rng)
             with _untracked(discriminator.params):
                 scores = discriminator.forward(fake, training=True, rng=rng)
@@ -247,7 +241,7 @@ def gan_train(minority_beats, config=None, seed=17):
     return generator, discriminator, history
 
 
-def synthesize(generator, discriminator, n_needed, tau, seed=17):
+def synthesize(generator, discriminator, n_needed, tau, seed):
     """Draw candidate beats and keep those scoring at least tau.
 
     Stops once n_needed beats are accepted; gives up with an AugmentError
@@ -256,9 +250,6 @@ def synthesize(generator, discriminator, n_needed, tau, seed=17):
     if n_needed < 1:
         raise ConfigError(f"requested beat count must be >= 1, got {n_needed}")
     _check_tau(tau)
-    if generator.label is None:
-        raise ConfigError("generator carries no class label; train it on "
-                          "labelled beats first")
 
     rng = np.random.default_rng(seed)
     budget = ATTEMPT_BUDGET_FACTOR * n_needed
@@ -305,7 +296,7 @@ def balance_deficits(dataset, config):
             if 0 < count < target}
 
 
-def balance_dataset(dataset, generators, config, seed=17):
+def balance_dataset(dataset, generators, config, seed):
     """Top every deficient class in the train split up to the balance target.
 
     balance_deficits decides which classes fall short and by how much;
@@ -334,9 +325,9 @@ def balance_dataset(dataset, generators, config, seed=17):
     return BeatDataset(list(dataset.beats) + synthetic)
 
 
-def class_count_report(dataset, split_tag="train"):
-    """Per-class counts and percentages for one split."""
-    counts = dataset.counts_for_split(split_tag)
+def class_count_report(dataset):
+    """Per-class counts and percentages for the train split."""
+    counts = dataset.counts_for_split("train")
     total = sum(counts.values())
     report = {}
     for label in sorted(counts):
@@ -346,7 +337,7 @@ def class_count_report(dataset, split_tag="train"):
     return report
 
 
-def balance_summary(before, after, split_tag="train"):
+def balance_summary(before, after):
     """Pre/post augmentation class distribution, ready for serialization."""
-    return {"before": class_count_report(before, split_tag),
-            "after": class_count_report(after, split_tag)}
+    return {"before": class_count_report(before),
+            "after": class_count_report(after)}

@@ -16,6 +16,8 @@ N_CLASSES = len(CLASS_NAMES)
 DEFAULT_RESAMPLES = 1000
 MIN_BOOTSTRAP_SAMPLES = 30
 MIN_RESAMPLES = 100
+# coverage of bootstrap_ci's 2.5/97.5 percentile bounds
+CI_LEVEL = 0.95
 
 
 @dataclass
@@ -76,9 +78,9 @@ class MetricBundle:
     matrix: ConfusionMatrix = field(default=None, compare=False, repr=False)
     curves: dict = field(default=None, compare=False, repr=False)
 
-    def to_dict(self, class_names=CLASS_NAMES):
+    def to_dict(self):
         per_class = {}
-        for index, name in enumerate(class_names[:len(self.precision)]):
+        for index, name in enumerate(CLASS_NAMES[:len(self.precision)]):
             entry = {"precision": self.precision[index],
                      "recall": self.recall[index],
                      "f1": self.f1[index]}
@@ -198,7 +200,6 @@ class ConfidenceInterval:
     mean: float
     lower: float
     upper: float
-    level: float = 0.95
     n_resamples: int = DEFAULT_RESAMPLES
 
     def __post_init__(self):
@@ -208,13 +209,13 @@ class ConfidenceInterval:
                 f"[{self.lower}, {self.upper}] vs {self.mean}")
 
 
-def bootstrap_ci(outcomes, metric_fn, n_resamples=DEFAULT_RESAMPLES, seed=17,
-                 name=None):
+def bootstrap_ci(outcomes, metric_fn, *, seed, name,
+                 n_resamples=DEFAULT_RESAMPLES):
     """Percentile bootstrap over per-sample outcomes.
 
     Resamples rows of `outcomes` with replacement, applies metric_fn to
     each resample, and reports the resample mean with the 2.5/97.5
-    percentile bounds.
+    percentile bounds as the interval called name.
     """
     outcomes = np.asarray(outcomes)
     n = outcomes.shape[0]
@@ -230,8 +231,6 @@ def bootstrap_ci(outcomes, metric_fn, n_resamples=DEFAULT_RESAMPLES, seed=17,
         rows = rng.integers(0, n, size=n)
         values[i] = metric_fn(outcomes[rows])
     lower, upper = np.percentile(values, [2.5, 97.5])
-    if name is None:
-        name = getattr(metric_fn, "__name__", "metric")
     mean = float(values.mean())
     # on a degenerate resample distribution, summation error can land the
     # mean one ulp outside the percentile range; clamp to keep coverage

@@ -23,6 +23,8 @@ ARCHITECTURES = ("cnn", "cnn_lstm", "cnn_lstm_attn", "resnet1d")
 # shortest beat every architecture can take
 MIN_INPUT_LEN = 8
 
+EVAL_BATCH_ROWS = 256
+
 _DEFAULT_PLANS = {
     "cnn": (128, 64, 32),
     "cnn_lstm": (64, 32),
@@ -291,7 +293,6 @@ class Model:
         if capture is not None:
             capture["features"] = h
         hidden = tk.bilstm(h, self._lstm_params(),
-                           self.descriptor.lstm_hidden,
                            dropout_rate=self.descriptor.lstm_dropout,
                            training=training, rng=rng)
         if self.descriptor.arch == "cnn_lstm_attn":
@@ -328,13 +329,13 @@ class Model:
             capture["features"] = h
         return self._head(h.mean(axis=1))
 
-    def logits_array(self, X, batch_size=256):
+    def logits_array(self, X):
         """Eval-mode logits for a [n, len] float array, without taping."""
         X = np.asarray(X, dtype=np.float32)
         out = np.empty((len(X), self.descriptor.n_classes), dtype=np.float32)
         with tk.no_grad():
-            for start in range(0, len(X), batch_size):
-                chunk = X[start:start + batch_size]
+            for start in range(0, len(X), EVAL_BATCH_ROWS):
+                chunk = X[start:start + EVAL_BATCH_ROWS]
                 batch = Tensor(chunk.reshape(len(chunk), 1, -1))
                 out[start:start + len(chunk)] = self.forward(batch).data
         return out

@@ -10,6 +10,7 @@ import json
 
 from .beats import CLASS_NAMES
 from .errors import IoError
+from .metrics import CI_LEVEL
 
 
 def _write_text(path, text):
@@ -22,15 +23,15 @@ def _write_text(path, text):
     return path
 
 
-def _matrix_csv(rows, class_names, cell):
-    lines = ["," + ",".join(class_names)]
-    for name, row in zip(class_names, rows):
+def _matrix_csv(rows, cell):
+    lines = ["," + ",".join(CLASS_NAMES)]
+    for name, row in zip(CLASS_NAMES, rows):
         lines.append(name + "," + ",".join(cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def render_report(out_dir, metrics=None, cis=None, saliency=None,
-                  ensemble=None, class_names=CLASS_NAMES):
+                  ensemble=None):
     """Write whichever artifacts were computed; returns the file list.
 
     metrics is a MetricBundle; its confusion matrix and ROC curves, where
@@ -45,7 +46,7 @@ def render_report(out_dir, metrics=None, cis=None, saliency=None,
     matrix = metrics.matrix if metrics is not None else None
     curves = metrics.curves if metrics is not None else None
     if metrics is not None:
-        payload = metrics.to_dict(class_names)
+        payload = metrics.to_dict()
         if ensemble is not None:
             payload["ensemble"] = ensemble.to_dict()
         written.append(_write_text(
@@ -55,11 +56,10 @@ def render_report(out_dir, metrics=None, cis=None, saliency=None,
     if matrix is not None:
         written.append(_write_text(
             out_dir / "confusion.csv",
-            _matrix_csv(matrix.counts, class_names, lambda v: str(int(v)))))
+            _matrix_csv(matrix.counts, lambda v: str(int(v)))))
         written.append(_write_text(
             out_dir / "confusion_normalized.csv",
-            _matrix_csv(matrix.normalized(), class_names,
-                        lambda v: repr(float(v)))))
+            _matrix_csv(matrix.normalized(), lambda v: repr(float(v)))))
 
     for label in sorted(curves or {}):
         curve = curves[label]
@@ -73,7 +73,7 @@ def render_report(out_dir, metrics=None, cis=None, saliency=None,
         lines = ["metric,mean,lower,upper,level,n_resamples"]
         for ci in cis:
             lines.append(f"{ci.name},{repr(ci.mean)},{repr(ci.lower)},"
-                         f"{repr(ci.upper)},{repr(ci.level)},"
+                         f"{repr(ci.upper)},{repr(CI_LEVEL)},"
                          f"{ci.n_resamples}")
         written.append(_write_text(out_dir / "ci.csv",
                                    "\n".join(lines) + "\n"))

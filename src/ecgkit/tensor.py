@@ -432,19 +432,17 @@ def dropout(x, p, training, rng):
 def _sigmoid_values(x, out=None, scratch=None):
     """Logistic sigmoid of x, written into out when given (out may be x).
 
-    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without boolean masks:
-    exp(min(x, 0)) is exactly 1 or e^x, so the bits match the two-branch
-    form (the tanh form does not, and that moves training trajectories).
-    scratch, shaped like x, takes the denominator; without out and scratch
-    both are allocated.
+    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, from e = exp(-|x|): the
+    numerator max(x >= 0, e) is exactly 1 or e^x, so the bits match the
+    two-branch form (the tanh form does not, and that moves training
+    trajectories).  scratch, shaped like x, takes e, then the denominator.
     """
-    den = np.abs(x, out=scratch)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    np.add(1.0, den, out=den)
-    num = np.minimum(x, 0, out=out)
-    np.exp(num, out=num)
-    return np.divide(num, den, out=num)
+    e = np.abs(x, out=scratch)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(x >= 0, e, out=out)
+    np.add(1.0, e, out=e)
+    return np.divide(num, e, out=num)
 
 
 def sigmoid(a):
@@ -465,13 +463,17 @@ def tanh(a):
     return _record(y, (a,), backward)
 
 
-def leaky_relu(a, slope=0.2):
+_LEAKY_SLOPE = 0.2
+
+
+def leaky_relu(a):
     mask = a.data > 0
 
     def backward(g):
-        return (g * np.where(mask, 1.0, slope),)
+        return (g * np.where(mask, 1.0, _LEAKY_SLOPE),)
 
-    return _record(np.where(mask, a.data, slope * a.data), (a,), backward)
+    return _record(np.where(mask, a.data, _LEAKY_SLOPE * a.data), (a,),
+                   backward)
 
 
 def softmax(a, axis=-1):
@@ -625,9 +627,12 @@ _NORM_BLOCK_ROWS = 2048
 
 _NORM_ACTIVATIONS = (None, "relu", "swish")
 
+# running-buffer weight of each batch's statistics, and the variance guard
+_NORM_MOMENTUM = 0.1
+_NORM_EPS = 1e-5
 
-def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5,
-                 activation=None):
+
+def batch_norm1d(x, gamma, beta, stats, training, activation=None):
     """Normalize each channel (the last axis) over all other axes, then
     apply activation (None, "relu" or "swish") in the same tape node.
 
@@ -657,14 +662,15 @@ def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5,
         mean = xm.mean(axis=0)
         xhat = xm - mean
         var = np.square(xhat).mean(axis=0)
+        momentum = _NORM_MOMENTUM
         stats.mean[...] = (1.0 - momentum) * stats.mean + momentum * mean
         unbiased = var * (n / (n - 1)) if n > 1 else var
         stats.var[...] = (1.0 - momentum) * stats.var + momentum * unbiased
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + _NORM_EPS)
         xhat *= inv
     else:
         mean = stats.mean
-        inv = 1.0 / np.sqrt(stats.var + eps)
+        inv = 1.0 / np.sqrt(stats.var + _NORM_EPS)
         # untaped, each block normalizes its own rows: no full xhat
         taped = _grad_enabled() and any(map(_tracked, (x, gamma, beta)))
         xhat = (xm - mean) * inv if taped else None
@@ -907,8 +913,7 @@ def lstm_sequence(x, w_ih, w_hh, b, reverse=False):
     return _record(out.transpose(1, 0, 2), (x, w_ih, w_hh, b), backward)
 
 
-def bilstm(x, layer_params, hidden, dropout_rate=0.0, training=False,
-           rng=None):
+def bilstm(x, layer_params, dropout_rate=0.0, training=False, rng=None):
     """Stacked bidirectional LSTM over x[batch, time, features].
 
     layer_params is a list of {"fwd": gates, "bwd": gates} dicts, one per
@@ -922,13 +927,9 @@ def bilstm(x, layer_params, hidden, dropout_rate=0.0, training=False,
     for depth, params in enumerate(layer_params):
         if depth > 0 and dropout_rate > 0.0:
             current = dropout(current, dropout_rate, training, rng)
-        fwd, bwd = params["fwd"], params["bwd"]
-        sizes = {fwd["w_hh"].data.shape[-1], bwd["w_hh"].data.shape[-1]}
-        if sizes != {hidden}:
-            raise ShapeError(f"bilstm layer {depth} weights do not have "
-                             f"hidden size {hidden}")
-        current = concat([lstm_sequence(current, **fwd),
-                          lstm_sequence(current, **bwd, reverse=True)], 2)
+        current = concat(
+            [lstm_sequence(current, **params["fwd"]),
+             lstm_sequence(current, **params["bwd"], reverse=True)], 2)
     return current
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import tensor as tk
 from .errors import ConfigError, NumericalError, UsageError
+from .models import EVAL_BATCH_ROWS
 from .tensor import Tensor
 
 # batch size and learning rate per architecture; shared epoch budget 50 and
@@ -24,6 +25,14 @@ TABLE1 = {
 }
 DEFAULT_EPOCHS = 50
 DEFAULT_EARLY_STOP = 8
+
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+_PLATEAU_FACTOR = 0.5
+_PLATEAU_PATIENCE = 3
+_MIN_LR = 1e-6
+# the margin a validation loss must improve by, for scheduler and early stop
+_MIN_IMPROVEMENT = 1e-8
 
 
 def focal_loss(probabilities, targets, alpha=1.0, gamma=2.0):
@@ -66,14 +75,11 @@ class AdamW:
     gradient aborts the step with the offending parameter's name.
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=1e-4):
+    def __init__(self, params, lr, weight_decay=1e-4):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data)
@@ -87,8 +93,9 @@ class AdamW:
 
     def step(self):
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        beta1, beta2 = _ADAM_BETAS
+        bc1 = 1.0 - beta1 ** self.step_count
+        bc2 = 1.0 - beta2 ** self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -98,11 +105,11 @@ class AdamW:
                     f"non-finite gradient in parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
             if self.weight_decay:
                 # decoupled decay acts on the pre-step weights
                 p.data -= self.lr * self.weight_decay * p.data
@@ -110,34 +117,24 @@ class AdamW:
 
 
 class PlateauScheduler:
-    """Halve the learning rate after `patience` consecutive epochs without
-    validation-loss improvement; never below min_lr."""
+    """Halve the learning rate after 3 consecutive epochs without
+    validation-loss improvement; never below 1e-6."""
 
-    def __init__(self, optimizer, factor=0.5, patience=3, min_lr=1e-6,
-                 threshold=1e-8):
-        if not 0.0 < factor < 1.0:
-            raise ConfigError(f"decay factor must lie in (0, 1), got {factor}")
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
+    def __init__(self, optimizer):
         self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.min_lr = min_lr
-        self.threshold = threshold
         self.best = np.inf
         self.stagnant = 0
 
     def step(self, val_loss):
-        if val_loss < self.best - self.threshold:
+        if val_loss < self.best - _MIN_IMPROVEMENT:
             self.best = val_loss
             self.stagnant = 0
-            return self.optimizer.lr
+            return
         self.stagnant += 1
-        if self.stagnant >= self.patience:
-            self.optimizer.lr = max(self.optimizer.lr * self.factor,
-                                    self.min_lr)
+        if self.stagnant >= _PLATEAU_PATIENCE:
+            self.optimizer.lr = max(self.optimizer.lr * _PLATEAU_FACTOR,
+                                    _MIN_LR)
             self.stagnant = 0
-        return self.optimizer.lr
 
 
 @dataclass
@@ -187,8 +184,8 @@ class EpochRecord:
 class TrainingHistory:
     CSV_HEADER = ["epoch", "train_loss", "val_loss", "train_acc", "val_acc"]
 
-    def __init__(self, records=None):
-        self.records = list(records) if records else []
+    def __init__(self):
+        self.records = []
 
     def __len__(self):
         return len(self.records)
@@ -213,15 +210,15 @@ class TrainingHistory:
         return path
 
 
-def evaluate_split(model, X, y, alpha, gamma, batch_size=256):
+def evaluate_split(model, X, y, alpha, gamma):
     """Eval-mode loss and accuracy over one split."""
     total_loss = 0.0
     correct = 0
     n = len(X)
     with tk.no_grad():
-        for start in range(0, n, batch_size):
-            xb = X[start:start + batch_size]
-            yb = y[start:start + batch_size]
+        for start in range(0, n, EVAL_BATCH_ROWS):
+            xb = X[start:start + EVAL_BATCH_ROWS]
+            yb = y[start:start + EVAL_BATCH_ROWS]
             logits = model.forward(
                 Tensor(xb.reshape(len(xb), 1, -1)), training=False)
             probs = tk.softmax(logits, axis=-1)
@@ -276,7 +273,7 @@ def train(model, dataset, run_config):
         history.append(EpochRecord(epoch, epoch_loss / n, val_loss,
                                    epoch_correct / n, val_acc))
         scheduler.step(val_loss)
-        if val_loss < best_val - 1e-8:
+        if val_loss < best_val - _MIN_IMPROVEMENT:
             best_val = val_loss
             best_state = {k: v.copy()
                           for k, v in model.state_arrays().items()}

@@ -107,7 +107,9 @@ def batch_norm1d(x, gamma, beta, stats, training, momentum=0.1, eps=1e-5):
 
 
 def sigmoid_values(x):
-    """The two-branch-exact sigmoid, written as one expression."""
+    """The two-branch-exact sigmoid in its two-exponential form,
+    exp(min(x, 0)) / (1 + exp(-|x|)): the reference for the one-exponential
+    tk._sigmoid_values."""
     return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
 
 

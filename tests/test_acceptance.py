@@ -118,7 +118,7 @@ def test_focal_loss_with_unit_alpha_zero_gamma_is_cross_entropy():
 def test_scheduler_halves_on_third_stagnant_epoch_with_exact_floor():
     param = Tensor(np.zeros(1), requires_grad=True)
     opt = AdamW({"w": param}, lr=1e-3)
-    sched = PlateauScheduler(opt, factor=0.5, patience=3, min_lr=1e-6)
+    sched = PlateauScheduler(opt)
     sched.step(0.4)
     sched.step(0.5)
     sched.step(0.5)
@@ -134,7 +134,7 @@ def test_scheduler_halves_on_third_stagnant_epoch_with_exact_floor():
 
     param = Tensor(np.zeros(1), requires_grad=True)
     opt = AdamW({"w": param}, lr=1.5e-6)
-    sched = PlateauScheduler(opt, factor=0.5, patience=3, min_lr=1e-6)
+    sched = PlateauScheduler(opt)
     for _ in range(10):
         sched.step(1.0)
     assert opt.lr == 1e-6          # clamps to the floor exactly
@@ -165,8 +165,8 @@ def test_balancing_restores_minority_classes_with_valid_synthetics():
                                     source="real", split_tag="train"))
     dataset = BeatDataset(beats)
 
-    config = GanTrainConfig(beat_len=length, epochs=1, batch_size=32,
-                            hidden=16, dense_width=32)
+    config = GanTrainConfig(epochs=1, batch_size=32, hidden=16,
+                            dense_width=32)
     generators = {}
     for label in (2, 4):
         gen, disc, _ = gan_train([b for b in beats if b.label == label],

@@ -1,0 +1,143 @@
+"""Settings census: every parameter with a default under src/ecgkit must be
+passed by some caller in src/ or bench/.
+
+A default that no caller overrides is a setting with one value in use and
+belongs in a module constant.  Calls are resolved by the function or class
+name they end in (``cls(...)`` inside a class names that class), so a call
+passes a parameter when it names it, reaches its position, or spreads
+*args or **kwargs.  Dataclass fields with defaults count as constructor
+parameters, and a store to an attribute of the field's name sets one.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ecgkit"
+CALLERS = (ROOT / "src", ROOT / "bench")
+
+# (module, callable, parameter) -> why its default stays unpassed
+ALLOWED = {
+    ("tensor", "RunningStats", "dtype"):
+        "float64 buffers for the gradient-check suite",
+    ("wfdb_io", "write_record", "sampling_rate"):
+        "fixture writer; its callers are record generators and tests",
+    ("wfdb_io", "write_record", "gain"): "fixture writer, as above",
+    ("wfdb_io", "write_record", "adc_zero"): "fixture writer, as above",
+    ("metrics", "evaluate_predictions", "n_classes"):
+        "the metric reference cases run at 2 and 3 classes",
+}
+
+_EVERYTHING = frozenset(["*"])
+
+
+def _signature(func, bound):
+    """(positional names, defaulted names) of a def; bound drops self/cls."""
+    args = func.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    return positional[1:] if bound else positional, defaulted
+
+
+def _is_dataclass(node):
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def definitions():
+    """(module, callable, positional names, defaulted names, is dataclass)
+    for every def and dataclass in the package; __init__ registers under
+    its class name."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_dataclass(node):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                found.append((path.stem, node.name,
+                              [f.target.id for f in fields],
+                              [f.target.id for f in fields if f.value],
+                              True))
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    methods.add(item)
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    name = node.name if item.name == "__init__" else item.name
+                    found.append((path.stem, name,
+                                  *_signature(item, not static), False))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node not in methods:
+                found.append((path.stem, node.name,
+                              *_signature(node, False), False))
+    return found
+
+
+def _calls_in(scope, enclosing_class):
+    for node in ast.walk(scope):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            getattr(func, "attr", None)
+        if name == "cls" and enclosing_class is not None:
+            name = enclosing_class
+        spread = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        yield name, (float("inf") if spread else len(node.args),
+                     _EVERYTHING if None in keywords else keywords)
+
+
+def usage():
+    """({callable: [(positional count, keyword names)]}, stored attribute
+    names) over every file in src/ and bench/."""
+    calls, stored = {}, set()
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            scopes = [(tree, None)] + [(n, n.name) for n in ast.walk(tree)
+                                       if isinstance(n, ast.ClassDef)]
+            for scope, enclosing in scopes:
+                for name, passed in _calls_in(scope, enclosing):
+                    calls.setdefault(name, []).append(passed)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Store):
+                    stored.add(node.attr)
+    return calls, stored
+
+
+def unpassed_defaults():
+    """Sorted (module, callable, parameter) whose default no caller
+    overrides."""
+    calls, stored = usage()
+    unpassed = set()
+    for module, name, positional, defaulted, fields in definitions():
+        for param in defaulted:
+            index = positional.index(param) if param in positional else None
+            passed = (fields and param in stored) or any(
+                keywords is _EVERYTHING or param in keywords
+                or (index is not None and n_pos > index)
+                for n_pos, keywords in calls.get(name, []))
+            if not passed:
+                unpassed.add((module, name, param))
+    return sorted(unpassed)
+
+
+def test_every_default_is_passed_by_some_caller():
+    unpassed = [entry for entry in unpassed_defaults()
+                if entry not in ALLOWED]
+    assert not unpassed, (
+        "defaults no caller in src/ or bench/ overrides; make each a "
+        "constant, or allow-list it with a reason: "
+        + ", ".join(f"{m}.{c}({p}=)" for m, c, p in unpassed))
+
+
+def test_allow_list_has_no_stale_entries():
+    stale = sorted(set(ALLOWED) - set(unpassed_defaults()))
+    assert not stale, f"allow-listed defaults a caller now passes: {stale}"

@@ -300,8 +300,9 @@ class TestAugment:
         real_gan_train = cli.gan_train
 
         def recording_train(beats, config, seed):
-            seen.append(config)
-            return real_gan_train(beats, config, seed=seed)
+            result = real_gan_train(beats, config, seed=seed)
+            seen.append((config, result[0].beat_len))
+            return result
 
         monkeypatch.setattr(cli, "gan_train", recording_train)
         src = imbalanced_csv(tmp_path / "in.csv")
@@ -310,10 +311,10 @@ class TestAugment:
                     "--batch-size", "8", "--out",
                     str(tmp_path / "o.csv")]) == 0
         assert len(seen) == 1
-        config = seen[0]
+        config, beat_len = seen[0]
         assert (config.tau, config.balance_ratio) == (0.0, 0.9)
         assert (config.epochs, config.batch_size) == (1, 8)
-        assert config.beat_len == 16
+        assert beat_len == 16
 
     def test_scarce_minority_is_config_error(self, tmp_path, capsys):
         src = imbalanced_csv(tmp_path / "in.csv", n_minority=20)
@@ -369,6 +370,21 @@ class TestTrain:
                     "--beats", str(beats)])
         assert code == 0
         assert (tmp_path / "out" / "train" / "cnn" / "model.ckpt").exists()
+
+    def test_beats_flag_enters_config_hash(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"out_dir": str(tmp_path / "out"),
+             "cnn": {"epochs": 1, "batch_size": 8, "seed": 1}}))
+        manifest = tmp_path / "out" / "train" / "cnn" / "run.manifest.json"
+        hashes = []
+        for seed in (0, 1):
+            beats = write_toy_csv(tmp_path / f"beats{seed}.csv",
+                                  n_per_class=20, seed=seed)
+            assert run(["train", "--arch", "cnn", "--config", str(config),
+                        "--beats", str(beats)]) == 0
+            hashes.append(RunManifest.load(manifest).config_hash)
+        assert hashes[0] != hashes[1]
 
     def test_no_beats_anywhere_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -426,6 +442,21 @@ class TestEvaluate:
                     "--out", str(tmp_path / "r")])
         assert code == 3
         assert "test" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_classes", [2, 7])
+    def test_checkpoint_without_five_classes_is_shape_error(
+            self, workspace, tmp_path, capsys, n_classes):
+        checkpoint = save_checkpoint(
+            tmp_path / "odd.ckpt",
+            build(ModelDescriptor(arch="resnet1d", input_len=BEAT_LEN,
+                                  n_classes=n_classes), seed=3))
+        code = run(["evaluate", "--checkpoint", str(checkpoint),
+                    "--test", str(workspace["beats"]), "--split", "val",
+                    "--out", str(tmp_path / "r")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "ShapeError" in err and str(checkpoint) in err
+        assert f"{n_classes} classes" in err
 
     def test_manifest_lists_every_report_file(self, workspace, tmp_path):
         out = tmp_path / "report"
@@ -504,6 +535,12 @@ class TestEnsemble:
                       "val_macro_f1": "high"}]}, "'val_macro_f1'"),
         ({"models": [{"id": "cnn", "checkpoint": "c.ckpt",
                       "val_macro_f1": True}]}, "'val_macro_f1'"),
+        ({"models": [{"id": "cnn", "checkpoint": None,
+                      "val_macro_f1": 0.9}]}, "'checkpoint'"),
+        ({"models": [{"id": "cnn", "checkpoint": 5,
+                      "val_macro_f1": 0.9}]}, "'checkpoint'"),
+        ({"models": [{"id": ["x"], "checkpoint": "c.ckpt",
+                      "val_macro_f1": 0.9}]}, "'id'"),
     ])
     def test_malformed_manifest_is_config_error(self, ensemble_inputs,
                                                 tmp_path, capsys, payload,
@@ -536,6 +573,26 @@ class TestEnsemble:
                     "--out", str(tmp_path / "r")])
         assert code == 4
         assert "ShapeError" in capsys.readouterr().err
+
+    def test_checkpoints_without_five_classes_are_shape_error(
+            self, ensemble_inputs, tmp_path, capsys):
+        models = []
+        for seed in (3, 4):
+            checkpoint = save_checkpoint(
+                tmp_path / f"two{seed}.ckpt",
+                build(ModelDescriptor(arch="cnn", input_len=BEAT_LEN,
+                                      n_classes=2), seed=seed))
+            models.append({"id": f"two{seed}", "val_macro_f1": 0.8,
+                           "checkpoint": str(checkpoint)})
+        manifest = tmp_path / "two.json"
+        manifest.write_text(json.dumps({"models": models}))
+        code = run(["ensemble", "--manifest", str(manifest),
+                    "--strategy", "all_equal",
+                    "--test", str(ensemble_inputs["test"]),
+                    "--out", str(tmp_path / "r")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "ShapeError" in err and "2 classes" in err
 
     def test_unknown_strategy_is_usage_error(self, ensemble_inputs,
                                              tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import stat
 from datetime import datetime
 
 import pytest
@@ -167,7 +168,6 @@ class TestOverrides:
         assert cfg.gan.epochs == 5
         assert cfg.gan.tau == 0.9
         assert cfg.gan.hidden == 8
-        assert cfg.gan.beat_len == 187
 
     def test_integer_accepted_for_float_field(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"cnn": {"lr": 1}}))
@@ -394,3 +394,11 @@ class TestRunManifest:
     def test_file_ends_with_newline(self, tmp_path):
         path = self.make_manifest().write(tmp_path / "m.json")
         assert path.read_text().endswith("}\n")
+
+    def test_mode_follows_umask_like_other_artifacts(self, tmp_path):
+        path = self.make_manifest().write(tmp_path / "m.json")
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w"):
+            pass
+        assert stat.S_IMODE(path.stat().st_mode) == \
+            stat.S_IMODE(plain.stat().st_mode)

@@ -14,14 +14,13 @@ from ecgkit.gan import (
     discriminator_loss,
     gan_train,
     generator_loss,
-    sample_noise,
     synthesize,
 )
 from ecgkit.tensor import Tensor
 from ecgkit.training import AdamW
 from helpers import pulse_beat
 
-SMALL = dict(beat_len=24, hidden=8, dense_width=16, batch_size=16, epochs=2)
+SMALL = dict(hidden=8, dense_width=16, batch_size=16, epochs=2)
 
 
 def small_config(**overrides):
@@ -40,7 +39,7 @@ def pulse_beats(n, label, length=24, seed=0, split_tag="train"):
 class TestConfig:
     def test_defaults(self):
         cfg = GanTrainConfig()
-        assert (cfg.beat_len, cfg.noise_dim) == (187, 1)
+        assert cfg.noise_dim == 1
         assert (cfg.epochs, cfg.batch_size) == (200, 32)
         assert (cfg.g_lr, cfg.d_lr) == (2e-4, 2e-4)
         assert cfg.tau == 0.5
@@ -74,7 +73,7 @@ class TestConfig:
 class TestNets:
     def test_generator_output_shape_and_range(self):
         cfg = small_config()
-        g = GeneratorNet(cfg, np.random.default_rng(0), label=2)
+        g = GeneratorNet(cfg, np.random.default_rng(0), 2, 24)
         beats = g.generate(7, np.random.default_rng(1))
         assert beats.shape == (7, 24)
         assert beats.dtype == np.float32
@@ -82,8 +81,8 @@ class TestNets:
 
     def test_generator_deterministic_given_seeds(self):
         cfg = small_config()
-        a = GeneratorNet(cfg, np.random.default_rng(3), label=1)
-        b = GeneratorNet(cfg, np.random.default_rng(3), label=1)
+        a = GeneratorNet(cfg, np.random.default_rng(3), 1, 24)
+        b = GeneratorNet(cfg, np.random.default_rng(3), 1, 24)
         out_a = a.generate(4, np.random.default_rng(5))
         out_b = b.generate(4, np.random.default_rng(5))
         np.testing.assert_array_equal(out_a, out_b)
@@ -98,9 +97,10 @@ class TestNets:
         np.testing.assert_array_equal(scores, d.score(x))
 
     def test_noise_shape(self):
-        cfg = small_config(noise_dim=3)
-        z = sample_noise(cfg, 5, np.random.default_rng(0))
-        assert z.shape == (5, cfg.beat_len, 3)
+        g = GeneratorNet(small_config(noise_dim=3), np.random.default_rng(0),
+                         1, 24)
+        z = g.sample_noise(5, np.random.default_rng(0))
+        assert z.shape == (5, 24, 3)
         assert z.dtype == np.float32
 
 
@@ -156,7 +156,7 @@ class TestGanTrain:
         assert len(history) == 8
         assert [tag for tag, _ in history] == ["D", "G"] * 4
         assert all(np.isfinite(value) for _, value in history)
-        assert g.label == 2
+        assert (g.label, g.beat_len) == (2, 24)
         sample = g.generate(3, np.random.default_rng(0))
         assert sample.shape == (3, 24)
         assert ((sample >= 0) & (sample <= 1)).all()
@@ -199,24 +199,32 @@ class TestGanTrain:
     def test_mixed_labels_rejected(self):
         beats = pulse_beats(20, label=1) + pulse_beats(20, label=2)
         with pytest.raises(ConfigError) as exc:
-            gan_train(beats, small_config())
+            gan_train(beats, small_config(), seed=17)
         assert "single class" in str(exc.value)
 
     def test_too_few_beats(self):
         with pytest.raises(ConfigError):
-            gan_train(pulse_beats(31, label=1), small_config())
+            gan_train(pulse_beats(31, label=1), small_config(), seed=17)
 
     def test_fewer_beats_than_batch(self):
         with pytest.raises(ConfigError):
-            gan_train(pulse_beats(40, label=1), small_config(batch_size=64))
+            gan_train(pulse_beats(40, label=1), small_config(batch_size=64),
+                      seed=17)
 
     def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            gan_train(pulse_beats(32, label=1, length=30), small_config())
+        beats = pulse_beats(16, label=1) + pulse_beats(16, label=1, length=30)
+        with pytest.raises(ConfigError, match="one length"):
+            gan_train(beats, small_config(), seed=17)
+
+    def test_one_sample_beats(self):
+        beats = [BeatRecord(np.zeros(1), 1, source="toy", split_tag="train")
+                 for _ in range(32)]
+        with pytest.raises(ConfigError, match="one length >= 2"):
+            gan_train(beats, small_config(), seed=17)
 
     def test_empty_input(self):
         with pytest.raises(ConfigError):
-            gan_train([], small_config())
+            gan_train([], small_config(), seed=17)
 
 
 class TestFrozenGeneratorSeparability:
@@ -225,7 +233,7 @@ class TestFrozenGeneratorSeparability:
         # traces, so a discriminator trained by itself should tell them apart
         cfg = small_config()
         rng = np.random.default_rng(1)
-        g = GeneratorNet(cfg, rng, label=1)
+        g = GeneratorNet(cfg, rng, 1, 24)
         d = DiscriminatorNet(cfg, rng)
         real = np.stack([b.samples for b in pulse_beats(64, 1, seed=2)])
         fakes = g.generate(64, rng)
@@ -246,7 +254,7 @@ class _StubGenerator:
     """Deterministic candidate source for exercising the filter loop."""
 
     def __init__(self, length=8, batch_size=16, label=1):
-        self.config = GanTrainConfig(beat_len=length, batch_size=batch_size)
+        self.config = GanTrainConfig(batch_size=batch_size)
         self.label = label
         self.length = length
 
@@ -303,7 +311,7 @@ class TestSynthesize:
     def test_hopeless_threshold_with_real_nets(self):
         cfg = small_config()
         rng = np.random.default_rng(0)
-        g = GeneratorNet(cfg, rng, label=2)
+        g = GeneratorNet(cfg, rng, 2, 24)
         d = DiscriminatorNet(cfg, rng)
         # an untrained discriminator sits near 0.5, far below this bar
         with pytest.raises(AugmentError):
@@ -312,7 +320,7 @@ class TestSynthesize:
     def test_real_nets_produce_valid_beats(self):
         cfg = small_config()
         rng = np.random.default_rng(0)
-        g = GeneratorNet(cfg, rng, label=4)
+        g = GeneratorNet(cfg, rng, 4, 24)
         d = DiscriminatorNet(cfg, rng)
         out = synthesize(g, d, 5, tau=0.0, seed=2)
         assert len(out) == 5
@@ -325,12 +333,9 @@ class TestSynthesize:
         gen = _StubGenerator()
         disc = _StubDiscriminator()
         with pytest.raises(ConfigError):
-            synthesize(gen, disc, 0, tau=0.5)
+            synthesize(gen, disc, 0, tau=0.5, seed=17)
         with pytest.raises(ConfigError):
-            synthesize(gen, disc, 5, tau=1.5)
-        unlabelled = _StubGenerator(label=None)
-        with pytest.raises(ConfigError):
-            synthesize(unlabelled, disc, 5, tau=0.5)
+            synthesize(gen, disc, 5, tau=1.5, seed=17)
 
 
 def imbalanced_dataset(length=24):
@@ -346,7 +351,7 @@ def imbalanced_dataset(length=24):
 def nets_for(label, seed=0):
     cfg = small_config()
     rng = np.random.default_rng(seed)
-    return GeneratorNet(cfg, rng, label=label), DiscriminatorNet(cfg, rng)
+    return GeneratorNet(cfg, rng, label, 24), DiscriminatorNet(cfg, rng)
 
 
 class TestBalanceDataset:
@@ -369,7 +374,7 @@ class TestBalanceDataset:
     def test_val_and_test_untouched(self):
         dataset = imbalanced_dataset()
         balanced = balance_dataset(dataset, {1: nets_for(1), 2: nets_for(2)},
-                                   GanTrainConfig(tau=0.0))
+                                   GanTrainConfig(tau=0.0), seed=17)
         assert balanced.counts_for_split("val") == \
             dataset.counts_for_split("val")
         assert balanced.counts_for_split("test") == \
@@ -380,31 +385,32 @@ class TestBalanceDataset:
     def test_missing_generator_named(self):
         with pytest.raises(ConfigError) as exc:
             balance_dataset(imbalanced_dataset(), {2: nets_for(2)},
-                            GanTrainConfig(tau=0.0))
+                            GanTrainConfig(tau=0.0), seed=17)
         assert "A" in str(exc.value)   # label 1 has no generator
 
     def test_balanced_input_returned_unchanged(self):
         dataset = BeatDataset(pulse_beats(6, 0, seed=0)
                               + pulse_beats(6, 3, seed=1))
-        assert balance_dataset(dataset, {}, GanTrainConfig(tau=0.0)) is dataset
+        assert balance_dataset(dataset, {}, GanTrainConfig(tau=0.0),
+                               seed=17) is dataset
 
     def test_partial_ratio_lowers_target(self):
         dataset = imbalanced_dataset()
         balanced = balance_dataset(
             dataset, {1: nets_for(1)},
-            GanTrainConfig(tau=0.0, balance_ratio=0.5))
+            GanTrainConfig(tau=0.0, balance_ratio=0.5), seed=17)
         counts = balanced.counts_for_split("train")
         assert counts == {0: 12, 1: 6, 2: 7, 3: 0, 4: 0}
 
     def test_ratio_bounds(self):
         with pytest.raises(ConfigError):
             balance_dataset(imbalanced_dataset(), {},
-                            GanTrainConfig(balance_ratio=0.0))
+                            GanTrainConfig(balance_ratio=0.0), seed=17)
 
     def test_no_train_split(self):
         dataset = BeatDataset(pulse_beats(5, 0, split_tag="val"))
         with pytest.raises(ConfigError):
-            balance_dataset(dataset, {}, GanTrainConfig())
+            balance_dataset(dataset, {}, GanTrainConfig(), seed=17)
 
     def test_deterministic_given_seed(self):
         outs = []
@@ -427,14 +433,14 @@ class TestSummary:
         assert sum(r["percent"] for r in report.values()) == pytest.approx(100)
 
     def test_empty_split_is_all_zero(self):
-        report = class_count_report(BeatDataset(), "train")
+        report = class_count_report(BeatDataset())
         assert all(r["count"] == 0 and r["percent"] == 0.0
                    for r in report.values())
 
     def test_summary_shape(self):
         dataset = imbalanced_dataset()
         balanced = balance_dataset(dataset, {1: nets_for(1), 2: nets_for(2)},
-                                   GanTrainConfig(tau=0.0))
+                                   GanTrainConfig(tau=0.0), seed=17)
         summary = balance_summary(dataset, balanced)
         assert set(summary) == {"before", "after"}
         assert summary["before"]["A"]["count"] == 4

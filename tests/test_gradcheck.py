@@ -159,7 +159,7 @@ def case_tanh(rng):
 
 
 def case_leaky_relu(rng):
-    return (lambda ts: tk.leaky_relu(ts[0], 0.2),
+    return (lambda ts: tk.leaky_relu(ts[0]),
             [away_from_zero(rng, (3, 5))])
 
 
@@ -333,7 +333,7 @@ def case_bilstm(rng):
     def build(ts):
         layer = {"fwd": {"w_ih": ts[1], "w_hh": ts[2], "b": ts[3]},
                  "bwd": {"w_ih": ts[4], "w_hh": ts[5], "b": ts[6]}}
-        return tk.bilstm(ts[0], [layer], hidden)
+        return tk.bilstm(ts[0], [layer])
     return build, [rng.normal(size=(2, 3, din)),
                    rng.normal(scale=0.5, size=(4 * hidden, din)),
                    rng.normal(scale=0.5, size=(4 * hidden, hidden)),
@@ -439,7 +439,7 @@ def test_two_layer_bilstm_gradients():
                 {"fwd": {"w_ih": ts[7], "w_hh": ts[8], "b": ts[9]},
                  "bwd": {"w_ih": ts[10], "w_hh": ts[11], "b": ts[12]}},
             ]
-            return tk.bilstm(ts[0], layers, hidden)
+            return tk.bilstm(ts[0], layers)
 
         def gates(din):
             return [rng.normal(scale=0.5, size=(4 * hidden, din)),

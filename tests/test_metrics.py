@@ -236,14 +236,14 @@ class TestOneVsRest:
 class TestBootstrap:
     def test_all_correct_collapses_to_one(self):
         outcomes = np.ones(50)
-        ci = bootstrap_ci(outcomes, np.mean, seed=0)
+        ci = bootstrap_ci(outcomes, np.mean, seed=0, name="mean")
         assert (ci.lower, ci.mean, ci.upper) == (1.0, 1.0, 1.0)
 
     def test_fixed_seed_is_deterministic(self):
         rng = np.random.default_rng(7)
         outcomes = (rng.random(100) < 0.9).astype(float)
-        a = bootstrap_ci(outcomes, np.mean, seed=3)
-        b = bootstrap_ci(outcomes, np.mean, seed=3)
+        a = bootstrap_ci(outcomes, np.mean, seed=3, name="mean")
+        b = bootstrap_ci(outcomes, np.mean, seed=3, name="mean")
         assert (a.lower, a.mean, a.upper) == (b.lower, b.mean, b.upper)
 
     def test_degenerate_distribution_still_covers_mean(self):
@@ -260,8 +260,9 @@ class TestBootstrap:
         outcomes_small[:90] = 1.0
         outcomes_big = np.zeros(10000)
         outcomes_big[:9000] = 1.0
-        narrow = bootstrap_ci(outcomes_big, np.mean, seed=1)
-        wide = bootstrap_ci(outcomes_small, np.mean, seed=1)
+        narrow = bootstrap_ci(outcomes_big, np.mean, seed=1, name="mean")
+        wide = bootstrap_ci(outcomes_small, np.mean, seed=1,
+                            name="mean")
         ratio = (wide.upper - wide.lower) / (narrow.upper - narrow.lower)
         # binomial standard error predicts a factor of ~10
         assert 5 < ratio < 20
@@ -270,14 +271,15 @@ class TestBootstrap:
         rng = np.random.default_rng(8)
         for seed in range(10):
             outcomes = rng.random(60)
-            ci = bootstrap_ci(outcomes, np.mean, seed=seed)
+            ci = bootstrap_ci(outcomes, np.mean, seed=seed, name="mean")
             assert ci.lower <= ci.mean <= ci.upper
 
     def test_preconditions(self):
         with pytest.raises(MetricError):
-            bootstrap_ci(np.ones(29), np.mean)
+            bootstrap_ci(np.ones(29), np.mean, seed=17, name="mean")
         with pytest.raises(MetricError):
-            bootstrap_ci(np.ones(50), np.mean, n_resamples=99)
+            bootstrap_ci(np.ones(50), np.mean, n_resamples=99, seed=17,
+                         name="mean")
 
     def test_accepts_paired_outcomes(self):
         rng = np.random.default_rng(9)
@@ -288,7 +290,8 @@ class TestBootstrap:
             from ecgkit.metrics import confusion as cm
             return prf1(cm(rows[:, 0], rows[:, 1])).macro_f1
 
-        ci = bootstrap_ci(paired, macro_f1, n_resamples=200, seed=2)
+        ci = bootstrap_ci(paired, macro_f1, n_resamples=200, seed=2,
+                          name="macro_f1")
         assert 0.0 <= ci.lower <= ci.upper <= 1.0
         assert ci.name == "macro_f1"
 
@@ -297,6 +300,6 @@ class TestBootstrap:
             ConfidenceInterval("x", mean=2.0, lower=0.0, upper=1.0)
 
     def test_resample_count_recorded(self):
-        ci = bootstrap_ci(np.ones(40), np.mean, n_resamples=250, seed=0)
+        ci = bootstrap_ci(np.ones(40), np.mean, n_resamples=250, seed=0,
+                          name="mean")
         assert ci.n_resamples == 250
-        assert ci.level == 0.95

@@ -128,6 +128,7 @@ class TestRenderReport:
         assert cells[0] == "accuracy"
         ci = inputs["cis"][0]
         assert float(cells[1]) == ci.mean
+        assert float(cells[4]) == 0.95
         assert int(cells[5]) == 200
 
     def test_partial_render(self, tmp_path):

@@ -189,14 +189,17 @@ class TestElementwise:
 
 
 def identity_norm(x, activation):
-    """activation(x) through batch_norm1d's eval form, normalized by mean 0,
-    variance 1 and eps 0, scaled by 1 and shifted by -0.0: an exact identity
-    before the activation."""
+    """activation(x) through batch_norm1d's eval form, normalized by mean 0
+    and a running variance that eps tops up to exactly 1, scaled by 1 and
+    shifted by -0.0: an exact identity before the activation."""
     c = x.shape[-1]
     gamma = Tensor(np.ones(c, dtype=x.dtype))
     beta = Tensor(np.full(c, -0.0, dtype=x.dtype))
-    return tk.batch_norm1d(Tensor(x), gamma, beta, RunningStats(c, x.dtype),
-                           False, eps=0.0, activation=activation).data
+    stats = RunningStats(c, x.dtype)
+    stats.var -= tk._NORM_EPS
+    assert (stats.var + tk._NORM_EPS == 1.0).all()
+    return tk.batch_norm1d(Tensor(x), gamma, beta, stats, False,
+                           activation=activation).data
 
 
 class TestActivations:
@@ -211,7 +214,7 @@ class TestActivations:
             [[0.0, 0.0, 3.0]])
 
     def test_leaky_relu_slope(self):
-        y = tk.leaky_relu(t([-1.0, 2.0]), slope=0.2)
+        y = tk.leaky_relu(t([-1.0, 2.0]))
         np.testing.assert_allclose(y.data, [-0.2, 2.0])
 
     def test_sigmoid_extremes_are_stable(self):
@@ -245,6 +248,44 @@ class TestActivations:
             keep = ~np.isnan(want)
             np.testing.assert_array_equal(got[keep].view(np.uint8),
                                           want[keep].view(np.uint8))
+
+
+def sigmoid_sample(dtype):
+    """Specials, the exp overflow and underflow edges with their neighbours,
+    normal draws and random bit patterns (NaNs and subnormals included)."""
+    info = np.finfo(dtype)
+    rng = np.random.default_rng(11)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, info.max, info.tiny,
+                info.smallest_subnormal]
+    edges = np.log([info.max, info.tiny, info.smallest_subnormal])
+    near = [edge + step for edge in edges
+            for step in np.linspace(-2.0, 2.0, 4001)]
+    x = np.concatenate([specials, near,
+                        rng.normal(scale=8.0, size=200_000)]).astype(dtype)
+    x = np.concatenate([x, -x])
+    bits = rng.integers(0, np.iinfo(_uint_of(dtype)).max, size=200_000,
+                        dtype=_uint_of(dtype), endpoint=True)
+    return np.concatenate([x, bits.view(dtype)])
+
+
+def _uint_of(dtype):
+    return np.dtype(f"u{np.dtype(dtype).itemsize}")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_values_match_two_exponential_form_bit_for_bit(dtype):
+    x = sigmoid_sample(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = helpers.sigmoid_values(x)
+        fresh = tk._sigmoid_values(x)
+        in_place = x.copy()
+        tk._sigmoid_values(in_place, out=in_place, scratch=np.empty_like(x))
+    for got in (fresh, in_place):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        keep = ~np.isnan(want)
+        np.testing.assert_array_equal(got[keep].view(_uint_of(dtype)),
+                                      want[keep].view(_uint_of(dtype)))
 
 
 class TestSoftmax:
@@ -494,10 +535,12 @@ class TestBatchNorm:
         x = rng.normal(loc=2.0, scale=3.0, size=(64, 1, 32)).transpose(0, 2, 1)
         stats = RunningStats(1, dtype=np.float64)
         tk.batch_norm1d(t(x), t(np.ones(1)), t(np.zeros(1)), stats,
-                        training=True, momentum=1.0)
-        assert stats.mean[0] == pytest.approx(x.mean(), rel=1e-6)
+                        training=True)
+        # the buffers start at mean 0, variance 1 and move by momentum 0.1
+        assert stats.mean[0] == pytest.approx(0.1 * x.mean(), rel=1e-6)
         n = x.size
-        assert stats.var[0] == pytest.approx(x.var() * n / (n - 1), rel=1e-6)
+        assert stats.var[0] == pytest.approx(
+            0.9 + 0.1 * x.var() * n / (n - 1), rel=1e-6)
 
     def test_single_value_batch_warns(self):
         stats = RunningStats(2, dtype=np.float64)
@@ -860,7 +903,7 @@ class TestBilstm:
     def test_single_step_halves_agree(self):
         rng = np.random.default_rng(12)
         layer = self.layer(rng, 3, 4, shared=True)
-        out = tk.bilstm(t(rng.normal(size=(2, 1, 3))), [layer], 4)
+        out = tk.bilstm(t(rng.normal(size=(2, 1, 3))), [layer])
         np.testing.assert_allclose(out.data[:, 0, :4], out.data[:, 0, 4:])
 
     def test_palindrome_symmetry_with_shared_weights(self):
@@ -868,7 +911,7 @@ class TestBilstm:
         layer = self.layer(rng, 2, 3, shared=True)
         half = rng.normal(size=(1, 3, 2))
         x = np.concatenate([half, half[:, ::-1, :]], axis=1)  # length 6
-        out = tk.bilstm(t(x), [layer], 3).data
+        out = tk.bilstm(t(x), [layer]).data
         length = x.shape[1]
         for step in range(length):
             np.testing.assert_allclose(out[:, step, :3],
@@ -880,31 +923,25 @@ class TestBilstm:
                 "b": t(np.zeros(8))}
         layer = {"fwd": zero, "bwd": zero}
         out = tk.bilstm(t(np.random.default_rng(14).normal(size=(2, 5, 3))),
-                        [layer], 2)
+                        [layer])
         np.testing.assert_array_equal(out.data, np.zeros((2, 5, 4)))
 
     def test_stacked_output_shape(self):
         rng = np.random.default_rng(15)
         layers = [self.layer(rng, 3, 4), self.layer(rng, 8, 4)]
-        out = tk.bilstm(t(rng.normal(size=(2, 6, 3))), layers, 4)
+        out = tk.bilstm(t(rng.normal(size=(2, 6, 3))), layers)
         assert out.data.shape == (2, 6, 8)
-
-    def test_hidden_size_must_match_weights(self):
-        rng = np.random.default_rng(17)
-        with pytest.raises(ShapeError):
-            tk.bilstm(t(rng.normal(size=(2, 4, 3))), [self.layer(rng, 3, 4)],
-                      5)
 
     def test_dropout_only_in_training(self):
         rng = np.random.default_rng(16)
         layers = [self.layer(rng, 3, 4), self.layer(rng, 8, 4)]
         x = t(rng.normal(size=(2, 5, 3)))
-        eval_a = tk.bilstm(x, layers, 4, dropout_rate=0.5, training=False,
+        eval_a = tk.bilstm(x, layers, dropout_rate=0.5, training=False,
                            rng=np.random.default_rng(0))
-        eval_b = tk.bilstm(x, layers, 4, dropout_rate=0.5, training=False,
+        eval_b = tk.bilstm(x, layers, dropout_rate=0.5, training=False,
                            rng=np.random.default_rng(99))
         np.testing.assert_array_equal(eval_a.data, eval_b.data)
-        train = tk.bilstm(x, layers, 4, dropout_rate=0.5, training=True,
+        train = tk.bilstm(x, layers, dropout_rate=0.5, training=True,
                           rng=np.random.default_rng(0))
         assert not np.allclose(train.data, eval_a.data)
 
