@@ -1,14 +1,17 @@
 """Command-line pipeline: ingest, augment, train, evaluate, ensemble,
 explain, and end-to-end reproduction.
 
-Every subcommand writes its artifacts plus a run manifest recording the
-exact command, a configuration fingerprint, and the produced files. One
-master seed fans out to per-stage seeds so stages never share randomness
-and reruns are bit-for-bit repeatable.
+Every subcommand, and every stage of reproduce, writes its artifacts plus a
+run manifest recording the exact command, a configuration fingerprint, when
+the stage started and finished, and the produced files. One master seed
+fans out to per-stage seeds so stages never share randomness and reruns
+are bit-for-bit repeatable.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -49,10 +52,20 @@ def _write_json(path, payload):
     return path
 
 
-def _manifest(command, params):
-    """A started manifest; params is a PipelineConfig or a plain dict."""
-    return RunManifest(command=command, config_hash=config_hash(params),
-                       version=__version__, started_at=RunManifest.now())
+@contextlib.contextmanager
+def _stage(command, params, path):
+    """Run the body as one stage: yields a manifest stamped before the
+    body, for it to add the files it writes, and writes that manifest to
+    path once the body returns; a body that raises writes none.
+
+    params is the PipelineConfig or the parsed flags the stage runs on.
+    """
+    if isinstance(params, argparse.Namespace):
+        params = {k: v for k, v in vars(params).items() if k != "handler"}
+    manifest = RunManifest(command=command, config_hash=config_hash(params),
+                           version=__version__, started_at=RunManifest.now())
+    yield manifest
+    manifest.write(path)
 
 
 def _sibling(out_file, suffix):
@@ -127,14 +140,11 @@ def _ingest(records_dir, lead, beat_len, train_fraction, seed, out):
 
 
 def cmd_ingest(args, command):
-    manifest = _manifest(command, {
-        "records_dir": args.records_dir, "lead": args.lead,
-        "beat_len": args.beat_len, "seed": args.seed,
-        "train_fraction": args.train_fraction, "out": str(args.out)})
-    _, out = _ingest(args.records_dir, args.lead, args.beat_len,
-                     args.train_fraction, args.seed, args.out)
-    manifest.add_files([out])
-    manifest.write(_sibling(out, ".manifest.json"))
+    path = _sibling(args.out, ".manifest.json")
+    with _stage(command, args, path) as manifest:
+        _, out = _ingest(args.records_dir, args.lead, args.beat_len,
+                         args.train_fraction, args.seed, args.out)
+        manifest.add_files([out])
 
 
 def _augment(dataset, gan_config, seed, out):
@@ -161,48 +171,43 @@ def _augment(dataset, gan_config, seed, out):
 
 
 def cmd_augment(args, command):
-    manifest = _manifest(command, {
-        "in": str(args.in_path), "tau": args.tau,
-        "balance_ratio": args.balance_ratio, "epochs": args.epochs,
-        "batch_size": args.batch_size, "seed": args.seed,
-        "out": str(args.out)})
-    # checked before the GAN stage, which can run for hours
-    gan_config = GanTrainConfig(tau=args.tau,
-                                balance_ratio=args.balance_ratio,
-                                epochs=args.epochs,
-                                batch_size=args.batch_size)
-    dataset = read_beats_csv(args.in_path)
-    _, written = _augment(dataset, gan_config, args.seed, args.out)
-    manifest.add_files(written)
-    manifest.write(_sibling(args.out, ".manifest.json"))
+    path = _sibling(args.out, ".manifest.json")
+    with _stage(command, args, path) as manifest:
+        # checked before the GAN stage, which can run for hours
+        gan_config = GanTrainConfig(tau=args.tau,
+                                    balance_ratio=args.balance_ratio,
+                                    epochs=args.epochs,
+                                    batch_size=args.batch_size)
+        dataset = read_beats_csv(args.in_path)
+        _, written = _augment(dataset, gan_config, args.seed, args.out)
+        manifest.add_files(written)
 
 
 def _train_one_arch(config, dataset, arch, command):
-    run_config = config.train_configs[arch]
-    descriptor = ModelDescriptor(arch=arch, input_len=_beat_length(dataset))
-    model = build(descriptor, seed=derive_seed(config.seed, f"train/{arch}"))
-    model, history = train(model, dataset, run_config)
-
     stage = Path(config.out_dir) / "train" / arch
-    stage.mkdir(parents=True, exist_ok=True)
-    checkpoint_path = stage / "model.ckpt"
-    save_checkpoint(checkpoint_path, model)
-    history_path = history.to_csv(stage / "history.csv")
+    with _stage(command, config, stage / "run.manifest.json") as manifest:
+        descriptor = ModelDescriptor(arch=arch,
+                                     input_len=_beat_length(dataset))
+        model = build(descriptor,
+                      seed=derive_seed(config.seed, f"train/{arch}"))
+        model, history = train(model, dataset, config.train_configs[arch])
 
-    X_val, y_val = dataset.matrix("val")
-    y_pred = model.logits_array(X_val).argmax(axis=1)
-    bundle = evaluate_predictions(y_val, y_pred)
-    summary = {"arch": arch,
-               "checkpoint": str(checkpoint_path),
-               "val_macro_f1": bundle.macro_f1,
-               "val_accuracy": bundle.accuracy,
-               "best_epoch": history.best_epoch(),
-               "epochs_run": len(history)}
-    summary_path = _write_json(stage / "summary.json", summary)
+        stage.mkdir(parents=True, exist_ok=True)
+        checkpoint_path = stage / "model.ckpt"
+        save_checkpoint(checkpoint_path, model)
+        history_path = history.to_csv(stage / "history.csv")
 
-    manifest = _manifest(command, config)
-    manifest.add_files([checkpoint_path, history_path, summary_path])
-    manifest.write(stage / "run.manifest.json")
+        X_val, y_val = dataset.matrix("val")
+        y_pred = model.logits_array(X_val).argmax(axis=1)
+        bundle = evaluate_predictions(y_val, y_pred)
+        summary = {"arch": arch,
+                   "checkpoint": str(checkpoint_path),
+                   "val_macro_f1": bundle.macro_f1,
+                   "val_accuracy": bundle.accuracy,
+                   "best_epoch": history.best_epoch(),
+                   "epochs_run": len(history)}
+        summary_path = _write_json(stage / "summary.json", summary)
+        manifest.add_files([checkpoint_path, history_path, summary_path])
     return summary
 
 
@@ -237,20 +242,13 @@ def _report_run(out_dir, manifest, y, logits, seed, model=None, X=None,
 
 
 def cmd_evaluate(args, command):
-    manifest = _manifest(command, {
-        "checkpoint": str(args.checkpoint), "test": str(args.test),
-        "split": args.split, "seed": args.seed,
-        "resamples": args.resamples, "gradcam": args.gradcam,
-        "out": str(args.out)})
-    model = _load_scorer(args.checkpoint)
-    dataset = read_beats_csv(args.test)
-    X, y = _select_rows(dataset, args.split)
-    logits = model.logits_array(X)
     out = Path(args.out)
-    _report_run(out, manifest, model=model, X=X, y=y, logits=logits,
-                seed=args.seed, n_resamples=args.resamples,
-                gradcam_count=args.gradcam)
-    manifest.write(out / "run.manifest.json")
+    with _stage(command, args, out / "run.manifest.json") as manifest:
+        model = _load_scorer(args.checkpoint)
+        X, y = _select_rows(read_beats_csv(args.test), args.split)
+        _report_run(out, manifest, model=model, X=X, y=y,
+                    logits=model.logits_array(X), seed=args.seed,
+                    n_resamples=args.resamples, gradcam_count=args.gradcam)
 
 
 def _resolve_checkpoint(entry, manifest_path):
@@ -286,26 +284,15 @@ def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
 
 
 def cmd_ensemble(args, command):
-    manifest = _manifest(command, {
-        "manifest": str(args.manifest), "strategy": args.strategy,
-        "test": str(args.test), "seed": args.seed,
-        "resamples": args.resamples, "out": str(args.out)})
-    entries = load_manifest(args.manifest)
-    X, y = _select_rows(read_beats_csv(args.test), "test")
     out = Path(args.out)
-    _ensemble_run(entries, args.manifest, X, y, args.strategy, out, out,
-                  manifest, args.seed, args.resamples)
-    manifest.write(out / "run.manifest.json")
+    with _stage(command, args, out / "run.manifest.json") as manifest:
+        entries = load_manifest(args.manifest)
+        X, y = _select_rows(read_beats_csv(args.test), "test")
+        _ensemble_run(entries, args.manifest, X, y, args.strategy, out, out,
+                      manifest, args.seed, args.resamples)
 
 
 def cmd_gradcam(args, command):
-    manifest = _manifest(command, {
-        "checkpoint": str(args.checkpoint), "in": str(args.in_path),
-        "samples": args.samples, "target_class": args.target_class,
-        "out": str(args.out)})
-    model = load_checkpoint(args.checkpoint)
-    dataset = read_beats_csv(args.in_path)
-    X, _ = dataset.matrix()
     try:
         indices = [int(token) for token in args.samples.split(",") if token]
     except ValueError:
@@ -313,88 +300,90 @@ def cmd_gradcam(args, command):
                           f"got {args.samples!r}") from None
     if not indices:
         raise ConfigError("--samples named no rows")
-    bad = [i for i in indices if not 0 <= i < len(X)]
-    if bad:
-        raise ConfigError(f"sample rows {bad} outside 0..{len(X) - 1}")
-
-    saliency = {}
-    for index in indices:
-        if args.target_class is not None:
-            target = args.target_class
-        else:
-            target = int(model.logits_array(X[index:index + 1]).argmax())
-        saliency[str(index)] = grad_cam(model, X[index], target)
     out = Path(args.out)
-    written = render_report(out, saliency=saliency)
-    manifest.add_files(written)
-    manifest.write(out / "run.manifest.json")
+    with _stage(command, args, out / "run.manifest.json") as manifest:
+        model = load_checkpoint(args.checkpoint)
+        X, _ = read_beats_csv(args.in_path).matrix()
+        bad = [i for i in indices if not 0 <= i < len(X)]
+        if bad:
+            raise ConfigError(f"sample rows {bad} outside 0..{len(X) - 1}")
+        saliency = {}
+        for index in indices:
+            target = args.target_class
+            if target is None:
+                target = int(model.logits_array(X[index:index + 1]).argmax())
+            saliency[str(index)] = grad_cam(model, X[index], target)
+        manifest.add_files(render_report(out, saliency=saliency))
 
 
 def cmd_reproduce(args, command):
     config = load_config(args.config)
-    manifest = _manifest(command, config)
     out = Path(config.out_dir)
     master = config.seed
+    # every stage hashes the whole config; the outer stage spans the run
+    # and lists no files, each inner one lists what it wrote
+    stage = functools.partial(_stage, command, config)
+    with stage(out / "reproduce.manifest.json"):
+        # stage 1: beats from raw records, or a pre-segmented file
+        if config.records_dir is not None:
+            with stage(out / "ingest" / "beats.manifest.json") as manifest:
+                dataset, beats_path = _ingest(
+                    config.records_dir, config.lead, config.beat_len,
+                    config.train_fraction, derive_seed(master, "ingest"),
+                    out / "ingest" / "beats.csv")
+                manifest.add_files([beats_path])
+        elif config.beats_csv is not None:
+            dataset = read_beats_csv(config.beats_csv)
+            length = _beat_length(dataset)
+            # checked before the GAN stage, which can run for hours
+            if length < MIN_INPUT_LEN:
+                raise ConfigError(f"beats in {config.beats_csv} are {length} "
+                                  f"samples long; the models need >= "
+                                  f"{MIN_INPUT_LEN}")
+        else:
+            raise ConfigError("reproduce needs records_dir or beats_csv "
+                              "in the config")
 
-    # stage 1: beats from raw records, or a pre-segmented file
-    if config.records_dir is not None:
-        dataset, beats_path = _ingest(
-            config.records_dir, config.lead, config.beat_len,
-            config.train_fraction, derive_seed(master, "ingest"),
-            out / "ingest" / "beats.csv")
-        manifest.add_files([beats_path])
-    elif config.beats_csv is not None:
-        dataset = read_beats_csv(config.beats_csv)
-        length = _beat_length(dataset)
-        # checked before the GAN stage, which can run for hours
-        if length < MIN_INPUT_LEN:
-            raise ConfigError(f"beats in {config.beats_csv} are {length} "
-                              f"samples long; the models need >= "
-                              f"{MIN_INPUT_LEN}")
-    else:
-        raise ConfigError("reproduce needs records_dir or beats_csv "
-                          "in the config")
+        # stage 2: class balance via per-class adversarial synthesis
+        with stage(out / "augment" / "beats_aug.manifest.json") as manifest:
+            balanced, written = _augment(dataset, config.gan,
+                                         derive_seed(master, "augment"),
+                                         out / "augment" / "beats_aug.csv")
+            manifest.add_files(written)
 
-    # stage 2: class balance via per-class adversarial synthesis
-    balanced, written = _augment(dataset, config.gan,
-                                 derive_seed(master, "augment"),
-                                 out / "augment" / "beats_aug.csv")
-    manifest.add_files(written)
+        # stage 3: all four architectures
+        summaries = [_train_one_arch(config, balanced, arch, command)
+                     for arch in ARCHITECTURES]
 
-    # stage 3: all four architectures
-    summaries = [_train_one_arch(config, balanced, arch, command)
-                 for arch in ARCHITECTURES]
+        # stage 4: fuse on held-out beats; a dedicated test file wins over
+        # the validation split
+        if config.test_csv is not None:
+            X, y = _select_rows(read_beats_csv(config.test_csv), "test")
+        else:
+            X, y = _select_rows(balanced, "val")
+        entries = [ManifestEntry(model_id=s["arch"],
+                                 checkpoint=s["checkpoint"],
+                                 val_macro_f1=s["val_macro_f1"])
+                   for s in summaries]
+        ensemble_dir = out / "ensemble"
+        with stage(ensemble_dir / "run.manifest.json") as manifest:
+            ensemble_dir.mkdir(parents=True, exist_ok=True)
+            models_path = write_manifest(ensemble_dir / "models.json",
+                                         entries)
+            manifest.add_files([models_path])
+            logits_by_model = _ensemble_run(
+                entries, models_path, X, y, config.strategy, ensemble_dir,
+                ensemble_dir / "report", manifest,
+                derive_seed(master, "ensemble"))
 
-    # stage 4: fuse on held-out beats; a dedicated test file wins over
-    # the validation split
-    if config.test_csv is not None:
-        X, y = _select_rows(read_beats_csv(config.test_csv), "test")
-    else:
-        X, y = _select_rows(balanced, "val")
-    entries = [ManifestEntry(model_id=s["arch"], checkpoint=s["checkpoint"],
-                             val_macro_f1=s["val_macro_f1"])
-               for s in summaries]
-    ensemble_dir = out / "ensemble"
-    ensemble_dir.mkdir(parents=True, exist_ok=True)
-    models_path = write_manifest(ensemble_dir / "models.json", entries)
-    manifest.add_files([models_path])
-
-    ensemble_manifest = _manifest(command, config)
-    logits_by_model = _ensemble_run(
-        entries, models_path, X, y, config.strategy, ensemble_dir,
-        ensemble_dir / "report", ensemble_manifest,
-        derive_seed(master, "ensemble"))
-    ensemble_manifest.write(ensemble_dir / "run.manifest.json")
-
-    # stage 5: per-model reports on the same split, from the stage 4 logits
-    for entry in entries:
-        stage = out / "evaluate" / entry.model_id
-        evaluate_manifest = _manifest(command, config)
-        _report_run(stage, evaluate_manifest, y=y,
-                    logits=logits_by_model[entry.model_id],
-                    seed=derive_seed(master, f"evaluate/{entry.model_id}"))
-        evaluate_manifest.write(stage / "run.manifest.json")
-    manifest.write(out / "reproduce.manifest.json")
+        # stage 5: per-model reports on the same split from the stage 4 logits
+        for entry in entries:
+            report_dir = out / "evaluate" / entry.model_id
+            with stage(report_dir / "run.manifest.json") as manifest:
+                _report_run(report_dir, manifest, y=y,
+                            logits=logits_by_model[entry.model_id],
+                            seed=derive_seed(master,
+                                             f"evaluate/{entry.model_id}"))
 
 
 def _build_parser():

@@ -24,8 +24,9 @@ def _write_text(path, text):
 
 
 def _matrix_csv(rows, cell):
-    lines = ["," + ",".join(CLASS_NAMES)]
-    for name, row in zip(CLASS_NAMES, rows):
+    names = CLASS_NAMES[:len(rows)]
+    lines = ["," + ",".join(names)]
+    for name, row in zip(names, rows):
         lines.append(name + "," + ",".join(cell(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -1,7 +1,9 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from ecgkit.beats import read_beats_csv, write_beats_csv
 from ecgkit.checkpoint import load_checkpoint, save_checkpoint
 from ecgkit.cli import run
 from ecgkit.config import RunManifest, derive_seed
+from ecgkit.gradcam import grad_cam
 from ecgkit.models import ARCHITECTURES, ModelDescriptor, build
 from ecgkit.wfdb_io import MNEMONIC_TO_CODE, AnnotationEvent, write_record
 
@@ -594,6 +597,30 @@ class TestEnsemble:
         err = capsys.readouterr().err
         assert "ShapeError" in err and "2 classes" in err
 
+    def test_checkpoints_relative_to_manifest(self, ensemble_inputs,
+                                              tmp_path, monkeypatch):
+        payload = json.loads(ensemble_inputs["manifest"].read_text())
+        moved = tmp_path / "models"
+        moved.mkdir()
+        for entry in payload["models"]:
+            name = f"{entry['id']}.ckpt"
+            shutil.copyfile(entry["checkpoint"], moved / name)
+            entry["checkpoint"] = name
+        relative = moved / "models.json"
+        relative.write_text(json.dumps(payload))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        reports = {}
+        for label, manifest in (("absolute", ensemble_inputs["manifest"]),
+                                ("relative", relative)):
+            out = tmp_path / label
+            assert run(["ensemble", "--manifest", str(manifest),
+                        "--test", str(ensemble_inputs["test"]),
+                        "--resamples", "150", "--out", str(out)]) == 0
+            reports[label] = (out / "metrics.json").read_bytes()
+        assert reports["relative"] == reports["absolute"]
+
     def test_unknown_strategy_is_usage_error(self, ensemble_inputs,
                                              tmp_path, capsys):
         assert run(["ensemble", "--manifest",
@@ -619,6 +646,35 @@ class TestGradcamCommand:
             assert len(lines) - 1 == BEAT_LEN
             values = [float(line.split(",")[1]) for line in lines[1:]]
             assert min(values) >= 0.0 and max(values) <= 1.0
+
+    @pytest.mark.parametrize("target", [0, 3])
+    def test_target_class_sets_explained_class(self, workspace,
+                                               ensemble_inputs, tmp_path,
+                                               target):
+        checkpoint = workspace["out"] / "train" / "cnn" / "model.ckpt"
+        out = tmp_path / "maps"
+        assert run(["gradcam", "--checkpoint", str(checkpoint),
+                    "--in", str(ensemble_inputs["test"]),
+                    "--samples", "1,4", "--target-class", str(target),
+                    "--out", str(out)]) == 0
+        model = load_checkpoint(checkpoint)
+        X, _ = read_beats_csv(ensemble_inputs["test"]).matrix()
+        for index in (1, 4):
+            rows = np.loadtxt(out / f"gradcam_{index}.csv", delimiter=",",
+                              skiprows=1)
+            expected = grad_cam(model, X[index], target)
+            np.testing.assert_array_equal(rows[:, 1], expected.values)
+
+    def test_target_class_out_of_range_is_usage_error(
+            self, workspace, ensemble_inputs, tmp_path, capsys):
+        out = tmp_path / "maps"
+        assert run(["gradcam", "--checkpoint",
+                    str(workspace["out"] / "train" / "cnn" / "model.ckpt"),
+                    "--in", str(ensemble_inputs["test"]),
+                    "--target-class", "5", "--out", str(out)]) == 4
+        assert "UsageError: target class 5 outside 0..4" in \
+            capsys.readouterr().err
+        assert not (out / "run.manifest.json").exists()
 
     def test_bad_sample_list_is_config_error(self, workspace,
                                              ensemble_inputs, tmp_path,
@@ -754,6 +810,48 @@ class TestReproduce:
         report = json.loads((out / "ensemble" / "report" /
                              "metrics.json").read_text())
         assert 0.0 <= report["accuracy"] <= 1.0
+
+
+class TestStageManifests:
+    def test_stamped_before_work_one_per_stage(self, tmp_path,
+                                               monkeypatch):
+        entered = []
+        real_train = cli.train
+
+        def stamped_train(*args, **kwargs):
+            entered.append(datetime.fromisoformat(RunManifest.now()))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", stamped_train)
+        records = make_records_dir(tmp_path / "records")
+        out = tmp_path / "out"
+        config = reproduce_config(tmp_path, records, out)
+        assert run(["reproduce", "--config", str(config)]) == 0
+
+        manifests = {p.relative_to(out).as_posix(): RunManifest.load(p)
+                     for p in out.rglob("*.manifest.json")}
+        expected = {"reproduce.manifest.json", "ingest/beats.manifest.json",
+                    "augment/beats_aug.manifest.json",
+                    "ensemble/run.manifest.json"}
+        expected |= {f"{stage}/{arch}/run.manifest.json"
+                     for stage in ("train", "evaluate")
+                     for arch in ARCHITECTURES}
+        assert set(manifests) == expected
+
+        def span(manifest):
+            return (datetime.fromisoformat(manifest.started_at),
+                    datetime.fromisoformat(manifest.finished_at))
+
+        assert len(entered) == len(ARCHITECTURES)
+        for arch, entered_at in zip(ARCHITECTURES, entered):
+            started, _ = span(manifests[f"train/{arch}/run.manifest.json"])
+            assert started <= entered_at, arch
+        whole = manifests.pop("reproduce.manifest.json")
+        assert whole.files == []
+        run_start, run_end = span(whole)
+        for name, manifest in manifests.items():
+            started, finished = span(manifest)
+            assert run_start <= started <= finished <= run_end, name
 
 
 class TestReproduceEnsembleStage:

@@ -140,6 +140,17 @@ class TestRenderReport:
         assert {p.name for p in written} == \
             {"metrics.json", "confusion.csv", "confusion_normalized.csv"}
 
+    def test_smaller_matrix_names_only_its_classes(self, tmp_path):
+        metrics = evaluate_predictions([0, 1, 1, 0], [0, 1, 0, 0],
+                                       n_classes=2)
+        render_report(tmp_path, metrics=metrics)
+        for name in ("confusion.csv", "confusion_normalized.csv"):
+            rows = [line.split(",") for line in
+                    (tmp_path / name).read_text().splitlines()]
+            assert rows[0] == ["", "N", "A"]
+            assert [row[0] for row in rows[1:]] == ["N", "A"]
+            assert all(len(row) == 3 for row in rows)
+
     def test_unwritable_path_raises_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
