@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -251,26 +252,19 @@ def cmd_evaluate(args, command):
                     n_resamples=args.resamples, gradcam_count=args.gradcam)
 
 
-def _resolve_checkpoint(entry, manifest_path):
-    path = Path(entry.checkpoint)
-    if not path.is_absolute() and not path.exists():
-        relative = Path(manifest_path).parent / path
-        if relative.exists():
-            return relative
-    return path
-
-
 def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
                   manifest, seed, n_resamples=DEFAULT_RESAMPLES):
     """Load each member once, dump its logits to out, fuse them with
     strategy and report the fused scores in report_dir.
 
-    Returns the members' logits by model id.
+    A relative checkpoint path is read from the manifest's directory, never
+    the working directory.  Returns the members' logits by model id.
     """
     out.mkdir(parents=True, exist_ok=True)
     logits_by_model = {}
     for entry in entries:
-        model = _load_scorer(_resolve_checkpoint(entry, manifest_path))
+        model = _load_scorer(os.path.normpath(
+            Path(manifest_path).parent / entry.checkpoint))
         logits_by_model[entry.model_id] = model.logits_array(X)
         path = write_logits_csv(out / f"logits_{entry.model_id}.csv",
                                 logits_by_model[entry.model_id])
@@ -361,11 +355,12 @@ def cmd_reproduce(args, command):
             X, y = _select_rows(read_beats_csv(config.test_csv), "test")
         else:
             X, y = _select_rows(balanced, "val")
+        ensemble_dir = out / "ensemble"
         entries = [ManifestEntry(model_id=s["arch"],
-                                 checkpoint=s["checkpoint"],
+                                 checkpoint=os.path.relpath(s["checkpoint"],
+                                                            ensemble_dir),
                                  val_macro_f1=s["val_macro_f1"])
                    for s in summaries]
-        ensemble_dir = out / "ensemble"
         with stage(ensemble_dir / "run.manifest.json") as manifest:
             ensemble_dir.mkdir(parents=True, exist_ok=True)
             models_path = write_manifest(ensemble_dir / "models.json",

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as tk
 from .beats import CLASS_NAMES, BeatDataset, BeatRecord
 from .errors import AugmentError, ConfigError
-from .models import _init_params, _lstm_layer_params, _lstm_layer_shapes
+from .models import Params
 from .tensor import Tensor
 from .training import AdamW
 
@@ -71,21 +71,19 @@ class _RecurrentNet:
 
     def __init__(self, config, rng, in_dim, out_dim):
         self.config = config
-        shapes = _lstm_layer_shapes("lstm", in_dim, config.hidden)
-        shapes["fc.w"] = (config.dense_width, 2 * config.hidden)
-        shapes["fc.b"] = (config.dense_width,)
-        shapes["out.w"] = (out_dim, config.dense_width)
-        shapes["out.b"] = (out_dim,)
-        self.params = _init_params(shapes, rng, config.hidden)
+        self.out_dim = out_dim
+        self.params = Params()
+        self.params.declare(rng, lambda x: self._encode(x, False, None),
+                            (1, 1, in_dim))
 
     def _encode(self, sequence, training, rng):
-        layer = _lstm_layer_params(self.params, "lstm")
-        h = tk.bilstm(sequence, [layer])
-        summary = h.mean(axis=1)
+        layer = self.params.lstm_layer("lstm", sequence.data.shape[2],
+                                       self.config.hidden)
+        summary = tk.bilstm(sequence, [layer]).mean(axis=1)
         hidden = tk.leaky_relu(
-            tk.dense(summary, self.params["fc.w"], self.params["fc.b"]))
+            self.params.dense(summary, "fc", self.config.dense_width))
         hidden = tk.dropout(hidden, self.config.dropout, training, rng)
-        return tk.dense(hidden, self.params["out.w"], self.params["out.b"])
+        return self.params.dense(hidden, "out", self.out_dim)
 
 
 class GeneratorNet(_RecurrentNet):

@@ -1,7 +1,9 @@
 """The four beat-classifier architectures, assembled from kernel primitives.
 
 A ModelDescriptor fully determines parameter names and shapes, so checkpoints
-can validate and rebuild models from it.  All architectures consume a batch
+can validate and rebuild models from it.  Each architecture is defined once,
+by its forward pass: the pass declares every parameter where it reads it,
+and `build` runs it once to draw them.  All architectures consume a batch
 shaped [b, 1, input_len] and emit logits [b, n_classes].  Inside, the input
 becomes [b, input_len, 1] and every layer runs channels-last on
 [b, time, channels], the layout of the tensor ops.
@@ -32,6 +34,20 @@ _DEFAULT_PLANS = {
     "resnet1d": (32, 64, 128),
 }
 
+# smallest accepted value of each integer descriptor field
+_INT_FLOORS = {
+    "input_len": MIN_INPUT_LEN,
+    "n_classes": 2,
+    "lstm_hidden": 1,
+    "lstm_layers": 1,
+    "attention_dim": 1,
+    "blocks_per_stage": 1,
+}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass
 class ModelDescriptor:
@@ -51,17 +67,20 @@ class ModelDescriptor:
                               f"known: {list(ARCHITECTURES)}")
         if self.channel_plan is None:
             self.channel_plan = _DEFAULT_PLANS[self.arch]
-        self.channel_plan = tuple(int(c) for c in self.channel_plan)
-        if not self.channel_plan or any(c < 1 for c in self.channel_plan):
-            raise ConfigError(f"bad channel plan {self.channel_plan}")
-        if self.input_len < MIN_INPUT_LEN:
-            raise ConfigError(f"input length {self.input_len} too short, "
-                              f"need >= {MIN_INPUT_LEN}")
-        if self.n_classes < 2:
-            raise ConfigError("need at least 2 output classes")
-        if self.arch in ("cnn_lstm", "cnn_lstm_attn"):
-            if self.lstm_hidden < 1 or self.lstm_layers < 1:
-                raise ConfigError("recurrent sizes must be positive")
+        plan = self.channel_plan
+        if not isinstance(plan, (list, tuple)) or not plan or \
+                not all(_is_int(c) and c >= 1 for c in plan):
+            raise ConfigError(f"bad channel plan {plan!r}")
+        self.channel_plan = tuple(plan)
+        for name, floor in _INT_FLOORS.items():
+            value = getattr(self, name)
+            if not _is_int(value) or value < floor:
+                raise ConfigError(f"{name} must be an integer >= {floor}, "
+                                  f"got {value!r}")
+        rate = self.lstm_dropout
+        if not isinstance(rate, (int, float)) or isinstance(rate, bool) or \
+                not 0 <= rate < 1:
+            raise ConfigError(f"lstm_dropout must lie in [0, 1), got {rate!r}")
 
     def to_dict(self):
         d = asdict(self)
@@ -79,109 +98,19 @@ class ModelDescriptor:
         return cls(**d)
 
 
-def _lstm_layer_shapes(prefix, d_in, hidden):
-    """Shapes of one bidirectional LSTM layer's weights under prefix."""
-    shapes = {}
-    for direction in ("fwd", "bwd"):
-        shapes[f"{prefix}.{direction}.w_ih"] = (4 * hidden, d_in)
-        shapes[f"{prefix}.{direction}.w_hh"] = (4 * hidden, hidden)
-        shapes[f"{prefix}.{direction}.b"] = (4 * hidden,)
-    return shapes
-
-
-def _lstm_layer_params(params, prefix):
-    """One bilstm layer entry, {direction: {w_ih, w_hh, b}}, from params."""
-    return {direction: {key: params[f"{prefix}.{direction}.{key}"]
-                        for key in ("w_ih", "w_hh", "b")}
-            for direction in ("fwd", "bwd")}
-
-
-def _walk(descriptor):
-    """Single source of truth for parameter shapes and norm-layer channels."""
-    shapes = {}
-    norms = {}
-
-    def conv(prefix, c_out, c_in, kernel):
-        shapes[f"{prefix}.w"] = (c_out, c_in, kernel)
-        shapes[f"{prefix}.b"] = (c_out,)
-
-    def norm(prefix, channels):
-        shapes[f"{prefix}.gamma"] = (channels,)
-        shapes[f"{prefix}.beta"] = (channels,)
-        norms[prefix] = channels
-
-    def conv_norm_pool(prefix, c_in, c_out):
-        conv(f"{prefix}.conv1", c_out, c_in, 5)
-        norm(f"{prefix}.bn1", c_out)
-        conv(f"{prefix}.conv2", c_out, c_out, 5)
-        norm(f"{prefix}.bn2", c_out)
-        if c_in != c_out:
-            conv(f"{prefix}.skip", c_out, c_in, 1)
-
-    def lstm_stack(first_in):
-        hidden = descriptor.lstm_hidden
-        d_in = first_in
-        for layer in range(descriptor.lstm_layers):
-            shapes.update(_lstm_layer_shapes(f"lstm.l{layer}", d_in, hidden))
-            d_in = 2 * hidden
-
-    plan = descriptor.channel_plan
-    arch = descriptor.arch
-    if arch == "resnet1d":
-        conv("stem.conv", plan[0], 1, 7)
-        norm("stem.bn", plan[0])
-        c_in = plan[0]
-        for stage, c_out in enumerate(plan):
-            for block in range(descriptor.blocks_per_stage):
-                prefix = f"res{stage}.{block}"
-                stride = 2 if stage > 0 and block == 0 else 1
-                conv(f"{prefix}.conv1", c_out, c_in, 3)
-                norm(f"{prefix}.bn1", c_out)
-                conv(f"{prefix}.conv2", c_out, c_out, 3)
-                norm(f"{prefix}.bn2", c_out)
-                if c_in != c_out or stride != 1:
-                    conv(f"{prefix}.down", c_out, c_in, 1)
-                c_in = c_out
-        head_in = plan[-1]
-    else:
-        c_in = 1
-        for i, c_out in enumerate(plan):
-            conv_norm_pool(f"block{i}", c_in, c_out)
-            c_in = c_out
-        if arch in ("cnn_lstm", "cnn_lstm_attn"):
-            lstm_stack(plan[-1])
-            head_in = 2 * descriptor.lstm_hidden
-            if arch == "cnn_lstm_attn":
-                shapes["attn.w_h"] = (descriptor.attention_dim, head_in)
-                shapes["attn.b_h"] = (descriptor.attention_dim,)
-                shapes["attn.v"] = (descriptor.attention_dim,)
-        else:
-            head_in = plan[-1]
-    shapes["head.w"] = (descriptor.n_classes, head_in)
-    shapes["head.b"] = (descriptor.n_classes,)
-    return shapes, norms
-
-
-def param_shapes(descriptor):
-    return _walk(descriptor)[0]
-
-
-def norm_layers(descriptor):
-    return _walk(descriptor)[1]
-
-
-def _init_value(name, shape, rng, lstm_hidden):
+def _init_value(name, shape, rng):
     leaf = name.rsplit(".", 1)[-1]
     if leaf == "gamma":
         return np.ones(shape, dtype=np.float32)
     if leaf == "beta":
         return np.zeros(shape, dtype=np.float32)
     if leaf in ("w_ih", "w_hh"):
-        bound = 1.0 / math.sqrt(lstm_hidden)
+        bound = 1.0 / math.sqrt(shape[0] // 4)
         return rng.uniform(-bound, bound, shape).astype(np.float32)
     if leaf == "b" and name.startswith("lstm."):
+        hidden = shape[0] // 4
         bias = np.zeros(shape, dtype=np.float32)
-        bias[lstm_hidden:2 * lstm_hidden] = 1.0  # forget gate starts open
+        bias[hidden:2 * hidden] = 1.0  # forget gate starts open
         return bias
     if leaf in ("b", "b_h"):
         return np.zeros(shape, dtype=np.float32)
@@ -191,20 +120,52 @@ def _init_value(name, shape, rng, lstm_hidden):
     return rng.uniform(-bound, bound, shape).astype(np.float32)
 
 
-def _init_params(shapes, rng, lstm_hidden):
-    """Trainable tensors for a name -> shape dict, drawn in dict order."""
-    return {name: Tensor(_init_value(name, shape, rng, lstm_hidden),
-                         requires_grad=True, name=name)
-            for name, shape in shapes.items()}
+class Params(dict):
+    """Trainable tensors by name, declared where a forward pass reads them.
+
+    While rng is set, the first read of a name draws its initial value from
+    rng, so tensors are drawn in the order the forward pass reads them.
+    Otherwise a read only looks the name up.
+    """
+
+    rng = None
+
+    def declare(self, rng, forward, shape):
+        """Draw every tensor forward reads: one untaped pass over zeros of
+        shape, after which rng is dropped."""
+        self.rng = rng
+        with tk.no_grad():
+            forward(Tensor(np.zeros(shape, dtype=np.float32)))
+        self.rng = None
+
+    def param(self, name, shape):
+        if self.rng is not None and name not in self:
+            self[name] = Tensor(_init_value(name, shape, self.rng),
+                                requires_grad=True, name=name)
+        return self[name]
+
+    def dense(self, x, prefix, width):
+        """x[batch, d] mapped to width outputs by prefix.w and prefix.b."""
+        return tk.dense(x, self.param(f"{prefix}.w", (width, x.data.shape[1])),
+                        self.param(f"{prefix}.b", (width,)))
+
+    def lstm_layer(self, prefix, d_in, hidden):
+        """One bidirectional LSTM layer as tk.bilstm takes it."""
+        shapes = {"w_ih": (4 * hidden, d_in), "w_hh": (4 * hidden, hidden),
+                  "b": (4 * hidden,)}
+        return {direction: {key: self.param(f"{prefix}.{direction}.{key}",
+                                            shape)
+                            for key, shape in shapes.items()}
+                for direction in ("fwd", "bwd")}
 
 
 class Model:
-    """Parameter holder plus the forward pass for one architecture."""
+    """The forward pass of one architecture and the state it declares."""
 
-    def __init__(self, descriptor, params, stats):
+    def __init__(self, descriptor):
         self.descriptor = descriptor
-        self.params = params
-        self.stats = stats
+        self.params = Params()
+        self.stats = {}
 
     def parameters(self):
         return self.params
@@ -240,94 +201,93 @@ class Model:
                 f"{self.descriptor.input_len}")
         # one channel, so [b, 1, len] -> [b, len, 1] moves no data
         x = tk.reshape(x, (x.data.shape[0], x.data.shape[2], 1))
-        arch = self.descriptor.arch
-        if arch == "cnn":
-            return self._forward_cnn(x, training, capture)
-        if arch == "resnet1d":
-            return self._forward_resnet(x, training, capture)
-        return self._forward_recurrent(x, training, rng, capture)
+        return self._forward(x, training, rng, capture)
+
+    def _forward(self, x, training, rng, capture):
+        """Logits for x[b, len, 1] of any length; the trunk's output is the
+        feature map Grad-CAM reads."""
+        d = self.descriptor
+        if d.arch == "resnet1d":
+            h = self._resnet_trunk(x, training)
+        else:
+            h = x
+            for i, c_out in enumerate(d.channel_plan):
+                h = self._conv_norm_pool(h, f"block{i}", c_out, training)
+        if capture is not None:
+            capture["features"] = h
+        if d.arch in ("cnn", "resnet1d"):
+            return self.params.dense(h.mean(axis=1), "head", d.n_classes)
+        layers = [self.params.lstm_layer(
+            f"lstm.l{layer}", 2 * d.lstm_hidden if layer else h.data.shape[2],
+            d.lstm_hidden) for layer in range(d.lstm_layers)]
+        hidden = tk.bilstm(h, layers, dropout_rate=d.lstm_dropout,
+                           training=training, rng=rng)
+        if d.arch == "cnn_lstm":
+            return self.params.dense(hidden.mean(axis=1), "head", d.n_classes)
+        attn = d.attention_dim
+        context, alpha = tk.attention_pool(
+            hidden,
+            self.params.param("attn.w_h", (attn, hidden.data.shape[2])),
+            self.params.param("attn.b_h", (attn,)),
+            self.params.param("attn.v", (attn,)))
+        if capture is not None:
+            capture["attention"] = alpha
+        return self.params.dense(context, "head", d.n_classes)
+
+    def _conv(self, h, prefix, c_out, kernel, stride=1, padding=0):
+        shape = (c_out, h.data.shape[2], kernel)
+        return tk.conv1d(h, self.params.param(f"{prefix}.w", shape),
+                         self.params.param(f"{prefix}.b", (c_out,)),
+                         stride=stride, padding=padding)
 
     def _bn(self, h, prefix, training, activation=None):
-        return tk.batch_norm1d(h, self.params[f"{prefix}.gamma"],
-                               self.params[f"{prefix}.beta"],
-                               self.stats[prefix], training,
+        channels = h.data.shape[2]
+        gamma = self.params.param(f"{prefix}.gamma", (channels,))
+        beta = self.params.param(f"{prefix}.beta", (channels,))
+        if self.params.rng is not None:  # declaring: the buffers come too
+            self.stats.setdefault(prefix, RunningStats(channels))
+        return tk.batch_norm1d(h, gamma, beta, self.stats[prefix], training,
                                activation=activation)
 
-    def _conv(self, h, prefix, stride=1, padding=0):
-        return tk.conv1d(h, self.params[f"{prefix}.w"],
-                         self.params[f"{prefix}.b"], stride=stride,
-                         padding=padding)
+    def _shortcut(self, source, prefix, c_out, stride):
+        """source, or its 1x1 projection when the block changes the channel
+        count or the stride."""
+        if source.data.shape[2] != c_out or stride != 1:
+            return self._conv(source, prefix, c_out, 1, stride=stride)
+        return source
 
-    def _conv_norm_pool(self, h, prefix, training):
+    def _conv_norm_pool(self, h, prefix, c_out, training):
         source = h
-        h = self._bn(self._conv(h, f"{prefix}.conv1", padding=2),
+        h = self._bn(self._conv(h, f"{prefix}.conv1", c_out, 5, padding=2),
                      f"{prefix}.bn1", training, "swish")
-        h = self._bn(self._conv(h, f"{prefix}.conv2", padding=2),
+        h = self._bn(self._conv(h, f"{prefix}.conv2", c_out, 5, padding=2),
                      f"{prefix}.bn2", training, "swish")
-        if f"{prefix}.skip.w" in self.params:
-            source = self._conv(source, f"{prefix}.skip")
-        h = tk.add(h, source)
+        h = tk.add(h, self._shortcut(source, f"{prefix}.skip", c_out, 1))
         return tk.max_pool1d(h, 2, 2)
 
-    def _trunk(self, x, training):
-        h = x
-        for i in range(len(self.descriptor.channel_plan)):
-            h = self._conv_norm_pool(h, f"block{i}", training)
-        return h
-
-    def _head(self, h):
-        return tk.dense(h, self.params["head.w"], self.params["head.b"])
-
-    def _forward_cnn(self, x, training, capture):
-        h = self._trunk(x, training)
-        if capture is not None:
-            capture["features"] = h
-        return self._head(h.mean(axis=1))
-
-    def _lstm_params(self):
-        return [_lstm_layer_params(self.params, f"lstm.l{layer}")
-                for layer in range(self.descriptor.lstm_layers)]
-
-    def _forward_recurrent(self, x, training, rng, capture):
-        h = self._trunk(x, training)
-        if capture is not None:
-            capture["features"] = h
-        hidden = tk.bilstm(h, self._lstm_params(),
-                           dropout_rate=self.descriptor.lstm_dropout,
-                           training=training, rng=rng)
-        if self.descriptor.arch == "cnn_lstm_attn":
-            context, alpha = tk.attention_pool(
-                hidden, self.params["attn.w_h"], self.params["attn.b_h"],
-                self.params["attn.v"])
-            if capture is not None:
-                capture["attention"] = alpha
-            return self._head(context)
-        return self._head(hidden.mean(axis=1))
-
-    def _residual_block(self, h, prefix, stride, training):
+    def _residual_block(self, h, prefix, c_out, stride, training):
         source = h
-        h = self._bn(self._conv(h, f"{prefix}.conv1", stride=stride,
+        h = self._bn(self._conv(h, f"{prefix}.conv1", c_out, 3, stride=stride,
                                 padding=1),
                      f"{prefix}.bn1", training, "relu")
-        h = self._bn(self._conv(h, f"{prefix}.conv2", padding=1),
+        h = self._bn(self._conv(h, f"{prefix}.conv2", c_out, 3, padding=1),
                      f"{prefix}.bn2", training)
-        if f"{prefix}.down.w" in self.params:
-            source = self._conv(source, f"{prefix}.down", stride=stride)
         # no activation after the sum: F(x) = 0 must give exactly x
-        return tk.add(h, source)
+        return tk.add(h, self._shortcut(source, f"{prefix}.down", c_out,
+                                        stride))
 
-    def _forward_resnet(self, x, training, capture):
-        h = self._bn(self._conv(x, "stem.conv", stride=2, padding=3),
+    def _resnet_trunk(self, x, training):
+        plan = self.descriptor.channel_plan
+        h = self._bn(self._conv(x, "stem.conv", plan[0], 7, stride=2,
+                                padding=3),
                      "stem.bn", training, "relu")
         h = tk.max_pool1d(h, 2, 2)
-        for stage in range(len(self.descriptor.channel_plan)):
+        for stage, c_out in enumerate(plan):
             for block in range(self.descriptor.blocks_per_stage):
                 stride = 2 if stage > 0 and block == 0 else 1
-                h = self._residual_block(h, f"res{stage}.{block}", stride,
-                                         training)
-        if capture is not None:
-            capture["features"] = h
-        return self._head(h.mean(axis=1))
+                h = self._residual_block(h, f"res{stage}.{block}", c_out,
+                                         stride, training)
+        return h
 
     def logits_array(self, X):
         """Eval-mode logits for a [n, len] float array, without taping."""
@@ -342,10 +302,14 @@ class Model:
 
 
 def build(descriptor, seed):
-    """Initialize a model; same descriptor and seed give identical bits."""
-    rng = np.random.default_rng(seed)
-    params = _init_params(param_shapes(descriptor), rng,
-                         descriptor.lstm_hidden)
-    stats = {prefix: RunningStats(channels)
-             for prefix, channels in norm_layers(descriptor).items()}
-    return Model(descriptor, params, stats)
+    """Initialize a model; same descriptor and seed give identical bits.
+
+    One eval pass over a MIN_INPUT_LEN beat declares every parameter; no
+    shape depends on the beat length.
+    """
+    model = Model(descriptor)
+    model.params.declare(
+        np.random.default_rng(seed),
+        lambda x: model._forward(x, False, None, None),
+        (1, MIN_INPUT_LEN, 1))
+    return model

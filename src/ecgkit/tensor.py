@@ -112,14 +112,6 @@ class Tensor:
         self.name = name
         self._node = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
@@ -764,7 +756,7 @@ def _all_ones(mask, dtype):
     return ones
 
 
-def max_pool1d(x, kernel, stride=None):
+def max_pool1d(x, kernel, stride):
     """Windowed maximum over time for x[batch, len, ch].
 
     The kernel strided time slices are compared in order, so a window's
@@ -774,8 +766,6 @@ def max_pool1d(x, kernel, stride=None):
     if x.data.ndim != 3:
         raise ShapeError(f"max_pool1d expects [batch, len, ch], "
                          f"got {x.data.shape}")
-    if stride is None:
-        stride = kernel
     length = x.data.shape[1]
     if not 1 <= kernel <= length:
         raise ShapeError(f"pool kernel {kernel} exceeds length {length}")

@@ -1,5 +1,6 @@
 """Settings census: every parameter with a default under src/ecgkit must be
-passed by some caller in src/ or bench/.
+passed by some caller in src/ or bench/, and no module there imports another
+module's underscore names.
 
 A default that no caller overrides is a setting with one value in use and
 belongs in a module constant.  Calls are resolved by the function or class
@@ -141,3 +142,28 @@ def test_every_default_is_passed_by_some_caller():
 def test_allow_list_has_no_stale_entries():
     stale = sorted(set(ALLOWED) - set(unpassed_defaults()))
     assert not stale, f"allow-listed defaults a caller now passes: {stale}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_imports():
+    """Sorted (module, imported name) for every underscore name a package
+    module imports from another."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found.update((path.stem, alias.name) for alias in node.names
+                             if _is_private(alias.name))
+    return sorted(found)
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = private_imports()
+    assert not found, (
+        "a module's underscore names are its own; make the name public or "
+        "move the code: " + ", ".join(f"{m} imports {n}" for m, n in found))

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from datetime import datetime
@@ -12,7 +13,7 @@ import pytest
 from ecgkit import __version__, cli
 from ecgkit import tensor as tk
 from ecgkit.beats import read_beats_csv, write_beats_csv
-from ecgkit.checkpoint import load_checkpoint, save_checkpoint
+from ecgkit.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ecgkit.cli import run
 from ecgkit.config import RunManifest, derive_seed
 from ecgkit.gradcam import grad_cam
@@ -461,6 +462,30 @@ class TestEvaluate:
         assert "ShapeError" in err and str(checkpoint) in err
         assert f"{n_classes} classes" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("attention_dim", 0), ("attention_dim", -1),
+        ("blocks_per_stage", -1), ("lstm_dropout", 3.0),
+        ("input_len", 8.5),
+    ])
+    def test_bad_descriptor_field_is_format_error(self, workspace, tmp_path,
+                                                  capsys, field, value):
+        raw = (workspace["out"] / "train" / "cnn_lstm_attn"
+               / "model.ckpt").read_bytes()
+        start = len(MAGIC) + 4
+        (length,) = struct.unpack("<I", raw[len(MAGIC):start])
+        descriptor = json.loads(raw[start:start + length])
+        descriptor[field] = value
+        block = json.dumps(descriptor).encode()
+        checkpoint = tmp_path / "edited.ckpt"
+        checkpoint.write_bytes(raw[:len(MAGIC)] + struct.pack("<I", len(block))
+                               + block + raw[start + length:])
+        code = run(["evaluate", "--checkpoint", str(checkpoint),
+                    "--test", str(workspace["beats"]), "--split", "val",
+                    "--out", str(tmp_path / "r")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "FormatError" in err and field in err
+
     def test_manifest_lists_every_report_file(self, workspace, tmp_path):
         out = tmp_path / "report"
         run(["evaluate",
@@ -620,6 +645,31 @@ class TestEnsemble:
                         "--resamples", "150", "--out", str(out)]) == 0
             reports[label] = (out / "metrics.json").read_bytes()
         assert reports["relative"] == reports["absolute"]
+
+    def test_working_directory_decoy_is_not_picked(self, ensemble_inputs,
+                                                   tmp_path, monkeypatch):
+        payload = json.loads(ensemble_inputs["manifest"].read_text())
+        moved = tmp_path / "models"
+        moved.mkdir()
+        for entry in payload["models"]:
+            name = f"{entry['id']}.ckpt"
+            shutil.copyfile(entry["checkpoint"], moved / name)
+            entry["checkpoint"] = name
+        (moved / "models.json").write_text(json.dumps(payload))
+        decoys = tmp_path / "decoys"
+        decoys.mkdir()
+        save_checkpoint(decoys / "cnn.ckpt",
+                        build(ModelDescriptor("cnn", input_len=BEAT_LEN), 99))
+        monkeypatch.chdir(decoys)
+        logits = {}
+        for label, manifest in (("absolute", ensemble_inputs["manifest"]),
+                                ("relative", moved / "models.json")):
+            out = tmp_path / label
+            assert run(["ensemble", "--manifest", str(manifest),
+                        "--test", str(ensemble_inputs["test"]),
+                        "--resamples", "150", "--out", str(out)]) == 0
+            logits[label] = (out / "logits_cnn.csv").read_bytes()
+        assert logits["relative"] == logits["absolute"]
 
     def test_unknown_strategy_is_usage_error(self, ensemble_inputs,
                                              tmp_path, capsys):
@@ -860,6 +910,14 @@ class TestReproduceEnsembleStage:
         out = reproduced_with_test_csv["out"]
         assert sorted(loads) == sorted(out / "train" / arch / "model.ckpt"
                                        for arch in ARCHITECTURES)
+
+    def test_models_json_paths_are_relative_to_it(self,
+                                                  reproduced_with_test_csv):
+        out = reproduced_with_test_csv["out"]
+        payload = json.loads((out / "ensemble" / "models.json").read_text())
+        assert [m["checkpoint"] for m in payload["models"]] == [
+            os.path.join("..", "train", arch, "model.ckpt")
+            for arch in ARCHITECTURES]
 
     def test_ensemble_command_matches_reproduce(self,
                                                 reproduced_with_test_csv,

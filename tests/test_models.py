@@ -1,16 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ecgkit import tensor as tk
 from ecgkit.errors import ConfigError, ShapeError
-from ecgkit.models import (
-    ARCHITECTURES,
-    Model,
-    ModelDescriptor,
-    build,
-    norm_layers,
-    param_shapes,
-)
+from ecgkit.models import ARCHITECTURES, ModelDescriptor, build
 from ecgkit.tensor import Tensor
 
 
@@ -30,11 +25,10 @@ class TestDescriptor:
         with pytest.raises(ConfigError):
             ModelDescriptor("transformer")
 
-    def test_bad_plan_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelDescriptor("cnn", channel_plan=())
-        with pytest.raises(ConfigError):
-            ModelDescriptor("cnn", channel_plan=(32, 0))
+    @pytest.mark.parametrize("plan", [(), (32, 0), (8.0,), "88", 8])
+    def test_bad_plan_rejected(self, plan):
+        with pytest.raises(ConfigError, match="channel plan"):
+            ModelDescriptor("cnn", channel_plan=plan)
 
     def test_round_trip(self):
         d = ModelDescriptor("cnn_lstm_attn", input_len=93, lstm_hidden=32)
@@ -46,6 +40,23 @@ class TestDescriptor:
             ModelDescriptor.from_dict({"arch": "cnn", "width": 7})
         with pytest.raises(ConfigError):
             ModelDescriptor.from_dict({"input_len": 187})
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_len", 8.5), ("input_len", True), ("input_len", 7),
+        ("n_classes", 1), ("lstm_hidden", 0), ("lstm_layers", 0),
+        ("attention_dim", 0), ("attention_dim", -1),
+        ("blocks_per_stage", -1), ("blocks_per_stage", 1.0),
+        ("lstm_dropout", 3.0), ("lstm_dropout", -0.1), ("lstm_dropout", 1),
+        ("lstm_dropout", "0.2"),
+    ])
+    def test_every_field_is_checked(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelDescriptor("cnn_lstm_attn", **{field: value})
+
+
+def param_shapes(descriptor):
+    return {name: p.data.shape
+            for name, p in build(descriptor, 0).params.items()}
 
 
 class TestBuild:
@@ -98,15 +109,58 @@ class TestBuild:
         assert np.abs(w).max() <= bound
 
     def test_buffer_shapes_cover_all_norm_layers(self):
-        d = ModelDescriptor("resnet1d")
-        state = build(d, 0).state_arrays()
+        m = build(ModelDescriptor("resnet1d"), 0)
+        state = m.state_arrays()
         buffers = {name for name in state if name.endswith((".mean", ".var"))}
-        layers = norm_layers(d)
+        layers = {name[:-len(".gamma")]: p.data.shape[0]
+                  for name, p in m.params.items() if name.endswith(".gamma")}
+        assert set(m.stats) == set(layers)
         assert buffers == {f"{prefix}.{stat}" for prefix in layers
                            for stat in ("mean", "var")}
         for prefix, channels in layers.items():
             assert state[f"{prefix}.mean"].shape == (channels,)
             assert state[f"{prefix}.var"].shape == (channels,)
+
+    def test_plan_too_deep_for_the_shortest_beat_is_refused(self):
+        # four pooled blocks take an 8-sample beat below one step
+        with pytest.raises(ShapeError):
+            build(ModelDescriptor("cnn", channel_plan=(4, 4, 4, 4)), 0)
+
+
+def state_digest(model):
+    """sha256 over every state array, in state_arrays order."""
+    digest = hashlib.sha256()
+    for name, array in model.state_arrays().items():
+        digest.update(name.encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestInitBytes:
+    # exact bytes (NumPy 2.4.6): initial state at seed 5; parameters are
+    # drawn in the order the forward pass reads them
+    PINNED = {
+        "cnn":
+            "adb48aaa5dfbadae4f8d958b565fd9b58a41f7d4910c1262ca8dbbab7e01609d",
+        "cnn_lstm":
+            "9dc6760f53e72bf71b6289f821ba8e32273f3818c7453973f173400b007f02d5",
+        "cnn_lstm_attn":
+            "45f2bd7ca12283df9dee3caaeef169cba15ee045dec3f9bdd9d28ef64620fac7",
+        "resnet1d":
+            "ce57705232375755aa1175a88f3b6169b9b6f50307ef05725975397cf3b3200f",
+    }
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_shipped_size_is_pinned(self, arch):
+        assert state_digest(build(ModelDescriptor(arch), 5)) == \
+            self.PINNED[arch]
+
+    def test_small_two_layer_attention_model_is_pinned(self):
+        d = ModelDescriptor("cnn_lstm_attn", input_len=64,
+                            channel_plan=(8, 16), lstm_hidden=6,
+                            lstm_layers=2, attention_dim=5)
+        assert state_digest(build(d, 5)) == \
+            "da3fa171595be0ec66ce34ce5a828f1d0c2ee263a769c026c17aca3f79bb0375"
 
 
 SMALL = {
@@ -234,7 +288,7 @@ class TestArchitectureInvariants:
             m.params[f"res0.0.{leaf}"].data[...] = 0.0
         x = Tensor(np.random.default_rng(3).normal(
             size=(2, 8, 20)).transpose(0, 2, 1).astype(np.float32))
-        out = m._residual_block(x, "res0.0", stride=1, training=False)
+        out = m._residual_block(x, "res0.0", 8, stride=1, training=False)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_conv_block_halves_even_lengths(self):
