@@ -83,7 +83,7 @@ def load_checkpoint(path):
     """Rebuild the saved model; forward outputs match the original bitwise."""
     with _open(path, "rb") as handle:
         descriptor = _read_descriptor(handle)
-        model = build(descriptor, seed=0)
+        model = build(descriptor, seed=None)  # every value is read below
         expected = model.state_arrays()
 
         (n_records,) = _read_struct(handle, "<I", "record count")

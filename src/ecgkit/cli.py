@@ -5,16 +5,22 @@ Every subcommand, and every stage of reproduce, writes its artifacts plus a
 run manifest recording the exact command, a configuration fingerprint, when
 the stage started and finished, and the produced files. One master seed
 fans out to per-stage seeds so stages never share randomness and reruns
-are bit-for-bit repeatable.
+are bit-for-bit repeatable.  Jobs that share nothing, the per-class GANs
+and the per-architecture trainings, run in forked worker processes when
+the BLAS threads leave cores idle.
 """
 
 import argparse
+import concurrent.futures
 import contextlib
 import dataclasses
 import functools
 import json
+import multiprocessing
 import os
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +73,82 @@ def _stage(command, params, path):
                            version=__version__, started_at=RunManifest.now())
     yield manifest
     manifest.write(path)
+
+
+def _blas_threads(cores):
+    """Threads the BLAS of each process runs: OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, else one per core, as OpenBLAS itself reads them."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cores
+
+
+def _worker_count(jobs):
+    """Worker processes for `jobs` independent jobs: the cores over the
+    BLAS threads each process runs, so the workers never oversubscribe the
+    cores, and at most one per job.  The BLAS default of one thread per
+    core gives one."""
+    if not hasattr(os, "sched_getaffinity") or \
+            "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    return max(1, min(jobs, cores // _blas_threads(cores)))
+
+
+_PARENT_POLL_S = 0.2
+
+# the job a forked worker runs, set by its initializer
+_worker_job = None
+
+
+def _start_worker(job):
+    """Keep job for the tasks to come, and exit once the parent is gone: a
+    worker outliving its parent would wait on its task queue forever."""
+    global _worker_job
+    _worker_job = job
+    parent = os.getppid()
+
+    def watch_parent():
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch_parent, daemon=True).start()
+
+
+def _run_job(item):
+    return _worker_job(item)
+
+
+def _map_jobs(job, items):
+    """[job(item) for item in items], the results in item order.
+
+    With spare cores (see _worker_count) the jobs run in forked worker
+    processes, which inherit job and everything it reads, so only the
+    items and the results are pickled; a spawned worker would be sent the
+    whole beat set, hundreds of MB at MIT-BIH scale.  Each worker keeps
+    the BLAS thread count it inherits, so its bytes are those of the
+    in-process loop.  The first failure in item order is raised here, once
+    the jobs not yet started are cancelled and the running ones have ended.
+    """
+    items = list(items)
+    workers = _worker_count(len(items))
+    if workers == 1:
+        return [job(item) for item in items]
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(job,)) as pool:
+        futures = [pool.submit(_run_job, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _sibling(out_file, suffix):
@@ -153,14 +235,16 @@ def _augment(dataset, gan_config, seed, out):
     pair per class, each on its own seed. Writes out and the class counts
     before and after beside it; returns (balanced, written paths).
     """
-    generators = {}
-    for label in balance_deficits(dataset, gan_config):
+    def adversarial_pair(label):
         records = [b for b in dataset.beats
                    if b.split_tag == "train" and b.label == label]
         stage_seed = derive_seed(seed, f"augment/{CLASS_NAMES[label]}")
         generator, discriminator, _ = gan_train(records, gan_config,
                                                 seed=stage_seed)
-        generators[label] = (generator, discriminator)
+        return generator, discriminator
+
+    labels = list(balance_deficits(dataset, gan_config))
+    generators = dict(zip(labels, _map_jobs(adversarial_pair, labels)))
     balanced = _normalized_sources(
         balance_dataset(dataset, generators, gan_config, seed))
     out = Path(out)
@@ -184,7 +268,7 @@ def cmd_augment(args, command):
         manifest.add_files(written)
 
 
-def _train_one_arch(config, dataset, arch, command):
+def _train_one_arch(config, dataset, command, arch):
     stage = Path(config.out_dir) / "train" / arch
     with _stage(command, config, stage / "run.manifest.json") as manifest:
         descriptor = ModelDescriptor(arch=arch,
@@ -221,8 +305,8 @@ def cmd_train(args, command):
                           "beats_csv in the config")
     dataset = read_beats_csv(config.beats_csv)
     archs = ARCHITECTURES if args.arch == "all" else [args.arch]
-    for arch in archs:
-        _train_one_arch(config, dataset, arch, command)
+    _map_jobs(functools.partial(_train_one_arch, config, dataset, command),
+              archs)
 
 
 def _report_run(out_dir, manifest, y, logits, seed, model=None, X=None,
@@ -345,9 +429,10 @@ def cmd_reproduce(args, command):
                                          out / "augment" / "beats_aug.csv")
             manifest.add_files(written)
 
-        # stage 3: all four architectures
-        summaries = [_train_one_arch(config, balanced, arch, command)
-                     for arch in ARCHITECTURES]
+        # stage 3: all four architectures, each on its own seed
+        summaries = _map_jobs(
+            functools.partial(_train_one_arch, config, balanced, command),
+            ARCHITECTURES)
 
         # stage 4: fuse on held-out beats; a dedicated test file wins over
         # the validation split

@@ -123,25 +123,30 @@ def _init_value(name, shape, rng):
 class Params(dict):
     """Trainable tensors by name, declared where a forward pass reads them.
 
-    While rng is set, the first read of a name draws its initial value from
-    rng, so tensors are drawn in the order the forward pass reads them.
-    Otherwise a read only looks the name up.
+    While declaring, the first read of a name draws its initial value from
+    rng, so tensors are drawn in the order the forward pass reads them; with
+    rng None it is filled with zeros instead.  Otherwise a read only looks
+    the name up.
     """
 
+    declaring = False
     rng = None
 
     def declare(self, rng, forward, shape):
-        """Draw every tensor forward reads: one untaped pass over zeros of
-        shape, after which rng is dropped."""
-        self.rng = rng
+        """Declare every tensor forward reads: one untaped pass over zeros
+        of shape, after which rng is dropped."""
+        self.declaring, self.rng = True, rng
         with tk.no_grad():
             forward(Tensor(np.zeros(shape, dtype=np.float32)))
-        self.rng = None
+        self.declaring, self.rng = False, None
 
     def param(self, name, shape):
-        if self.rng is not None and name not in self:
-            self[name] = Tensor(_init_value(name, shape, self.rng),
-                                requires_grad=True, name=name)
+        if self.declaring and name not in self:
+            if self.rng is None:
+                value = np.zeros(shape, dtype=np.float32)
+            else:
+                value = _init_value(name, shape, self.rng)
+            self[name] = Tensor(value, requires_grad=True, name=name)
         return self[name]
 
     def dense(self, x, prefix, width):
@@ -244,7 +249,7 @@ class Model:
         channels = h.data.shape[2]
         gamma = self.params.param(f"{prefix}.gamma", (channels,))
         beta = self.params.param(f"{prefix}.beta", (channels,))
-        if self.params.rng is not None:  # declaring: the buffers come too
+        if self.params.declaring:  # the buffers come too
             self.stats.setdefault(prefix, RunningStats(channels))
         return tk.batch_norm1d(h, gamma, beta, self.stats[prefix], training,
                                activation=activation)
@@ -305,11 +310,12 @@ def build(descriptor, seed):
     """Initialize a model; same descriptor and seed give identical bits.
 
     One eval pass over a MIN_INPUT_LEN beat declares every parameter; no
-    shape depends on the beat length.
+    shape depends on the beat length.  seed None draws nothing and fills
+    the parameters with zeros, for a caller that overwrites every value.
     """
     model = Model(descriptor)
     model.params.declare(
-        np.random.default_rng(seed),
+        None if seed is None else np.random.default_rng(seed),
         lambda x: model._forward(x, False, None, None),
         (1, MIN_INPUT_LEN, 1))
     return model

@@ -1,9 +1,13 @@
+import contextlib
 import json
+import multiprocessing
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 from datetime import datetime
 from pathlib import Path
 
@@ -16,6 +20,7 @@ from ecgkit.beats import read_beats_csv, write_beats_csv
 from ecgkit.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ecgkit.cli import run
 from ecgkit.config import RunManifest, derive_seed
+from ecgkit.errors import NumericalError, ShapeError
 from ecgkit.gradcam import grad_cam
 from ecgkit.models import ARCHITECTURES, ModelDescriptor, build
 from ecgkit.wfdb_io import MNEMONIC_TO_CODE, AnnotationEvent, write_record
@@ -865,12 +870,14 @@ class TestReproduce:
 class TestStageManifests:
     def test_stamped_before_work_one_per_stage(self, tmp_path,
                                                monkeypatch):
-        entered = []
+        # a file, not a list: the trainings may run in worker processes
+        log = tmp_path / "entered.txt"
         real_train = cli.train
 
-        def stamped_train(*args, **kwargs):
-            entered.append(datetime.fromisoformat(RunManifest.now()))
-            return real_train(*args, **kwargs)
+        def stamped_train(model, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{model.descriptor.arch} {RunManifest.now()}\n")
+            return real_train(model, *args, **kwargs)
 
         monkeypatch.setattr(cli, "train", stamped_train)
         records = make_records_dir(tmp_path / "records")
@@ -892,10 +899,11 @@ class TestStageManifests:
             return (datetime.fromisoformat(manifest.started_at),
                     datetime.fromisoformat(manifest.finished_at))
 
-        assert len(entered) == len(ARCHITECTURES)
-        for arch, entered_at in zip(ARCHITECTURES, entered):
+        entered = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(arch for arch, _ in entered) == sorted(ARCHITECTURES)
+        for arch, entered_at in entered:
             started, _ = span(manifests[f"train/{arch}/run.manifest.json"])
-            assert started <= entered_at, arch
+            assert started <= datetime.fromisoformat(entered_at), arch
         whole = manifests.pop("reproduce.manifest.json")
         assert whole.files == []
         run_start, run_end = span(whole)
@@ -939,6 +947,194 @@ class TestReproduceEnsembleStage:
                  if p.name != "run.manifest.json"}
         assert len(fresh) > len(ARCHITECTURES)
         assert fresh == staged
+
+
+def three_class_csv(path, counts=(80, 40, 40), seed=6):
+    """A split beat file whose two minority classes each need a GAN."""
+    from ecgkit.beats import BeatDataset, BeatRecord, stratified_split
+    from helpers import pulse_beat
+    rng = np.random.default_rng(seed)
+    beats = [BeatRecord(pulse_beat(rng, BEAT_LEN, (2 * label + 1) * 5), label,
+                        source="toy")
+             for label, count in enumerate(counts) for _ in range(count)]
+    dataset = BeatDataset(beats)
+    stratified_split(dataset, 0.8, seed=seed)
+    return write_beats_csv(path, dataset)
+
+
+def fan_out_config(tmp_path, epochs=1):
+    """A beats_csv reproduce config with two GANs and four trainings."""
+    beats = three_class_csv(tmp_path / "beats.csv")
+    config = reproduce_config(
+        tmp_path, "unused", tmp_path / "out", beats_csv=str(beats),
+        gan={"epochs": 1, "hidden": 8, "dense_width": 16, "batch_size": 8,
+             "tau": 0.0})
+    payload = json.loads(config.read_text())
+    del payload["records_dir"]
+    for arch in ARCHITECTURES:
+        payload[arch]["epochs"] = epochs
+    config.write_text(json.dumps(payload))
+    return config
+
+
+def force_workers(monkeypatch, count):
+    monkeypatch.setattr(cli, "_worker_count",
+                        lambda jobs: max(1, min(jobs, count)))
+
+
+def process_alive(pid):
+    """pid runs and is not a zombie, as /proc tells."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def child_pids(pid):
+    """The processes whose parent is pid, as /proc tells."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry.name))
+    return found
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("env, cores, jobs, expected", [
+        ({}, 2, 4, 1),
+        ({}, 8, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 2, 4, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 2, 4, 1),
+    ])
+    def test_worker_count_rule(self, monkeypatch, env, cores, jobs,
+                               expected):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        assert cli._worker_count(jobs) == expected
+
+    def test_jobs_run_in_forked_workers_in_item_order(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        # a lambda cannot be pickled, so it reaches the workers by fork
+        results = cli._map_jobs(lambda item: (item, os.getpid()), range(5))
+        assert [item for item, _ in results] == list(range(5))
+        assert os.getpid() not in {pid for _, pid in results}
+        assert multiprocessing.active_children() == []
+
+    def test_first_failure_in_item_order_is_raised(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+
+        def job(item):
+            if item == 1:
+                time.sleep(0.3)
+            if item in (1, 2):
+                raise ShapeError(f"item {item}")
+            return item
+
+        with pytest.raises(ShapeError, match="item 1"):
+            cli._map_jobs(job, range(6))
+        assert multiprocessing.active_children() == []
+
+    def test_two_workers_write_the_bytes_of_one(self, tmp_path, monkeypatch):
+        config = fan_out_config(tmp_path)
+        out = tmp_path / "out"
+        outputs = {}
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            shutil.rmtree(out, ignore_errors=True)
+            assert run(["reproduce", "--config", str(config)]) == 0
+            outputs[workers] = {
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in out.rglob("*")
+                if p.is_file() and not p.name.endswith(".manifest.json")}
+        summary = json.loads(outputs[2]["augment/beats_aug.summary.json"])
+        assert {name: counts["count"]
+                for name, counts in summary["after"].items()} == \
+            {"N": 64, "A": 64, "V": 64, "f": 0, "F": 0}  # two GANs ran
+        assert sorted(outputs[1]) == sorted(outputs[2])
+        for name, payload in outputs[1].items():
+            assert outputs[2][name] == payload, name
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("stage, fails", [
+        ("gan_train", lambda beats: beats[0].label == 2),
+        ("train", lambda model: model.descriptor.arch == "cnn_lstm_attn"),
+    ])
+    def test_worker_failure_reads_as_in_process(self, tmp_path, monkeypatch,
+                                                capsys, stage, fails):
+        real = getattr(cli, stage)
+
+        def failing(first, *args, **kwargs):
+            if fails(first):
+                raise NumericalError("loss went non-finite")
+            return real(first, *args, **kwargs)
+
+        monkeypatch.setattr(cli, stage, failing)
+        config = fan_out_config(tmp_path)
+        seen = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            code = run(["reproduce", "--config", str(config)])
+            seen.append((code, capsys.readouterr().err))
+            assert multiprocessing.active_children() == []
+        assert seen[0] == seen[1]
+        assert seen[0] == (4, "ecgkit: NumericalError: loss went "
+                              "non-finite\n")
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="finds the workers through /proc")
+    def test_killed_parent_leaves_no_worker(self, tmp_path):
+        config = fan_out_config(tmp_path, epochs=40)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = ("import sys\n"
+                  "from ecgkit import cli\n"
+                  "cli._worker_count = lambda jobs: min(jobs, 2)\n"
+                  "sys.exit(cli.run(sys.argv[1:]))\n")
+        proc = subprocess.Popen([sys.executable, "-c", script, "reproduce",
+                                 "--config", str(config)], env=env,
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and proc.poll() is None and \
+                    time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = child_pids(proc.pid)
+            assert len(workers) == 2, "the run never forked two workers"
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(process_alive, workers)) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(process_alive, workers))
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            # a failed run's orphans
+            for pid in filter(process_alive, workers):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 def softmax_rows(logits):
