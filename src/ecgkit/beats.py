@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import ConfigError, IoError, ParseError, SplitError
 from .wfdb_io import MNEMONIC_TO_CODE, parse_annotations, parse_header, read_record
 
@@ -220,7 +221,6 @@ def write_beats_csv(path, dataset):
     comma, a quote or a newline.  Rows end in ``\\r\\n``.  A dataset whose
     beats differ in length is refused before the file is opened.
     """
-    path = Path(path)
     if not dataset.beats:
         raise IoError("refusing to write an empty beat file")
     length = len(dataset.beats[0].samples)
@@ -233,7 +233,7 @@ def write_beats_csv(path, dataset):
     # float32 -> Python float is exact, so "%.9g" of tolist() matches the
     # per-sample format of the float32 value byte for byte
     samples_fmt = "%.9g," * length
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for beat in dataset.beats:

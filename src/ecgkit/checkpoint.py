@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import FormatError, IoError
 from .models import ModelDescriptor, build
 
@@ -34,17 +35,10 @@ def _read_struct(handle, fmt, what):
     return struct.unpack(fmt, _read_exact(handle, size, what))
 
 
-def _open(path, mode):
-    try:
-        return open(path, mode)
-    except OSError as exc:
-        raise IoError(f"cannot open checkpoint {path}: {exc}") from None
-
-
 def save_checkpoint(path, model):
     """Serialize descriptor plus every parameter and running statistic."""
     state = model.state_arrays()
-    with _open(path, "wb") as handle:
+    with atomic_open(path, "wb") as handle:
         handle.write(MAGIC)
         descriptor_json = json.dumps(model.descriptor.to_dict(),
                                      sort_keys=True).encode("utf-8")
@@ -81,7 +75,11 @@ def _read_descriptor(handle):
 
 def load_checkpoint(path):
     """Rebuild the saved model; forward outputs match the original bitwise."""
-    with _open(path, "rb") as handle:
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise IoError(f"cannot open checkpoint {path}: {exc}") from None
+    with handle:
         descriptor = _read_descriptor(handle)
         model = build(descriptor, seed=None)  # every value is read below
         expected = model.state_arrays()

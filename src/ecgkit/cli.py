@@ -15,7 +15,6 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import functools
-import json
 import multiprocessing
 import os
 import sys
@@ -27,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import tensor as tk
+from .artifacts import write_json
 from .beats import (CLASS_NAMES, BeatDataset, load_records_dir,
                     read_beats_csv, stratified_split, write_beats_csv)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -35,12 +35,12 @@ from .config import (PipelineConfig, RunManifest, config_hash, derive_seed,
 from .ensemble import (STRATEGIES, ManifestEntry, build_strategy, fuse,
                        load_manifest, predict_classes, write_logits_csv,
                        write_manifest)
-from .errors import ConfigError, EcgkitError, ShapeError
+from .errors import ConfigError, EcgkitError, IoError, ShapeError
 from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
                   balance_summary, gan_train)
 from .gradcam import grad_cam
-from .metrics import (DEFAULT_RESAMPLES, MIN_BOOTSTRAP_SAMPLES, bootstrap_ci,
-                      confusion, evaluate_predictions, prf1)
+from .metrics import (DEFAULT_RESAMPLES, MIN_BOOTSTRAP_SAMPLES, MIN_RESAMPLES,
+                      bootstrap_ci, confusion, evaluate_predictions, prf1)
 from .models import ARCHITECTURES, MIN_INPUT_LEN, ModelDescriptor, build
 from .report import render_report
 from .training import train
@@ -52,18 +52,12 @@ def _macro_f1_of_pairs(pairs):
     return prf1(matrix).macro_f1
 
 
-def _write_json(path, payload):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 @contextlib.contextmanager
 def _stage(command, params, path):
-    """Run the body as one stage: yields a manifest stamped before the
-    body, for it to add the files it writes, and writes that manifest to
-    path once the body returns; a body that raises writes none.
+    """Run the body as one stage: removes an earlier run's manifest at
+    path, yields a manifest stamped before the body, for it to add the
+    files it writes, and writes that manifest to path once the body
+    returns; a body that raises leaves none.
 
     params is the PipelineConfig or the parsed flags the stage runs on.
     """
@@ -71,6 +65,10 @@ def _stage(command, params, path):
         params = {k: v for k, v in vars(params).items() if k != "handler"}
     manifest = RunManifest(command=command, config_hash=config_hash(params),
                            version=__version__, started_at=RunManifest.now())
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot remove {path}: {exc}") from None
     yield manifest
     manifest.write(path)
 
@@ -217,8 +215,6 @@ def _ingest(records_dir, lead, beat_len, train_fraction, seed, out):
     """Segment and split records_dir into beat file out; (dataset, out)."""
     dataset = load_records_dir(records_dir, lead=lead, beat_len=beat_len)
     stratified_split(dataset, train_fraction=train_fraction, seed=seed)
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     return dataset, write_beats_csv(out, dataset)
 
 
@@ -247,11 +243,9 @@ def _augment(dataset, gan_config, seed, out):
     generators = dict(zip(labels, _map_jobs(adversarial_pair, labels)))
     balanced = _normalized_sources(
         balance_dataset(dataset, generators, gan_config, seed))
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_beats_csv(out, balanced)
-    summary_path = _write_json(_sibling(out, ".summary.json"),
-                               balance_summary(dataset, balanced))
+    out = write_beats_csv(out, balanced)
+    summary_path = write_json(_sibling(out, ".summary.json"),
+                              balance_summary(dataset, balanced))
     return balanced, [out, summary_path]
 
 
@@ -277,7 +271,6 @@ def _train_one_arch(config, dataset, command, arch):
                       seed=derive_seed(config.seed, f"train/{arch}"))
         model, history = train(model, dataset, config.train_configs[arch])
 
-        stage.mkdir(parents=True, exist_ok=True)
         checkpoint_path = stage / "model.ckpt"
         save_checkpoint(checkpoint_path, model)
         history_path = history.to_csv(stage / "history.csv")
@@ -291,7 +284,7 @@ def _train_one_arch(config, dataset, command, arch):
                    "val_accuracy": bundle.accuracy,
                    "best_epoch": history.best_epoch(),
                    "epochs_run": len(history)}
-        summary_path = _write_json(stage / "summary.json", summary)
+        summary_path = write_json(stage / "summary.json", summary)
         manifest.add_files([checkpoint_path, history_path, summary_path])
     return summary
 
@@ -326,7 +319,17 @@ def _report_run(out_dir, manifest, y, logits, seed, model=None, X=None,
     return written
 
 
+def _check_resamples(args):
+    # checked before the stage loads and scores anything
+    if args.resamples < MIN_RESAMPLES:
+        raise ConfigError(f"--resamples must be >= {MIN_RESAMPLES}, got "
+                          f"{args.resamples}")
+
+
 def cmd_evaluate(args, command):
+    _check_resamples(args)
+    if args.gradcam < 0:
+        raise ConfigError(f"--gradcam must be >= 0, got {args.gradcam}")
     out = Path(args.out)
     with _stage(command, args, out / "run.manifest.json") as manifest:
         model = _load_scorer(args.checkpoint)
@@ -344,7 +347,6 @@ def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
     A relative checkpoint path is read from the manifest's directory, never
     the working directory.  Returns the members' logits by model id.
     """
-    out.mkdir(parents=True, exist_ok=True)
     logits_by_model = {}
     for entry in entries:
         model = _load_scorer(os.path.normpath(
@@ -362,6 +364,7 @@ def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
 
 
 def cmd_ensemble(args, command):
+    _check_resamples(args)
     out = Path(args.out)
     with _stage(command, args, out / "run.manifest.json") as manifest:
         entries = load_manifest(args.manifest)
@@ -447,7 +450,6 @@ def cmd_reproduce(args, command):
                                  val_macro_f1=s["val_macro_f1"])
                    for s in summaries]
         with stage(ensemble_dir / "run.manifest.json") as manifest:
-            ensemble_dir.mkdir(parents=True, exist_ok=True)
             models_path = write_manifest(ensemble_dir / "models.json",
                                          entries)
             manifest.add_files([models_path])

@@ -9,12 +9,12 @@ so reordered keys produce the same fingerprint.
 
 import hashlib
 import json
-import os
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .artifacts import write_json
 from .beats import DEFAULT_BEAT_LEN
 from .ensemble import STRATEGIES
 from .errors import ConfigError
@@ -206,34 +206,8 @@ class RunManifest:
     def write(self, path):
         """Atomic: the manifest appears complete or not at all."""
         self.finished_at = self.now()
-        payload = {"command": self.command,
-                   "config_hash": self.config_hash,
-                   "version": self.version,
-                   "started_at": self.started_at,
-                   "finished_at": self.finished_at,
-                   "files": sorted(self.files)}
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # plain open(): the mode follows the umask, as for other artifacts
-        temp_name = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
-        try:
-            with open(temp_name, "w") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
-            os.replace(temp_name, path)
-        except BaseException:
-            if os.path.exists(temp_name):
-                os.unlink(temp_name)
-            raise
-        return path
+        return write_json(path, dict(asdict(self), files=sorted(self.files)))
 
     @classmethod
     def load(cls, path):
-        with open(path) as handle:
-            payload = json.load(handle)
-        return cls(command=payload["command"],
-                   config_hash=payload["config_hash"],
-                   version=payload["version"],
-                   started_at=payload["started_at"],
-                   finished_at=payload["finished_at"],
-                   files=payload["files"])
+        return cls(**json.loads(Path(path).read_text()))

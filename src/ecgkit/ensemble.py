@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_open, write_json
 from .errors import ConfigError, IoError, ParseError, ShapeError, UsageError
 
 # strategy name -> fewest members it needs
@@ -122,7 +123,7 @@ def write_logits_csv(path, logits):
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got {logits.shape}")
-    with open(path, "w", newline="") as handle:
+    with atomic_open(path, "w") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sample_id"] + [f"logit_{k}" for k in
                                          range(logits.shape[1])])
@@ -194,11 +195,6 @@ def load_manifest(path):
 
 
 def write_manifest(path, entries):
-    payload = {"models": [{"id": entry.model_id,
-                           "checkpoint": entry.checkpoint,
-                           "val_macro_f1": entry.val_macro_f1}
-                          for entry in entries]}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
+    return write_json(path, {"models": [
+        {"id": entry.model_id, "checkpoint": entry.checkpoint,
+         "val_macro_f1": entry.val_macro_f1} for entry in entries]})

@@ -146,7 +146,7 @@ class Params(dict):
                 value = np.zeros(shape, dtype=np.float32)
             else:
                 value = _init_value(name, shape, self.rng)
-            self[name] = Tensor(value, requires_grad=True, name=name)
+            self[name] = Tensor(value, requires_grad=True)
         return self[name]
 
     def dense(self, x, prefix, width):

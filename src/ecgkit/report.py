@@ -6,20 +6,16 @@ Writers are deterministic so re-rendering the same
 inputs reproduces every file byte for byte.
 """
 
-import json
+from pathlib import Path
 
+from .artifacts import atomic_open, write_json
 from .beats import CLASS_NAMES
-from .errors import IoError
 from .metrics import CI_LEVEL
 
 
 def _write_text(path, text):
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
+    with atomic_open(path, "w") as handle:
+        handle.write(text)
     return path
 
 
@@ -40,7 +36,6 @@ def render_report(out_dir, metrics=None, cis=None, saliency=None,
     sample id to a SaliencyMap, ensemble is an EnsembleSpec whose weights
     belong in the metrics file for traceability.
     """
-    from pathlib import Path
     out_dir = Path(out_dir)
     written = []
 
@@ -50,9 +45,7 @@ def render_report(out_dir, metrics=None, cis=None, saliency=None,
         payload = metrics.to_dict()
         if ensemble is not None:
             payload["ensemble"] = ensemble.to_dict()
-        written.append(_write_text(
-            out_dir / "metrics.json",
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"))
+        written.append(write_json(out_dir / "metrics.json", payload))
 
     if matrix is not None:
         written.append(_write_text(
@@ -87,4 +80,4 @@ def render_report(out_dir, metrics=None, cis=None, saliency=None,
         written.append(_write_text(out_dir / f"gradcam_{sample_id}.csv",
                                    "\n".join(lines) + "\n"))
 
-    return sorted(Path(p) for p in written)
+    return sorted(written)

@@ -99,22 +99,16 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "_node",
-                 "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._node = None
-
-    def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -129,7 +123,7 @@ class Tensor:
         gradient, set requires_grad on that tensor before the call.
         """
         root = self._node
-        if root is None and not self.requires_grad:
+        if root is None:
             raise UsageError(
                 "backward called on a tensor with no tape behind it: it was "
                 "produced outside any taped computation, or an earlier "
@@ -137,9 +131,6 @@ class Tensor:
         if self.data.size != 1:
             raise UsageError(
                 f"backward needs a scalar loss, got shape {self.data.shape}")
-        if root is None:
-            self.grad = np.ones_like(self.data)
-            return
         topo = []
         visited = set()
         stack = [(root, False)]

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import tensor as tk
+from .artifacts import atomic_open
 from .errors import ConfigError, NumericalError, UsageError
 from .models import EVAL_BATCH_ROWS
 from .tensor import Tensor
@@ -199,8 +199,7 @@ class TrainingHistory:
         return min(self.records, key=lambda r: r.val_loss).epoch
 
     def to_csv(self, path):
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, "w") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.CSV_HEADER)
             for r in self.records:

@@ -1,6 +1,6 @@
 """Settings census: every parameter with a default under src/ecgkit must be
-passed by some caller in src/ or bench/, and no module there imports another
-module's underscore names.
+passed by some caller in src/ or bench/, no module there imports another
+module's underscore names, and only artifacts.py writes files.
 
 A default that no caller overrides is a setting with one value in use and
 belongs in a module constant.  Calls are resolved by the function or class
@@ -167,3 +167,62 @@ def test_no_module_imports_another_modules_private_names():
     assert not found, (
         "a module's underscore names are its own; make the name public or "
         "move the code: " + ", ".join(f"{m} imports {n}" for m, n in found))
+
+
+# (module, function) -> why it writes files without artifacts.atomic_open
+DIRECT_WRITERS = {
+    ("wfdb_io", "write_record"):
+        "fixture writer that bench/synth.py and the tests import; no "
+        "pipeline stage writes WFDB records",
+}
+
+_WRITE_CALLS = {"write_text", "write_bytes", "mkdir", "makedirs"}
+
+
+def _writes(call):
+    """The call opens a file for writing or makes a directory; an open()
+    whose mode is not a literal counts as a write."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else \
+        getattr(func, "attr", None)
+    if name in _WRITE_CALLS:
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) or path.open(mode)
+    modes = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def direct_writes():
+    """Sorted (module, innermost enclosing def) for every write call in the
+    package outside artifacts.py."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "artifacts":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for node in ast.walk(tree):  # outer defs first, inner ones override
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), node.name) for n in ast.walk(node))
+        found.update((path.stem, owner.get(id(node), "<module>"))
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and _writes(node))
+    return sorted(found)
+
+
+def test_every_artifact_write_goes_through_atomic_open():
+    found = direct_writes()
+    unlisted = [entry for entry in found if entry not in DIRECT_WRITERS]
+    assert not unlisted, (
+        "write files through artifacts.atomic_open or write_json, so a "
+        "failed run leaves the earlier file and no partial one: "
+        + ", ".join(f"{m}.{f}" for m, f in unlisted))
+    stale = sorted(set(DIRECT_WRITERS) - set(found))
+    assert not stale, f"allow-listed writers that no longer write: {stale}"

@@ -186,6 +186,31 @@ class TestDispatch:
                     "--beat-len", str(BEAT_LEN), "--out", str(tmp_path)])
         self.assert_one_line_data_error(code, capsys)
 
+    def test_unwritable_beat_file_is_io_error_naming_it(self, tmp_path,
+                                                        capsys):
+        records = make_records_dir(tmp_path / "records")
+        out = tmp_path / "beats.csv"
+        out.mkdir()
+        code = run(["ingest", "--records-dir", str(records),
+                    "--beat-len", str(BEAT_LEN), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith(f"ecgkit: IoError: cannot write {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["beats.csv",
+                                                              "records"]
+
+    def test_out_under_a_file_is_io_error_before_the_stage(self, tmp_path,
+                                                            capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        manifest = blocker / "report" / "run.manifest.json"
+        code = run(["evaluate", "--checkpoint", str(tmp_path / "no.ckpt"),
+                    "--test", str(tmp_path / "no.csv"),
+                    "--out", str(blocker / "report")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            f"ecgkit: IoError: cannot remove {manifest}: ")
+
 
 class TestIngest:
     def test_end_to_end(self, tmp_path):
@@ -502,6 +527,46 @@ class TestEvaluate:
         on_disk = {str(p) for p in out.iterdir()
                    if p.name != "run.manifest.json"}
         assert set(manifest.files) == on_disk
+
+    def test_failed_rerun_leaves_no_manifest(self, workspace, tmp_path,
+                                             monkeypatch, capsys):
+        out = tmp_path / "report"
+        argv = ["evaluate", "--test", str(workspace["beats"]),
+                "--split", "val", "--resamples", "150", "--out", str(out)]
+        checkpoints = [workspace["out"] / "train" / arch / "model.ckpt"
+                       for arch in ("cnn", "resnet1d")]
+        assert run(argv + ["--checkpoint", str(checkpoints[0])]) == 0
+        assert (out / "run.manifest.json").exists()
+        real_render = cli.render_report
+
+        def render_then_fail(*args, **kwargs):
+            real_render(*args, **kwargs)
+            raise NumericalError("failed after the report was written")
+
+        monkeypatch.setattr(cli, "render_report", render_then_fail)
+        assert run(argv + ["--checkpoint", str(checkpoints[1])]) == 4
+        capsys.readouterr()
+        assert (out / "metrics.json").exists()
+        assert not (out / "run.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("evaluate", "--resamples", "5"), ("evaluate", "--resamples", "0"),
+    ("evaluate", "--gradcam", "-1"), ("ensemble", "--resamples", "99"),
+])
+def test_bad_count_flag_is_config_error_before_the_stage(
+        workspace, ensemble_inputs, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "report"
+    if command == "evaluate":
+        argv = ["evaluate", "--checkpoint",
+                str(workspace["out"] / "train" / "cnn" / "model.ckpt"),
+                "--test", str(workspace["beats"]), "--split", "val"]
+    else:
+        argv = ["ensemble", "--manifest", str(ensemble_inputs["manifest"]),
+                "--test", str(ensemble_inputs["test"])]
+    assert run(argv + [flag, value, "--out", str(out)]) == 3
+    assert f"config error: {flag} must be >= " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,12 @@ class TestAutodiffCore:
         with pytest.raises(UsageError):
             t([1.0]).backward()
 
+    def test_backward_on_leaf_with_requires_grad_is_untaped(self):
+        leaf = t([1.0], requires_grad=True)
+        with pytest.raises(UsageError, match="no tape behind it"):
+            leaf.backward()
+        assert leaf.grad is None
+
     def test_second_backward_raises_and_keeps_leaf_grads(self):
         x = t([1.0, 2.0], requires_grad=True)
         y = tk.mul(x, x)
