@@ -65,6 +65,7 @@ from .metrics import (
     ConfusionMatrix,
     MetricBundle,
     RocCurve,
+    block_macro_f1,
     bootstrap_ci,
     confusion,
     evaluate_predictions,
@@ -122,6 +123,7 @@ __all__ = [
     "UsageError",
     "__version__",
     "balance_dataset",
+    "block_macro_f1",
     "bootstrap_ci",
     "build",
     "build_strategy",

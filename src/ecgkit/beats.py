@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,8 @@ CLASS_NAMES = ("N", "A", "V", "f", "F")
 DEFAULT_BEAT_LEN = 187
 DEFAULT_LEAD = "MLII"
 SPLIT_TAGS = ("train", "val", "test", "unassigned")
+# beat rows write_beats_csv formats at once
+_WRITE_BLOCK = 64
 
 # N, L and R all count as normal; the remaining four classes keep the
 # case-sensitive mnemonics of the source annotations.
@@ -216,10 +219,13 @@ def write_beats_csv(path, dataset):
     """Write the canonical beat CSV: samples, label, split and source.
 
     Each sample is written as ``%.9g``, which round-trips float32 exactly
-    (nan, inf and -inf for the non-finite values).  Label, split and source
-    are CSV-quoted only when they need it, for example a source holding a
-    comma, a quote or a newline.  Rows end in ``\\r\\n``.  A dataset whose
-    beats differ in length is refused before the file is opened.
+    (nan, inf and -inf for the non-finite values).  Rows are formatted
+    _WRITE_BLOCK at a time; where values repeat, as ADC-quantized beats do,
+    each distinct float32 value is formatted once per block or taken from
+    the block before.  Label, split and source are CSV-quoted only when
+    they need it, for example a source holding a comma, a quote or a
+    newline.  Rows end in ``\\r\\n``.  A dataset whose beats differ in
+    length is refused before the file is opened.
     """
     if not dataset.beats:
         raise IoError("refusing to write an empty beat file")
@@ -230,63 +236,134 @@ def write_beats_csv(path, dataset):
                 f"beat length {len(beat.samples)} != {length}; "
                 f"dataset is not rectangular")
     header = [f"s{i}" for i in range(length)] + ["label", "split", "source"]
-    # float32 -> Python float is exact, so "%.9g" of tolist() matches the
-    # per-sample format of the float32 value byte for byte
     samples_fmt = "%.9g," * length
+    prev_bits, prev_text = np.empty(0, np.uint32), np.empty(0, object)
     with atomic_open(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for beat in dataset.beats:
-            fh.write(samples_fmt % tuple(beat.samples.tolist()))
-            writer.writerow([str(beat.label), beat.split_tag, beat.source])
+        for start in range(0, len(dataset.beats), _WRITE_BLOCK):
+            block = dataset.beats[start:start + _WRITE_BLOCK]
+            # float32 -> Python float is exact, so "%.9g" of tolist() is the
+            # format of the float32 value; distinct by bit pattern, so -0.0
+            # keeps its sign
+            samples = np.stack([beat.samples for beat in block])
+            distinct, index = np.unique(samples.view(np.uint32).ravel(),
+                                        return_inverse=True)
+            if 2 * len(distinct) > samples.size:
+                # mostly distinct values, as GAN output is: one format call
+                # per row costs less than the lookup
+                rows = [samples_fmt % tuple(row) for row in samples.tolist()]
+            else:
+                # the block before formatted most of these values already:
+                # neighbouring beats share their ADC levels
+                pos = np.searchsorted(prev_bits, distinct)
+                hit = pos < len(prev_bits)
+                hit[hit] = prev_bits[pos[hit]] == distinct[hit]
+                text = np.empty(len(distinct), dtype=object)
+                text[hit] = prev_text[pos[hit]]
+                text[~hit] = ["%.9g," % value for value
+                              in distinct[~hit].view(np.float32).tolist()]
+                prev_bits, prev_text = distinct, text
+                rows = ["".join(cells) for cells
+                        in text[index].reshape(samples.shape).tolist()]
+            for row, beat in zip(rows, block):
+                fh.write(row)
+                writer.writerow([str(beat.label), beat.split_tag, beat.source])
     return path
 
 
 def read_beats_csv(path):
     """Read a beat CSV back into a BeatDataset.
 
-    Tolerates files without the optional split/source columns; such beats
-    come back unassigned/unsourced.
+    The body is parsed in one ``np.loadtxt`` pass: the samples as one
+    float32 matrix, whose rows become the beats' samples, and the columns
+    after them as strings.  Tolerates files without the optional
+    split/source columns; such beats come back unassigned/unknown.  A row
+    whose field count differs from the header's is refused.  When loadtxt
+    or a label, split or sample check refuses the file, it is scanned again
+    row by row, so the ParseError names the line.
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(f"{path}: empty beat file", line=1) from None
-        if "label" not in header:
-            raise ParseError(f"{path}: header lacks a label column", line=1)
-        label_col = header.index("label")
-        for i in range(label_col):
-            if header[i] != f"s{i}":
-                raise ParseError(
-                    f"{path}: expected column s{i}, found {header[i]!r}", line=1)
-        split_col = header.index("split") if "split" in header else None
-        source_col = header.index("source") if "source" in header else None
-        beats = []
+        encoding = fh.encoding
+    if "label" not in header:
+        raise ParseError(f"{path}: header lacks a label column", line=1)
+    for i in range(header.index("label")):
+        if header[i] != f"s{i}":
+            raise ParseError(
+                f"{path}: expected column s{i}, found {header[i]!r}", line=1)
+    try:
+        beats = _beats_from_table(path, header, encoding)
+    except (ValueError, ConfigError):
+        beats = _scan_rows(path, header)
+    if not beats:
+        raise ParseError(f"{path}: no beat rows", line=2)
+    return BeatDataset(beats)
+
+
+def _beats_from_table(path, header, encoding):
+    """The beats of path's body, parsed by one loadtxt call; raises
+    ValueError or ConfigError on anything _scan_rows would refuse."""
+    label_col = header.index("label")
+    dtype = np.dtype([("samples", np.float32, (label_col,))]
+                     + [(f"c{i}", object)
+                        for i in range(label_col, len(header))])
+    # a binary handle keeps the \r\n inside a quoted field as it is
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        # loadtxt warns on a header-only file; the caller refuses it
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                           comments=None, skiprows=1, ndmin=1,
+                           encoding=encoding)
+
+    def column(name, default):
+        if name not in header:
+            return [default] * len(table)
+        return table[f"c{header.index(name)}"].tolist()
+
+    splits = column("split", "unassigned")
+    if not set(splits) <= set(SPLIT_TAGS):
+        raise ValueError("unknown split tag")
+    return [BeatRecord(samples, int(label), source=source, split_tag=split)
+            for samples, label, split, source
+            in zip(table["samples"], table[f"c{label_col}"].tolist(), splits,
+                   column("source", "unknown"))]
+
+
+def _scan_rows(path, header):
+    """The beats of path read row by row with the csv module; the first
+    bad row raises a ParseError naming its line."""
+    label_col = header.index("label")
+    split_col = header.index("split") if "split" in header else None
+    source_col = header.index("source") if "source" in header else None
+    beats = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) < label_col + 1:
-                raise ParseError(f"{path}: short row", line=line_no)
+            if len(row) != len(header):
+                raise ParseError(f"{path}: row has {len(row)} fields, "
+                                 f"header has {len(header)}", line=line_no)
             try:
                 samples = np.array(row[:label_col], dtype=np.float32)
                 label = int(row[label_col])
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}", line=line_no) from None
-            split_tag = row[split_col] if split_col is not None and \
-                len(row) > split_col else "unassigned"
+            split_tag = row[split_col] if split_col is not None \
+                else "unassigned"
             if split_tag not in SPLIT_TAGS:
                 raise ParseError(
                     f"{path}: unknown split tag {split_tag!r}", line=line_no)
-            source = row[source_col] if source_col is not None and \
-                len(row) > source_col else "unknown"
+            source = row[source_col] if source_col is not None else "unknown"
             try:
                 beats.append(BeatRecord(samples, label, source=source,
                                         split_tag=split_tag))
             except ConfigError as exc:
                 raise ParseError(f"{path}: {exc}", line=line_no) from None
-    if not beats:
-        raise ParseError(f"{path}: no beat rows", line=2)
-    return BeatDataset(beats)
+    return beats

@@ -40,16 +40,10 @@ from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
                   balance_summary, gan_train)
 from .gradcam import grad_cam
 from .metrics import (DEFAULT_RESAMPLES, MIN_BOOTSTRAP_SAMPLES, MIN_RESAMPLES,
-                      bootstrap_ci, confusion, evaluate_predictions, prf1)
+                      block_macro_f1, bootstrap_ci, evaluate_predictions)
 from .models import ARCHITECTURES, MIN_INPUT_LEN, ModelDescriptor, build
 from .report import render_report
 from .training import train
-
-
-def _macro_f1_of_pairs(pairs):
-    matrix = confusion(pairs[:, 0].astype(np.int64),
-                       pairs[:, 1].astype(np.int64))
-    return prf1(matrix).macro_f1
 
 
 @contextlib.contextmanager
@@ -183,12 +177,12 @@ def _confidence_intervals(y_true, y_pred, seed, n_resamples):
     cis = []
     if len(y_true) >= MIN_BOOTSTRAP_SAMPLES:
         correct = (y_pred == y_true).astype(np.float64)
-        cis.append(bootstrap_ci(correct, lambda a: float(a.mean()),
+        cis.append(bootstrap_ci(correct, lambda block: block.mean(axis=1),
                                 n_resamples=n_resamples,
                                 seed=derive_seed(seed, "ci/accuracy"),
                                 name="accuracy"))
         pairs = np.stack([y_true, y_pred], axis=1)
-        cis.append(bootstrap_ci(pairs, _macro_f1_of_pairs,
+        cis.append(bootstrap_ci(pairs, block_macro_f1,
                                 n_resamples=n_resamples,
                                 seed=derive_seed(seed, "ci/macro_f1"),
                                 name="macro_f1"))

@@ -17,7 +17,7 @@ from pathlib import Path
 from .artifacts import write_json
 from .beats import DEFAULT_BEAT_LEN
 from .ensemble import STRATEGIES
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .gan import GanTrainConfig
 from .models import ARCHITECTURES, MIN_INPUT_LEN
 from .training import TrainRunConfig
@@ -210,4 +210,26 @@ class RunManifest:
 
     @classmethod
     def load(cls, path):
-        return cls(**json.loads(Path(path).read_text()))
+        """The manifest at path; FormatError names path when the file is
+        not a JSON object of exactly the manifest's keys and types."""
+        try:
+            payload = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise FormatError(f"manifest {path} is not valid JSON: "
+                              f"{exc}") from None
+        if not isinstance(payload, dict):
+            raise FormatError(f"manifest {path} must hold a JSON object")
+        keys = {f.name for f in fields(cls)}
+        if set(payload) != keys:
+            raise FormatError(
+                f"manifest {path} has keys {sorted(payload)}, "
+                f"expected {sorted(keys)}")
+        files = payload["files"]
+        if not (isinstance(files, list)
+                and all(isinstance(name, str) for name in files)):
+            raise FormatError(f"manifest {path}: files must be a list of "
+                              f"strings")
+        for key in sorted(keys - {"files"}):
+            if not isinstance(payload[key], str):
+                raise FormatError(f"manifest {path}: {key} must be a string")
+        return cls(**payload)

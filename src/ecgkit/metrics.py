@@ -16,6 +16,9 @@ N_CLASSES = len(CLASS_NAMES)
 DEFAULT_RESAMPLES = 1000
 MIN_BOOTSTRAP_SAMPLES = 30
 MIN_RESAMPLES = 100
+# resamples bootstrap_ci scores per metric_fn call; the block of resampled
+# outcomes is BOOTSTRAP_BLOCK times the size of the outcomes
+BOOTSTRAP_BLOCK = 64
 # coverage of bootstrap_ci's 2.5/97.5 percentile bounds
 CI_LEVEL = 0.95
 
@@ -97,6 +100,21 @@ class MetricBundle:
         return result
 
 
+def _rates(counts):
+    """Precision, recall and F1 per class of counts[..., true, predicted],
+    along any leading axes: one definition for prf1 and the bootstrap."""
+    tp = np.diagonal(counts, axis1=-2, axis2=-1).astype(np.float64)
+    predicted = counts.sum(axis=-2).astype(np.float64)
+    actual = counts.sum(axis=-1).astype(np.float64)
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp),
+                          where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
+    pr_sum = precision + recall
+    f1 = np.divide(2 * precision * recall, pr_sum,
+                   out=np.zeros_like(tp), where=pr_sum > 0)
+    return tp, precision, recall, f1
+
+
 def prf1(matrix):
     """Precision, recall and F1 per class plus unweighted macro means.
 
@@ -104,19 +122,10 @@ def prf1(matrix):
     precision 0, a class never present has recall 0, and F1 is 0 when
     both are.
     """
-    counts = matrix.counts
     n = matrix.n_samples
     if n == 0:
         raise MetricError("empty confusion matrix")
-    tp = np.diag(counts).astype(np.float64)
-    predicted = counts.sum(axis=0).astype(np.float64)
-    actual = counts.sum(axis=1).astype(np.float64)
-    precision = np.divide(tp, predicted, out=np.zeros_like(tp),
-                          where=predicted > 0)
-    recall = np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
-    pr_sum = precision + recall
-    f1 = np.divide(2 * precision * recall, pr_sum,
-                   out=np.zeros_like(tp), where=pr_sum > 0)
+    tp, precision, recall, f1 = _rates(matrix.counts)
     return MetricBundle(
         accuracy=float(tp.sum() / n),
         precision=tuple(precision),
@@ -127,6 +136,19 @@ def prf1(matrix):
         macro_f1=float(f1.mean()),
         matrix=matrix,
     )
+
+
+def block_macro_f1(pairs):
+    """Macro-F1 of each resample in a [r, n, 2] block of (true, predicted)
+    label pairs: one bincount builds the r confusion matrices."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= N_CLASSES):
+        raise UsageError(f"labels fall outside 0..{N_CLASSES - 1}")
+    r = pairs.shape[0]
+    cells = ((np.arange(r)[:, None] * N_CLASSES + pairs[..., 0]) * N_CLASSES
+             + pairs[..., 1])
+    counts = np.bincount(cells.ravel(), minlength=r * N_CLASSES * N_CLASSES)
+    return _rates(counts.reshape(r, N_CLASSES, N_CLASSES))[3].mean(axis=-1)
 
 
 @dataclass
@@ -213,9 +235,11 @@ def bootstrap_ci(outcomes, metric_fn, *, seed, name,
                  n_resamples=DEFAULT_RESAMPLES):
     """Percentile bootstrap over per-sample outcomes.
 
-    Resamples rows of `outcomes` with replacement, applies metric_fn to
-    each resample, and reports the resample mean with the 2.5/97.5
-    percentile bounds as the interval called name.
+    Resamples rows of `outcomes` with replacement, one draw of n row
+    indices per resample, and reports the resample mean with the 2.5/97.5
+    percentile bounds as the interval called name.  metric_fn scores
+    BOOTSTRAP_BLOCK resamples at a time: it maps a block of resampled
+    outcomes, shaped [r, n, ...], to the r statistics.
     """
     outcomes = np.asarray(outcomes)
     n = outcomes.shape[0]
@@ -227,9 +251,16 @@ def bootstrap_ci(outcomes, metric_fn, *, seed, name,
                           f"resamples, got {n_resamples}")
     rng = np.random.default_rng(seed)
     values = np.empty(n_resamples, dtype=np.float64)
-    for i in range(n_resamples):
-        rows = rng.integers(0, n, size=n)
-        values[i] = metric_fn(outcomes[rows])
+    rows = np.empty((BOOTSTRAP_BLOCK, n), dtype=np.int64)
+    for start in range(0, n_resamples, BOOTSTRAP_BLOCK):
+        r = min(BOOTSTRAP_BLOCK, n_resamples - start)
+        for j in range(r):
+            rows[j] = rng.integers(0, n, size=n)
+        scores = np.asarray(metric_fn(outcomes[rows[:r]]), dtype=np.float64)
+        if scores.shape != (r,):
+            raise UsageError(f"metric_fn must map a block of {r} resamples "
+                             f"to {r} values, got shape {scores.shape}")
+        values[start:start + r] = scores
     lower, upper = np.percentile(values, [2.5, 97.5])
     mean = float(values.mean())
     # on a degenerate resample distribution, summation error can land the

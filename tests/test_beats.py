@@ -3,6 +3,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ecgkit.beats import (
     BeatDataset,
@@ -20,6 +23,8 @@ from ecgkit.beats import (
 )
 from ecgkit.errors import ConfigError, IoError, ParseError, SplitError
 from ecgkit.wfdb_io import AnnotationEvent, MNEMONIC_TO_CODE, parse_header, write_record
+
+from helpers import reference_beat_csv_bytes, reference_read_beats_csv
 
 
 def ann(index, mnemonic):
@@ -248,6 +253,23 @@ class TestBeatCsv:
         assert exc.value.line == 3
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("row, fields", [("0.5,2", 2), ("0.5,2,val,x,y", 5)])
+    def test_row_with_other_field_count_names_its_line(self, tmp_path, row,
+                                                       fields):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"s0,label,split,source\n0.5,1,train,a\n\n{row}\n")
+        with pytest.raises(ParseError, match=f"row has {fields} fields, "
+                                             f"header has 4") as exc:
+            read_beats_csv(path)
+        assert exc.value.line == 4
+
+    def test_samples_are_rows_of_one_matrix(self, tmp_path):
+        ds = build_dataset({0: 3, 1: 2}, length=8)
+        back = read_beats_csv(write_beats_csv(tmp_path / "b.csv", ds))
+        matrix = back.beats[0].samples.base
+        assert matrix is not None
+        assert all(beat.samples.base is matrix for beat in back)
+
     def test_empty_dataset_refused(self, tmp_path):
         with pytest.raises(IoError):
             write_beats_csv(tmp_path / "x.csv", BeatDataset())
@@ -258,6 +280,19 @@ class TestBeatCsv:
         with pytest.raises(IoError, match="not rectangular"):
             write_beats_csv(path, ds)
         assert not path.exists()
+
+    def test_repeated_and_distinct_blocks_match_reference(self, tmp_path):
+        # ADC-quantized rows, whose values repeat, then GAN-like rows of
+        # distinct values, across more than two write blocks
+        rng = np.random.default_rng(5)
+        quantized = rng.integers(0, 40, size=(200, 24)) / 39.0
+        distinct = rng.random((140, 24))
+        beats = [BeatRecord(row, i % 5, source=f"r{i // 50},{i}",
+                            split_tag=SPLIT_TAGS[i % 4])
+                 for i, row in enumerate(np.vstack([quantized, distinct]))]
+        path = write_beats_csv(tmp_path / "mixed.csv", BeatDataset(beats))
+        assert path.read_bytes() == \
+            reference_beat_csv_bytes(BeatDataset(beats))
 
     def test_byte_format_pinned_on_tricky_values(self, tmp_path):
         tricky = [np.nan, np.inf, -np.inf, -0.0, 1e-45, 1e-5, 123456789.0,
@@ -287,6 +322,141 @@ class TestBeatCsv:
         assert [b.label for b in back] == [b.label for b in beats]
         assert [b.split_tag for b in back] == [b.split_tag for b in beats]
         assert [b.source for b in back] == sources
+
+
+def _float32_exact(values):
+    return [float(np.float32(v)) for v in values]
+
+
+# nan, +-inf, -0.0, subnormals and values of 1e9 and up, besides whatever
+# st.floats draws (NaNs with other payloads and signs among them)
+SAMPLE_VALUES = st.one_of(
+    st.floats(width=32),
+    st.sampled_from(_float32_exact(
+        [np.nan, np.inf, -np.inf, -0.0, 1e-45, -1e-45, 1.1754942e-38,
+         123456789.0, 3.4028235e38, -3.4028235e38])),
+    st.floats(min_value=1e9, max_value=float(np.finfo(np.float32).max),
+              width=32),
+)
+SOURCES = st.lists(
+    st.one_of(st.sampled_from([",", '"', "\r\n", "\r", "\n", " ", "#",
+                               "rec:1"]),
+              st.characters(exclude_categories=("Cs",),
+                            exclude_characters="\x00")),
+    max_size=6).map("".join)
+# cell text a row can be corrupted with: values np.float32, int and the
+# split tags refuse, and a few they accept in other spellings
+ODD_CELLS = st.one_of(
+    st.sampled_from(["", " ", "x", "nan(1)", "1e", "0x10", "1_0", " 1 ",
+                     "+inf", "1.5 2", "\u0663", "5", "-1", "3.0", "Train",
+                     "val ", "held-out", '"', "a,b", "\r\n"]),
+    st.text(alphabet="0123456789.-+eE naif,\"x", max_size=5))
+
+
+@st.composite
+def beat_datasets(draw):
+    """Up to three write blocks of beats over a few distinct sources."""
+    samples = draw(hnp.arrays(
+        np.float32, st.tuples(st.integers(1, 300), st.integers(1, 6)),
+        elements=SAMPLE_VALUES))
+    sources = draw(st.lists(SOURCES, min_size=1, max_size=4))
+    labels = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    tags = draw(st.lists(st.sampled_from(SPLIT_TAGS), min_size=1,
+                         max_size=4))
+    return BeatDataset([
+        BeatRecord(row, labels[i % len(labels)],
+                   source=sources[i % len(sources)],
+                   split_tag=tags[i % len(tags)])
+        for i, row in enumerate(samples)])
+
+
+@st.composite
+def beat_files(draw, corrupt):
+    """The text of a rectangular beat CSV: samples, label and any of the
+    split/source columns, \\r\\n- or \\n-terminated, with blank lines
+    between rows; with corrupt, one body cell replaced by odd text."""
+    length = draw(st.integers(1, 5))
+    extra = draw(st.sampled_from([("split", "source"), ("source", "split"),
+                                  ("split",), ("source",), ()]))
+    rows = [[f"s{i}" for i in range(length)] + ["label", *extra]]
+    for _ in range(draw(st.integers(1, 6))):
+        values = draw(st.lists(SAMPLE_VALUES, min_size=length,
+                               max_size=length))
+        fields = {"split": draw(st.sampled_from(SPLIT_TAGS)),
+                  "source": draw(SOURCES)}
+        rows.append(["%.9g" % v for v in values]
+                    + [str(draw(st.integers(0, 4)))]
+                    + [fields[name] for name in extra])
+    if corrupt:
+        row = draw(st.integers(1, len(rows) - 1))
+        rows[row][draw(st.integers(0, len(rows[0]) - 1))] = draw(ODD_CELLS)
+    terminator = draw(st.sampled_from(["\r\n", "\n"]))
+    blank_before = draw(st.sets(st.integers(2, len(rows))))
+    lines = []
+    for i, row in enumerate(rows):
+        if i in blank_before:
+            lines.append("")
+        # a "\r\n" writer quotes a field holding a lone "\r" too
+        text = io.StringIO(newline="")
+        csv.writer(text).writerow(row)
+        lines.append(text.getvalue().removesuffix("\r\n"))
+    return "".join(line + terminator for line in lines)
+
+
+def _outcome(reader, path):
+    """What a reader makes of path: its beats bit for bit, or the message
+    and line of its ParseError."""
+    try:
+        dataset = reader(path)
+    except ParseError as exc:
+        return ("refused", str(exc), exc.line)
+    return ("read", [(beat.samples.view(np.uint32).tolist(), beat.label,
+                      beat.split_tag, beat.source) for beat in dataset])
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("beat_csv_properties") / "beats.csv"
+
+
+class TestBeatCsvProperties:
+    @given(dataset=beat_datasets())
+    def test_writer_bytes_equal_per_value_reference(self, csv_path, dataset):
+        write_beats_csv(csv_path, dataset)
+        assert csv_path.read_bytes() == reference_beat_csv_bytes(dataset)
+
+    @given(dataset=beat_datasets())
+    def test_read_of_write_is_bit_equal(self, csv_path, dataset):
+        back = read_beats_csv(write_beats_csv(csv_path, dataset))
+        assert len(back) == len(dataset)
+        for got, want in zip(back, dataset):
+            # "nan" reads back as the one quiet NaN, whatever its payload
+            expected = np.where(np.isnan(want.samples), np.float32(np.nan),
+                                want.samples)
+            assert got.samples.dtype == np.float32
+            np.testing.assert_array_equal(got.samples.view(np.uint32),
+                                          expected.view(np.uint32))
+            assert (got.label, got.split_tag, got.source) == \
+                (want.label, want.split_tag, want.source)
+
+    @given(text=beat_files(corrupt=False))
+    def test_reader_equals_reference_on_rectangular_files(self, csv_path,
+                                                          text):
+        with open(csv_path, "w", newline="") as fh:
+            fh.write(text)
+        want = _outcome(reference_read_beats_csv, csv_path)
+        assert want[0] == "read"
+        assert _outcome(read_beats_csv, csv_path) == want
+
+    @given(text=beat_files(corrupt=True))
+    def test_reader_equals_reference_on_corrupted_cells(self, csv_path,
+                                                        text):
+        # the same beats where the reference reads the file, else the same
+        # ParseError message and line
+        with open(csv_path, "w", newline="") as fh:
+            fh.write(text)
+        assert _outcome(read_beats_csv, csv_path) == \
+            _outcome(reference_read_beats_csv, csv_path)
 
 
 class TestRecordsDirLoader:

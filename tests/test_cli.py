@@ -22,6 +22,7 @@ from ecgkit.cli import run
 from ecgkit.config import RunManifest, derive_seed
 from ecgkit.errors import NumericalError, ShapeError
 from ecgkit.gradcam import grad_cam
+from ecgkit.metrics import MIN_BOOTSTRAP_SAMPLES
 from ecgkit.models import ARCHITECTURES, ModelDescriptor, build
 from ecgkit.wfdb_io import MNEMONIC_TO_CODE, AnnotationEvent, write_record
 
@@ -567,6 +568,36 @@ def test_bad_count_flag_is_config_error_before_the_stage(
     assert run(argv + [flag, value, "--out", str(out)]) == 3
     assert f"config error: {flag} must be >= " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ensemble"])
+def test_split_below_bootstrap_minimum_writes_no_ci(
+        workspace, ensemble_inputs, tmp_path, command):
+    # 28 scored rows, two short of MIN_BOOTSTRAP_SAMPLES: the stage
+    # succeeds with the point metrics and skips the intervals
+    rows = MIN_BOOTSTRAP_SAMPLES - 2
+    out = tmp_path / "report"
+    if command == "evaluate":
+        beats = write_toy_csv(tmp_path / "small.csv", n_per_class=rows,
+                              train_fraction=0.5)
+        argv = ["evaluate", "--checkpoint",
+                str(workspace["out"] / "train" / "cnn" / "model.ckpt"),
+                "--test", str(beats), "--split", "val"]
+    else:
+        beats = write_toy_csv(tmp_path / "small.csv", n_per_class=rows // 2,
+                              include_split=False)
+        argv = ["ensemble", "--manifest", str(ensemble_inputs["manifest"]),
+                "--test", str(beats)]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert 0.0 <= json.loads((out / "metrics.json").read_text())[
+        "accuracy"] <= 1.0
+    confusion = (out / "confusion.csv").read_text().splitlines()[1:]
+    assert sum(int(count) for line in confusion
+               for count in line.split(",")[1:]) == rows
+    assert not (out / "ci.csv").exists()
+    manifest = RunManifest.load(out / "run.manifest.json")
+    assert str(out / "metrics.json") in manifest.files
+    assert not any(name.endswith("ci.csv") for name in manifest.files)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from ecgkit import config as config_module
 from ecgkit.config import (PipelineConfig, RunManifest, config_from_payload,
                            config_hash, derive_seed, load_config)
-from ecgkit.errors import ConfigError
+from ecgkit.errors import ConfigError, FormatError
 from ecgkit.models import _DEFAULT_PLANS, ARCHITECTURES
 from ecgkit.training import TABLE1
 
@@ -402,3 +402,58 @@ class TestRunManifest:
             pass
         assert stat.S_IMODE(path.stat().st_mode) == \
             stat.S_IMODE(plain.stat().st_mode)
+
+    def valid_payload(self, tmp_path):
+        path = self.make_manifest().write(tmp_path / "m.json")
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("text", ["{not json", "", "\xff\xfe"])
+    def test_malformed_json_is_format_error(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(FormatError, match="m.json"):
+            RunManifest.load(path)
+
+    @pytest.mark.parametrize("payload", [[], "manifest", 3, None])
+    def test_non_object_is_format_error(self, tmp_path, payload):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="m.json"):
+            RunManifest.load(path)
+
+    @pytest.mark.parametrize("key", ["command", "config_hash", "version",
+                                     "started_at", "finished_at", "files"])
+    def test_missing_key_is_format_error(self, tmp_path, key):
+        payload = self.valid_payload(tmp_path)
+        del payload[key]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=key):
+            RunManifest.load(path)
+
+    def test_unknown_key_is_format_error(self, tmp_path):
+        payload = self.valid_payload(tmp_path)
+        payload["resumed"] = True
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="resumed"):
+            RunManifest.load(path)
+
+    @pytest.mark.parametrize("files", ["beats.csv", [1], ["a", None],
+                                       {"a": "b"}])
+    def test_files_not_a_list_of_strings_is_format_error(self, tmp_path,
+                                                         files):
+        payload = self.valid_payload(tmp_path)
+        payload["files"] = files
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="files"):
+            RunManifest.load(path)
+
+    def test_non_string_field_is_format_error(self, tmp_path):
+        payload = self.valid_payload(tmp_path)
+        payload["config_hash"] = 17
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="config_hash"):
+            RunManifest.load(path)

@@ -3,8 +3,10 @@ import pytest
 
 from ecgkit.errors import MetricError, UsageError
 from ecgkit.metrics import (
+    BOOTSTRAP_BLOCK,
     ConfidenceInterval,
     ConfusionMatrix,
+    block_macro_f1,
     bootstrap_ci,
     confusion,
     evaluate_predictions,
@@ -12,6 +14,8 @@ from ecgkit.metrics import (
     prf1,
     roc_auc,
 )
+
+from helpers import reference_bootstrap, reference_macro_f1
 
 
 def brute_force_confusion(y_true, y_pred, k):
@@ -233,24 +237,29 @@ class TestOneVsRest:
         assert "auc" in report["per_class"]["N"]
 
 
+def row_mean(block):
+    return block.mean(axis=1)
+
+
 class TestBootstrap:
     def test_all_correct_collapses_to_one(self):
         outcomes = np.ones(50)
-        ci = bootstrap_ci(outcomes, np.mean, seed=0, name="mean")
+        ci = bootstrap_ci(outcomes, row_mean, seed=0, name="mean")
         assert (ci.lower, ci.mean, ci.upper) == (1.0, 1.0, 1.0)
 
     def test_fixed_seed_is_deterministic(self):
         rng = np.random.default_rng(7)
         outcomes = (rng.random(100) < 0.9).astype(float)
-        a = bootstrap_ci(outcomes, np.mean, seed=3, name="mean")
-        b = bootstrap_ci(outcomes, np.mean, seed=3, name="mean")
+        a = bootstrap_ci(outcomes, row_mean, seed=3, name="mean")
+        b = bootstrap_ci(outcomes, row_mean, seed=3, name="mean")
         assert (a.lower, a.mean, a.upper) == (b.lower, b.mean, b.upper)
 
     def test_degenerate_distribution_still_covers_mean(self):
         # averaging 150 copies of 0.4 drifts a ulp below 0.4; the interval
         # must still contain its own mean
-        ci = bootstrap_ci(np.zeros(40), lambda a: 0.4, n_resamples=150,
-                          seed=0, name="const")
+        ci = bootstrap_ci(np.zeros(40),
+                          lambda block: np.full(len(block), 0.4),
+                          n_resamples=150, seed=0, name="const")
         assert ci.lower <= ci.mean <= ci.upper
         assert ci.lower == pytest.approx(0.4)
         assert ci.upper == 0.4
@@ -260,8 +269,8 @@ class TestBootstrap:
         outcomes_small[:90] = 1.0
         outcomes_big = np.zeros(10000)
         outcomes_big[:9000] = 1.0
-        narrow = bootstrap_ci(outcomes_big, np.mean, seed=1, name="mean")
-        wide = bootstrap_ci(outcomes_small, np.mean, seed=1,
+        narrow = bootstrap_ci(outcomes_big, row_mean, seed=1, name="mean")
+        wide = bootstrap_ci(outcomes_small, row_mean, seed=1,
                             name="mean")
         ratio = (wide.upper - wide.lower) / (narrow.upper - narrow.lower)
         # binomial standard error predicts a factor of ~10
@@ -271,14 +280,14 @@ class TestBootstrap:
         rng = np.random.default_rng(8)
         for seed in range(10):
             outcomes = rng.random(60)
-            ci = bootstrap_ci(outcomes, np.mean, seed=seed, name="mean")
+            ci = bootstrap_ci(outcomes, row_mean, seed=seed, name="mean")
             assert ci.lower <= ci.mean <= ci.upper
 
     def test_preconditions(self):
         with pytest.raises(MetricError):
-            bootstrap_ci(np.ones(29), np.mean, seed=17, name="mean")
+            bootstrap_ci(np.ones(29), row_mean, seed=17, name="mean")
         with pytest.raises(MetricError):
-            bootstrap_ci(np.ones(50), np.mean, n_resamples=99, seed=17,
+            bootstrap_ci(np.ones(50), row_mean, n_resamples=99, seed=17,
                          name="mean")
 
     def test_accepts_paired_outcomes(self):
@@ -286,9 +295,10 @@ class TestBootstrap:
         paired = np.stack([rng.integers(0, 5, 80),
                            rng.integers(0, 5, 80)], axis=1)
 
-        def macro_f1(rows):
+        def macro_f1(block):
             from ecgkit.metrics import confusion as cm
-            return prf1(cm(rows[:, 0], rows[:, 1])).macro_f1
+            return [prf1(cm(rows[:, 0], rows[:, 1])).macro_f1
+                    for rows in block]
 
         ci = bootstrap_ci(paired, macro_f1, n_resamples=200, seed=2,
                           name="macro_f1")
@@ -299,7 +309,36 @@ class TestBootstrap:
         with pytest.raises(MetricError):
             ConfidenceInterval("x", mean=2.0, lower=0.0, upper=1.0)
 
+    @pytest.mark.parametrize("n", [30, 111, 900])
+    @pytest.mark.parametrize("n_resamples", [100, 1000, 2 * BOOTSTRAP_BLOCK,
+                                             3 * BOOTSTRAP_BLOCK + 1])
+    def test_blocks_equal_per_resample_reference(self, n, n_resamples):
+        # the statistics evaluate and ensemble pass, bit for bit against
+        # scoring one resample at a time on the same random stream
+        rng = np.random.default_rng(n)
+        y_true = rng.integers(0, 5, n)
+        y_pred = np.where(rng.random(n) < 0.7, y_true, rng.integers(0, 5, n))
+        correct = (y_pred == y_true).astype(np.float64)
+        pairs = np.stack([y_true, y_pred], axis=1)
+        for outcomes, block_fn, one_fn in (
+                (correct, row_mean, lambda a: float(a.mean())),
+                (pairs, block_macro_f1, reference_macro_f1)):
+            ci = bootstrap_ci(outcomes, block_fn, seed=n_resamples,
+                              name="x", n_resamples=n_resamples)
+            assert (ci.mean, ci.lower, ci.upper) == reference_bootstrap(
+                outcomes, one_fn, n_resamples, n_resamples)
+
+    def test_block_macro_f1_refuses_labels_outside_the_classes(self):
+        pairs = np.zeros((2, 40, 2), dtype=np.int64)
+        pairs[1, 3, 1] = 5
+        with pytest.raises(UsageError, match="outside 0..4"):
+            block_macro_f1(pairs)
+
+    def test_metric_fn_must_give_one_value_per_resample(self):
+        with pytest.raises(UsageError, match=f"{BOOTSTRAP_BLOCK} values, got shape"):
+            bootstrap_ci(np.ones(40), np.mean, seed=0, name="mean")
+
     def test_resample_count_recorded(self):
-        ci = bootstrap_ci(np.ones(40), np.mean, n_resamples=250, seed=0,
+        ci = bootstrap_ci(np.ones(40), row_mean, n_resamples=250, seed=0,
                           name="mean")
         assert ci.n_resamples == 250

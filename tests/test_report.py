@@ -30,7 +30,8 @@ def full_inputs(seed=0):
     y_true, probs = draws(seed)
     y_pred = probs.argmax(axis=1)
     metrics = evaluate_predictions(y_true, y_pred, probs)
-    cis = [bootstrap_ci((y_true == y_pred).astype(float), np.mean,
+    cis = [bootstrap_ci((y_true == y_pred).astype(float),
+                        lambda block: block.mean(axis=1),
                         n_resamples=200, seed=1, name="accuracy")]
     values = np.linspace(0, 1, 64)
     saliency = {"7": SaliencyMap(values, 1, values.copy()),
