@@ -26,9 +26,7 @@ from .beats import (
     CLASS_NAMES,
     DEFAULT_BEAT_LEN,
     BeatDataset,
-    BeatRecord,
     load_records_dir,
-    normalize_beat,
     read_beats_csv,
     segment_beats,
     stratified_split,
@@ -90,7 +88,6 @@ __all__ = [
     "AdamW",
     "AugmentError",
     "BeatDataset",
-    "BeatRecord",
     "CLASS_NAMES",
     "ConfidenceInterval",
     "ConfigError",
@@ -140,7 +137,6 @@ __all__ = [
     "load_manifest",
     "load_records_dir",
     "main",
-    "normalize_beat",
     "one_vs_rest_auc",
     "predict_classes",
     "prf1",

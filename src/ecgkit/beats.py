@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -45,68 +45,65 @@ def map_code_to_label(code):
     return _CODE_TO_LABEL.get(code)
 
 
-@dataclass
-class BeatRecord:
-    samples: np.ndarray
-    label: int
-    source: str = "synthetic"
-    split_tag: str = "unassigned"
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float32)
-        if self.samples.ndim != 1:
-            raise ConfigError("beat samples must be a 1-D vector")
-        if not 0 <= self.label < len(CLASS_NAMES):
-            raise ConfigError(f"beat label {self.label} outside 0..4")
+# one row of BeatDataset.beats
+_BeatRow = namedtuple("_BeatRow", "samples label source split_tag")
 
 
 class BeatDataset:
-    """Ordered beat collection with per-class bookkeeping.
+    """Beats as aligned columns, one row per beat: ``X [n, L]`` float32
+    samples, ``y [n]`` int64 class ids, ``split [n]`` tags from SPLIT_TAGS
+    and ``source [n]`` strings, the last two as object arrays.
 
-    Mutating methods are single-writer; once split tags are assigned the
-    dataset should be treated as read-only.
+    The constructor checks the columns once and keeps an X that is
+    already 2-D float32 without copying it.  Rows are selected with masks
+    or index arrays over the columns.
     """
 
-    def __init__(self, beats=None):
-        self.beats: list[BeatRecord] = list(beats) if beats else []
+    def __init__(self, X, y, split, source):
+        self.X = np.asarray(X, dtype=np.float32)
+        self.y = np.asarray(y, dtype=np.int64)
+        self.split = np.asarray(split, dtype=object)
+        self.source = np.asarray(source, dtype=object)
+        if self.X.ndim != 2:
+            raise ConfigError(f"beat samples must be an [n, L] matrix, got "
+                              f"{self.X.ndim} dimensions")
+        if not len(self.X) == len(self.y) == len(self.split) \
+                == len(self.source):
+            raise ConfigError("beat columns differ in length")
+        bad = self.y[(self.y < 0) | (self.y >= len(CLASS_NAMES))]
+        if len(bad):
+            raise ConfigError(f"beat label {bad[0]} outside 0..4")
+        unknown = set(self.split.tolist()) - set(SPLIT_TAGS)
+        if unknown:
+            raise ConfigError(
+                f"unknown split tags {sorted(map(str, unknown))}")
 
     def __len__(self):
-        return len(self.beats)
+        return len(self.y)
+
+    @property
+    def beats(self):
+        """The rows as (samples, label, source, split_tag) tuples.  Only
+        bench/ reads this view, until the bench moves to the columns;
+        nothing in the package does."""
+        return [_BeatRow(*row) for row in zip(self.X, self.y.tolist(),
+                                              self.source.tolist(),
+                                              self.split.tolist())]
 
     def __iter__(self):
         return iter(self.beats)
 
-    def extend(self, beats):
-        self.beats.extend(beats)
-
     def counts_for_split(self, split_tag):
-        counts = {label: 0 for label in range(len(CLASS_NAMES))}
-        for beat in self.beats:
-            if beat.split_tag == split_tag:
-                counts[beat.label] += 1
-        return counts
-
-    def matrix(self, split_tag=None):
-        """Stack beats into (X[n, L] float32, y[n] int64)."""
-        chosen = [b for b in self.beats
-                  if split_tag is None or b.split_tag == split_tag]
-        if not chosen:
-            length = len(self.beats[0].samples) if self.beats else DEFAULT_BEAT_LEN
-            return (np.zeros((0, length), dtype=np.float32),
-                    np.zeros(0, dtype=np.int64))
-        X = np.stack([b.samples for b in chosen]).astype(np.float32)
-        y = np.array([b.label for b in chosen], dtype=np.int64)
-        return X, y
+        counts = np.bincount(self.y[self.split == split_tag],
+                             minlength=len(CLASS_NAMES))
+        return dict(enumerate(counts.tolist()))
 
 
-def normalize_beat(samples):
-    """Min-max rescale into [0, 1]; a constant beat becomes all zeros."""
-    x = np.asarray(samples, dtype=np.float64)
-    lo = x.min()
-    hi = x.max()
-    if hi == lo:
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
+def concat(parts):
+    """One dataset holding the rows of parts, in order."""
+    return BeatDataset(*(np.concatenate([getattr(part, column)
+                                         for part in parts])
+                         for column in ("X", "y", "split", "source")))
 
 
 def segment_beats(signal, annotations, beat_len=DEFAULT_BEAT_LEN,
@@ -115,26 +112,33 @@ def segment_beats(signal, annotations, beat_len=DEFAULT_BEAT_LEN,
 
     The window spans floor(L/2) samples before the peak and L-1-floor(L/2)
     after it; windows that would cross either record edge are dropped.
-    Each kept window is min-max normalized with normalize_beat.
+    Each kept window is min-max rescaled into [0, 1] in float64, a constant
+    one to all zeros, then stored as float32.  Returns a BeatDataset of
+    unassigned beats whose source is ``<source_record>:<sample index>``.
     """
     if beat_len < 3:
         raise ConfigError(f"beat length {beat_len} too short, need >= 3")
     signal = np.asarray(signal, dtype=np.float64)
     half = beat_len // 2
-    beats = []
+    prefix = source_record or "beat"
+    rows, labels, sources = [], [], []
+    # one window at a time: cutting them all with one fancy index gives
+    # the same bits, but its record-sized float64 temporaries move the
+    # train workload's peak RSS by up to 15 % through heap layout
     for event in annotations:
         label = map_code_to_label(event.code)
-        if label is None:
-            continue
         start = event.sample_index - half
-        end = start + beat_len
-        if start < 0 or end > len(signal):
+        if label is None or start < 0 or start + beat_len > len(signal):
             continue
-        window = normalize_beat(signal[start:end])
-        source = (f"{source_record}:{event.sample_index}"
-                  if source_record else f"beat:{event.sample_index}")
-        beats.append(BeatRecord(window, label, source=source))
-    return beats
+        x = signal[start:start + beat_len]
+        lo, hi = x.min(), x.max()
+        rows.append((np.zeros_like(x) if hi == lo
+                     else (x - lo) / (hi - lo)).astype(np.float32))
+        labels.append(label)
+        sources.append(f"{prefix}:{event.sample_index}")
+    X = np.stack(rows) if rows else np.zeros((0, beat_len), np.float32)
+    return BeatDataset(X, labels,
+                       np.full(len(rows), "unassigned", dtype=object), sources)
 
 
 def select_lead(header, lead=None):
@@ -166,7 +170,7 @@ def load_records_dir(directory, lead=None, beat_len=DEFAULT_BEAT_LEN):
     header_paths = sorted(directory.glob("*.hea"))
     if not header_paths:
         raise IoError(f"no .hea records found under {directory}")
-    dataset = BeatDataset()
+    parts = []
     for hea_path in header_paths:
         header = parse_header(hea_path.read_bytes())
         record_path = hea_path.with_suffix("")
@@ -176,10 +180,10 @@ def load_records_dir(directory, lead=None, beat_len=DEFAULT_BEAT_LEN):
         header, signals = read_record(record_path, header=header)
         annotations = parse_annotations(atr_path.read_bytes())
         idx = select_lead(header, lead)
-        dataset.extend(segment_beats(
+        parts.append(segment_beats(
             signals[idx], annotations, beat_len=beat_len,
             source_record=header.record_name))
-    return dataset
+    return concat(parts)
 
 
 def stratified_split(dataset, train_fraction, seed):
@@ -191,27 +195,21 @@ def stratified_split(dataset, train_fraction, seed):
     if not 0.0 < train_fraction < 1.0:
         raise SplitError(
             f"train fraction must lie strictly inside (0, 1), got {train_fraction}")
-    by_class = {label: [] for label in range(len(CLASS_NAMES))}
-    for i, beat in enumerate(dataset.beats):
-        by_class[beat.label].append(i)
-    for label, indices in by_class.items():
-        if 0 < len(indices) < 2:
+    counts = np.bincount(dataset.y, minlength=len(CLASS_NAMES))
+    for label, count in enumerate(counts.tolist()):
+        if count == 1:
             raise SplitError(
-                f"class {CLASS_NAMES[label]} has only {len(indices)} beat; "
+                f"class {CLASS_NAMES[label]} has only {count} beat; "
                 f"need at least 2 to split")
     rng = np.random.default_rng(seed)
-    for label in range(len(CLASS_NAMES)):
-        indices = np.array(by_class[label], dtype=np.int64)
-        if len(indices) == 0:
-            continue
+    for label in np.flatnonzero(counts):
+        indices = np.flatnonzero(dataset.y == label)
         shuffled = indices[rng.permutation(len(indices))]
         # tiny nudge keeps decimal-exact products (e.g. 60 x 0.15) on the
         # integer they name despite binary float representation
         n_val = int(math.floor(len(indices) * (1.0 - train_fraction) + 1e-9))
-        for i in shuffled[:n_val]:
-            dataset.beats[i].split_tag = "val"
-        for i in shuffled[n_val:]:
-            dataset.beats[i].split_tag = "train"
+        dataset.split[shuffled[:n_val]] = "val"
+        dataset.split[shuffled[n_val:]] = "train"
     return dataset
 
 
@@ -224,29 +222,23 @@ def write_beats_csv(path, dataset):
     each distinct float32 value is formatted once per block or taken from
     the block before.  Label, split and source are CSV-quoted only when
     they need it, for example a source holding a comma, a quote or a
-    newline.  Rows end in ``\\r\\n``.  A dataset whose beats differ in
-    length is refused before the file is opened.
+    newline.  Rows end in ``\\r\\n``.
     """
-    if not dataset.beats:
+    if not len(dataset):
         raise IoError("refusing to write an empty beat file")
-    length = len(dataset.beats[0].samples)
-    for beat in dataset.beats:
-        if len(beat.samples) != length:
-            raise IoError(
-                f"beat length {len(beat.samples)} != {length}; "
-                f"dataset is not rectangular")
+    length = dataset.X.shape[1]
     header = [f"s{i}" for i in range(length)] + ["label", "split", "source"]
     samples_fmt = "%.9g," * length
     prev_bits, prev_text = np.empty(0, np.uint32), np.empty(0, object)
     with atomic_open(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for start in range(0, len(dataset.beats), _WRITE_BLOCK):
-            block = dataset.beats[start:start + _WRITE_BLOCK]
+        for start in range(0, len(dataset), _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
             # float32 -> Python float is exact, so "%.9g" of tolist() is the
             # format of the float32 value; distinct by bit pattern, so -0.0
             # keeps its sign
-            samples = np.stack([beat.samples for beat in block])
+            samples = dataset.X[block]
             distinct, index = np.unique(samples.view(np.uint32).ravel(),
                                         return_inverse=True)
             if 2 * len(distinct) > samples.size:
@@ -266,18 +258,21 @@ def write_beats_csv(path, dataset):
                 prev_bits, prev_text = distinct, text
                 rows = ["".join(cells) for cells
                         in text[index].reshape(samples.shape).tolist()]
-            for row, beat in zip(rows, block):
+            for row, label, split, source in zip(
+                    rows, dataset.y[block].tolist(),
+                    dataset.split[block].tolist(),
+                    dataset.source[block].tolist()):
                 fh.write(row)
-                writer.writerow([str(beat.label), beat.split_tag, beat.source])
+                writer.writerow([str(label), split, source])
     return path
 
 
 def read_beats_csv(path):
     """Read a beat CSV back into a BeatDataset.
 
-    The body is parsed in one ``np.loadtxt`` pass: the samples as one
-    float32 matrix, whose rows become the beats' samples, and the columns
-    after them as strings.  Tolerates files without the optional
+    The body is parsed in one ``np.loadtxt`` pass into a table whose
+    samples field is the dataset's X, and whose columns after it give the
+    labels, split tags and sources.  Tolerates files without the optional
     split/source columns; such beats come back unassigned/unknown.  A row
     whose field count differs from the header's is refused.  When loadtxt
     or a label, split or sample check refuses the file, it is scanned again
@@ -297,17 +292,18 @@ def read_beats_csv(path):
             raise ParseError(
                 f"{path}: expected column s{i}, found {header[i]!r}", line=1)
     try:
-        beats = _beats_from_table(path, header, encoding)
-    except (ValueError, ConfigError):
-        beats = _scan_rows(path, header)
-    if not beats:
+        dataset = _dataset_from_table(path, header, encoding)
+    except (ValueError, OverflowError, ConfigError):
+        dataset = _scan_rows(path, header)
+    if not len(dataset):
         raise ParseError(f"{path}: no beat rows", line=2)
-    return BeatDataset(beats)
+    return dataset
 
 
-def _beats_from_table(path, header, encoding):
+def _dataset_from_table(path, header, encoding):
     """The beats of path's body, parsed by one loadtxt call; raises
-    ValueError or ConfigError on anything _scan_rows would refuse."""
+    ValueError, OverflowError or ConfigError on anything _scan_rows would
+    refuse."""
     label_col = header.index("label")
     dtype = np.dtype([("samples", np.float32, (label_col,))]
                      + [(f"c{i}", object)
@@ -323,15 +319,11 @@ def _beats_from_table(path, header, encoding):
     def column(name, default):
         if name not in header:
             return [default] * len(table)
-        return table[f"c{header.index(name)}"].tolist()
+        return table[f"c{header.index(name)}"]
 
-    splits = column("split", "unassigned")
-    if not set(splits) <= set(SPLIT_TAGS):
-        raise ValueError("unknown split tag")
-    return [BeatRecord(samples, int(label), source=source, split_tag=split)
-            for samples, label, split, source
-            in zip(table["samples"], table[f"c{label_col}"].tolist(), splits,
-                   column("source", "unknown"))]
+    labels = [int(label) for label in table[f"c{label_col}"].tolist()]
+    return BeatDataset(table["samples"], labels, column("split", "unassigned"),
+                       column("source", "unknown"))
 
 
 def _scan_rows(path, header):
@@ -340,7 +332,7 @@ def _scan_rows(path, header):
     label_col = header.index("label")
     split_col = header.index("split") if "split" in header else None
     source_col = header.index("source") if "source" in header else None
-    beats = []
+    rows, labels, splits, sources = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -360,10 +352,13 @@ def _scan_rows(path, header):
             if split_tag not in SPLIT_TAGS:
                 raise ParseError(
                     f"{path}: unknown split tag {split_tag!r}", line=line_no)
-            source = row[source_col] if source_col is not None else "unknown"
-            try:
-                beats.append(BeatRecord(samples, label, source=source,
-                                        split_tag=split_tag))
-            except ConfigError as exc:
-                raise ParseError(f"{path}: {exc}", line=line_no) from None
-    return beats
+            if not 0 <= label < len(CLASS_NAMES):
+                raise ParseError(f"{path}: beat label {label} outside 0..4",
+                                 line=line_no)
+            rows.append(samples)
+            labels.append(label)
+            splits.append(split_tag)
+            sources.append(row[source_col] if source_col is not None
+                           else "unknown")
+    return BeatDataset(np.array(rows, dtype=np.float32).reshape(
+        len(rows), label_col), labels, splits, sources)

@@ -4,8 +4,9 @@ Layout: the magic string "ECGKIT1", a little-endian u32 length plus JSON
 bytes describing the architecture, a u32 record count, then one record
 per state array in sorted name order. Each record is a u16 name length,
 the UTF-8 name, a u8 rank, the dims as u32 values, and the row-major
-little-endian float32 data. The descriptor block alone determines every
-parameter shape, so metadata queries never touch the tensor records.
+little-endian float32 data, and nothing after the last record. The
+descriptor block alone determines every parameter shape, so metadata
+queries never touch the tensor records.
 """
 
 import json
@@ -118,5 +119,9 @@ def load_checkpoint(path):
         if missing:
             raise FormatError(f"checkpoint missing arrays: {sorted(missing)}",
                               offset=handle.tell())
+        end = handle.tell()
+        if handle.read(1):
+            raise FormatError("checkpoint has bytes after its last record",
+                              offset=end)
     model.load_state_arrays(arrays)
     return model

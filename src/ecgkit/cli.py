@@ -150,27 +150,22 @@ def _sibling(out_file, suffix):
 
 
 def _select_rows(dataset, split_tag):
-    """Rows for one split; a file with no split column counts whole."""
-    tags = {beat.split_tag for beat in dataset.beats}
+    """(X, y) of one split; a file with no split column counts whole."""
+    tags = set(dataset.split.tolist())
     if tags == {"unassigned"}:
-        return dataset.matrix()
-    X, y = dataset.matrix(split_tag)
-    if len(y) == 0:
+        return dataset.X, dataset.y
+    rows = dataset.split == split_tag
+    if not rows.any():
         raise ConfigError(f"no beats tagged {split_tag!r} in the input; "
                           f"found tags {sorted(tags)}")
-    return X, y
-
-
-def _beat_length(dataset):
-    return len(dataset.beats[0].samples)
+    return dataset.X[rows], dataset.y[rows]
 
 
 def _normalized_sources(dataset):
     """Collapse source tags to the two-value vocabulary of the beat files."""
-    beats = [dataclasses.replace(
-        beat, source="synthetic" if beat.source == "synthetic" else "real")
-        for beat in dataset.beats]
-    return BeatDataset(beats)
+    return BeatDataset(dataset.X, dataset.y, dataset.split,
+                       np.where(dataset.source == "synthetic", "synthetic",
+                                "real"))
 
 
 def _confidence_intervals(y_true, y_pred, seed, n_resamples):
@@ -226,11 +221,10 @@ def _augment(dataset, gan_config, seed, out):
     before and after beside it; returns (balanced, written paths).
     """
     def adversarial_pair(label):
-        records = [b for b in dataset.beats
-                   if b.split_tag == "train" and b.label == label]
+        rows = (dataset.split == "train") & (dataset.y == label)
         stage_seed = derive_seed(seed, f"augment/{CLASS_NAMES[label]}")
-        generator, discriminator, _ = gan_train(records, gan_config,
-                                                seed=stage_seed)
+        generator, discriminator, _ = gan_train(dataset.X[rows], label,
+                                                gan_config, seed=stage_seed)
         return generator, discriminator
 
     labels = list(balance_deficits(dataset, gan_config))
@@ -260,7 +254,7 @@ def _train_one_arch(config, dataset, command, arch):
     stage = Path(config.out_dir) / "train" / arch
     with _stage(command, config, stage / "run.manifest.json") as manifest:
         descriptor = ModelDescriptor(arch=arch,
-                                     input_len=_beat_length(dataset))
+                                     input_len=dataset.X.shape[1])
         model = build(descriptor,
                       seed=derive_seed(config.seed, f"train/{arch}"))
         model, history = train(model, dataset, config.train_configs[arch])
@@ -269,9 +263,9 @@ def _train_one_arch(config, dataset, command, arch):
         save_checkpoint(checkpoint_path, model)
         history_path = history.to_csv(stage / "history.csv")
 
-        X_val, y_val = dataset.matrix("val")
-        y_pred = model.logits_array(X_val).argmax(axis=1)
-        bundle = evaluate_predictions(y_val, y_pred)
+        val = dataset.split == "val"
+        y_pred = model.logits_array(dataset.X[val]).argmax(axis=1)
+        bundle = evaluate_predictions(dataset.y[val], y_pred)
         summary = {"arch": arch,
                    "checkpoint": str(checkpoint_path),
                    "val_macro_f1": bundle.macro_f1,
@@ -378,7 +372,7 @@ def cmd_gradcam(args, command):
     out = Path(args.out)
     with _stage(command, args, out / "run.manifest.json") as manifest:
         model = load_checkpoint(args.checkpoint)
-        X, _ = read_beats_csv(args.in_path).matrix()
+        X = read_beats_csv(args.in_path).X
         bad = [i for i in indices if not 0 <= i < len(X)]
         if bad:
             raise ConfigError(f"sample rows {bad} outside 0..{len(X) - 1}")
@@ -409,7 +403,7 @@ def cmd_reproduce(args, command):
                 manifest.add_files([beats_path])
         elif config.beats_csv is not None:
             dataset = read_beats_csv(config.beats_csv)
-            length = _beat_length(dataset)
+            length = dataset.X.shape[1]
             # checked before the GAN stage, which can run for hours
             if length < MIN_INPUT_LEN:
                 raise ConfigError(f"beats in {config.beats_csv} are {length} "
@@ -425,6 +419,7 @@ def cmd_reproduce(args, command):
                                          derive_seed(master, "augment"),
                                          out / "augment" / "beats_aug.csv")
             manifest.add_files(written)
+        del dataset  # the training stages read balanced only
 
         # stage 3: all four architectures, each on its own seed
         summaries = _map_jobs(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tk
-from .beats import CLASS_NAMES, BeatDataset, BeatRecord
+from .beats import CLASS_NAMES, BeatDataset, concat
 from .errors import AugmentError, ConfigError
 from .models import Params
 from .tensor import Tensor
@@ -144,29 +144,6 @@ def generator_loss(fake_scores):
     return tk.neg(tk.log(tk.clamp_min(fake_scores, 1e-12)).mean())
 
 
-def _validate_minority_beats(beats, config):
-    """The common length of the beats, once they suit adversarial training."""
-    if not beats:
-        raise ConfigError("no beats supplied for adversarial training")
-    labels = sorted({beat.label for beat in beats})
-    if len(labels) > 1:
-        names = ", ".join(CLASS_NAMES[label] for label in labels)
-        raise ConfigError(
-            f"adversarial training takes a single class, got beats from {names}")
-    if len(beats) < MIN_REAL_BEATS:
-        raise ConfigError(
-            f"adversarial training needs at least {MIN_REAL_BEATS} real "
-            f"beats, got {len(beats)}")
-    if len(beats) < config.batch_size:
-        raise ConfigError(
-            f"{len(beats)} beats cannot fill a batch of {config.batch_size}")
-    lengths = {len(beat.samples) for beat in beats}
-    if len(lengths) > 1 or min(lengths) < 2:
-        raise ConfigError(f"beats must share one length >= 2, got lengths "
-                          f"{sorted(lengths)}")
-    return lengths.pop()
-
-
 @contextmanager
 def _untracked(params):
     """Run the block with requires_grad off on every tensor in params.
@@ -183,30 +160,39 @@ def _untracked(params):
             p.requires_grad = True
 
 
-def gan_train(minority_beats, config, seed):
+def gan_train(real, label, config, seed):
     """Adversarially train a generator/discriminator pair on one class.
 
-    Each step first updates the discriminator on a real batch plus detached
-    fakes, then updates the generator against the refreshed discriminator.
-    Returns (generator, discriminator, history) where history holds one
-    ("D", loss) and one ("G", loss) entry per step, in update order. The
-    generator draws beats of the real beats' class and length.
+    real is the class's beats as a float32 matrix [n, L]. Each step first
+    updates the discriminator on a real batch plus detached fakes, then
+    updates the generator against the refreshed discriminator. Returns
+    (generator, discriminator, history) where history holds one ("D", loss)
+    and one ("G", loss) entry per step, in update order. The generator
+    draws beats of class label and length L.
     """
-    beats = list(minority_beats)
-    beat_len = _validate_minority_beats(beats, config)
+    n, beat_len = real.shape
+    if n < MIN_REAL_BEATS:
+        raise ConfigError(
+            f"adversarial training needs at least {MIN_REAL_BEATS} real "
+            f"beats, got {n}")
+    if n < config.batch_size:
+        raise ConfigError(
+            f"{n} beats cannot fill a batch of {config.batch_size}")
+    if beat_len < 2:
+        raise ConfigError(f"beats must share one length >= 2, got lengths "
+                          f"[{beat_len}]")
 
-    real = np.stack([beat.samples for beat in beats]).astype(np.float32)
     rng = np.random.default_rng(seed)
-    generator = GeneratorNet(config, rng, beats[0].label, beat_len)
+    generator = GeneratorNet(config, rng, label, beat_len)
     discriminator = DiscriminatorNet(config, rng)
     g_opt = AdamW(generator.params, config.g_lr)
     d_opt = AdamW(discriminator.params, config.d_lr)
 
     history = []
-    steps_per_epoch = len(beats) // config.batch_size
+    steps_per_epoch = n // config.batch_size
     batch = config.batch_size
     for _ in range(config.epochs):
-        order = rng.permutation(len(beats))
+        order = rng.permutation(n)
         for step in range(steps_per_epoch):
             rows = order[step * batch:(step + 1) * batch]
             real_batch = Tensor(real[rows])
@@ -240,7 +226,8 @@ def gan_train(minority_beats, config, seed):
 
 
 def synthesize(generator, discriminator, n_needed, tau, seed):
-    """Draw candidate beats and keep those scoring at least tau.
+    """Draw candidate beats and keep those scoring at least tau, in draw
+    order, as an array [n_needed, L].
 
     Stops once n_needed beats are accepted; gives up with an AugmentError
     after examining ATTEMPT_BUDGET_FACTOR * n_needed candidates.
@@ -252,29 +239,22 @@ def synthesize(generator, discriminator, n_needed, tau, seed):
     rng = np.random.default_rng(seed)
     budget = ATTEMPT_BUDGET_FACTOR * n_needed
     chunk = min(max(generator.config.batch_size, 32), 256)
-    accepted = []
-    attempts = 0
-    while len(accepted) < n_needed and attempts < budget:
+    blocks = []
+    accepted = attempts = 0
+    while accepted < n_needed and attempts < budget:
         draws = min(chunk, budget - attempts)
         candidates = generator.generate(draws, rng)
-        scores = discriminator.score(candidates)
-        for row, confidence in zip(candidates, scores):
-            attempts += 1
-            if confidence >= tau:
-                accepted.append(BeatRecord(row, generator.label,
-                                           source="synthetic",
-                                           split_tag="train"))
-                if len(accepted) == n_needed:
-                    break
-            if attempts >= budget:
-                break
-    if len(accepted) < n_needed:
-        rate = len(accepted) / attempts
+        hits = np.flatnonzero(discriminator.score(candidates) >= tau)
+        blocks.append(candidates[hits[:n_needed - accepted]])
+        accepted += len(blocks[-1])
+        attempts += draws
+    if accepted < n_needed:
+        rate = accepted / attempts
         raise AugmentError(
             f"gave up after {attempts} candidate draws with "
-            f"{len(accepted)}/{n_needed} beats accepted "
+            f"{accepted}/{n_needed} beats accepted "
             f"(acceptance rate {rate:.1%}); lower tau or train longer")
-    return accepted
+    return np.concatenate(blocks)
 
 
 def balance_deficits(dataset, config):
@@ -300,9 +280,9 @@ def balance_dataset(dataset, generators, config, seed):
     balance_deficits decides which classes fall short and by how much;
     candidates are kept when they score at least config.tau.
     generators maps class label to a (generator, discriminator) pair; a
-    class below target without one is an error. Returns a new dataset
-    sharing the original BeatRecord objects; the input order is preserved
-    and synthetic beats are appended at the end.
+    class below target without one is an error. Returns a new dataset: the
+    input rows in order, then the synthetic beats, tagged train and
+    synthetic.
     """
     deficits = balance_deficits(dataset, config)
     missing = [label for label in deficits if label not in generators]
@@ -315,12 +295,15 @@ def balance_dataset(dataset, generators, config, seed):
     if not deficits:
         return dataset
 
-    synthetic = []
+    parts = [dataset]
     for label, needed in deficits.items():
         generator, discriminator = generators[label]
-        synthetic.extend(synthesize(generator, discriminator, needed,
-                                    tau=config.tau, seed=[seed, label]))
-    return BeatDataset(list(dataset.beats) + synthetic)
+        rows = synthesize(generator, discriminator, needed, tau=config.tau,
+                          seed=[seed, label])
+        parts.append(BeatDataset(rows, np.full(needed, label),
+                                 np.full(needed, "train", dtype=object),
+                                 np.full(needed, "synthetic", dtype=object)))
+    return concat(parts)
 
 
 def class_count_report(dataset):

@@ -230,15 +230,18 @@ def evaluate_split(model, X, y, alpha, gamma):
 def train(model, dataset, run_config):
     """Mini-batch training with plateau scheduling and early stopping.
 
-    The dataset must carry train/val split tags.  The model is updated in
-    place and ends holding the weights of its best validation epoch.
+    The dataset must carry train/val split tags.  Each batch is gathered
+    from the dataset's X by row index, so no copy of the train split is
+    made.  The model is updated in place and ends holding the weights of
+    its best validation epoch.
     """
-    X_train, y_train = dataset.matrix("train")
-    X_val, y_val = dataset.matrix("val")
-    if len(X_train) == 0:
+    train_rows = np.flatnonzero(dataset.split == "train")
+    val_rows = np.flatnonzero(dataset.split == "val")
+    if len(train_rows) == 0:
         raise ConfigError("training split is empty; run the splitter first")
-    if len(X_val) == 0:
+    if len(val_rows) == 0:
         raise ConfigError("validation split is empty; run the splitter first")
+    X_val, y_val = dataset.X[val_rows], dataset.y[val_rows]
     rng = np.random.default_rng(run_config.seed)
     optimizer = AdamW(model.parameters(), lr=run_config.lr,
                       weight_decay=run_config.weight_decay)
@@ -247,15 +250,15 @@ def train(model, dataset, run_config):
     best_val = np.inf
     best_state = None
     stagnant = 0
-    n = len(X_train)
+    n = len(train_rows)
     for epoch in range(1, run_config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         epoch_correct = 0
         for start in range(0, n, run_config.batch_size):
-            idx = order[start:start + run_config.batch_size]
-            xb = X_train[idx]
-            yb = y_train[idx]
+            idx = train_rows[order[start:start + run_config.batch_size]]
+            xb = dataset.X[idx]
+            yb = dataset.y[idx]
             logits = model.forward(Tensor(xb.reshape(len(xb), 1, -1)),
                                    training=True, rng=rng)
             probs = tk.softmax(logits, axis=-1)

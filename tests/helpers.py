@@ -1,5 +1,6 @@
 """Shared test fixtures: small synthetic beat sets, a split-less beat file
-writer, the per-value beat CSV writer and reader and the per-resample
+writer, the reference segmenter (lists of per-beat rows, labels and
+sources), the per-value beat CSV writer and reader and the per-resample
 bootstrap that the blocked forms are checked against, and the unfused
 reference forms that fused tape nodes are checked against (a tape-built
 LSTM step; batch norm, swish and relu as separate nodes)."""
@@ -11,10 +12,59 @@ import warnings
 import numpy as np
 
 from ecgkit import tensor as tk
-from ecgkit.beats import (SPLIT_TAGS, BeatDataset, BeatRecord, normalize_beat,
-                          stratified_split, write_beats_csv)
-from ecgkit.errors import ConfigError, ParseError
+from ecgkit.beats import (CLASS_NAMES, SPLIT_TAGS, BeatDataset,
+                          map_code_to_label, stratified_split,
+                          write_beats_csv)
+from ecgkit.errors import ParseError
 from ecgkit.metrics import confusion, prf1
+
+
+def beat_set(rows, labels, split="unassigned", source="toy"):
+    """A BeatDataset of the given rows and labels; a split or source given
+    as one string tags every beat."""
+    n = len(labels)
+
+    def column(value):
+        if isinstance(value, str):
+            return np.full(n, value, dtype=object)
+        return np.array(value, dtype=object)
+
+    X = np.array(rows, dtype=np.float32).reshape(n, -1) if n else \
+        np.zeros((0, 8), dtype=np.float32)
+    return BeatDataset(X, np.array(labels, dtype=np.int64), column(split),
+                       column(source))
+
+
+def normalize_beat(samples):
+    """Min-max rescale into [0, 1] in float64; a constant beat becomes all
+    zeros."""
+    x = np.asarray(samples, dtype=np.float64)
+    lo = x.min()
+    hi = x.max()
+    if hi == lo:
+        return np.zeros_like(x)
+    return (x - lo) / (hi - lo)
+
+
+def reference_segment_beats(signal, annotations, beat_len, source_record):
+    """segment_beats one window at a time: (rows as float32, labels,
+    sources) of the kept beats."""
+    signal = np.asarray(signal, dtype=np.float64)
+    half = beat_len // 2
+    rows, labels, sources = [], [], []
+    for event in annotations:
+        label = map_code_to_label(event.code)
+        if label is None:
+            continue
+        start = event.sample_index - half
+        end = start + beat_len
+        if start < 0 or end > len(signal):
+            continue
+        rows.append(normalize_beat(signal[start:end]).astype(np.float32))
+        labels.append(label)
+        sources.append(f"{source_record}:{event.sample_index}"
+                       if source_record else f"beat:{event.sample_index}")
+    return rows, labels, sources
 
 
 def pulse_beat(rng, length, center, width=3, noise=0.05):
@@ -28,13 +78,13 @@ def pulse_beat(rng, length, center, width=3, noise=0.05):
 def toy_two_class(n_per_class=20, length=64, seed=0, train_fraction=0.8):
     """Linearly separable two-class beats: a pulse on the left or the right."""
     rng = np.random.default_rng(seed)
-    beats = []
+    rows, labels = [], []
     for label in (0, 1):
         center = length // 4 if label == 0 else 3 * length // 4
         for _ in range(n_per_class):
-            beats.append(BeatRecord(pulse_beat(rng, length, center), label,
-                                    source="toy"))
-    dataset = BeatDataset(beats)
+            rows.append(pulse_beat(rng, length, center))
+            labels.append(label)
+    dataset = beat_set(rows, labels)
     stratified_split(dataset, train_fraction, seed=seed)
     return dataset
 
@@ -53,15 +103,16 @@ def write_splitless_csv(path, dataset):
 def reference_beat_csv_bytes(dataset):
     """The beat CSV write_beats_csv writes, one "%.9g" per sample value and
     one csv.writer row per beat."""
-    length = len(dataset.beats[0].samples)
+    length = dataset.X.shape[1]
     text = io.StringIO(newline="")
     writer = csv.writer(text)
     writer.writerow([f"s{i}" for i in range(length)]
                     + ["label", "split", "source"])
     samples_fmt = "%.9g," * length
-    for beat in dataset.beats:
-        text.write(samples_fmt % tuple(beat.samples.tolist()))
-        writer.writerow([str(beat.label), beat.split_tag, beat.source])
+    for samples, label, split, source in zip(dataset.X, dataset.y,
+                                             dataset.split, dataset.source):
+        text.write(samples_fmt % tuple(samples.tolist()))
+        writer.writerow([str(label), split, source])
     return text.getvalue().encode()
 
 
@@ -84,7 +135,7 @@ def reference_read_beats_csv(path):
                     f"{path}: expected column s{i}, found {header[i]!r}", line=1)
         split_col = header.index("split") if "split" in header else None
         source_col = header.index("source") if "source" in header else None
-        beats = []
+        rows, labels, splits, sources = [], [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -100,16 +151,18 @@ def reference_read_beats_csv(path):
             if split_tag not in SPLIT_TAGS:
                 raise ParseError(
                     f"{path}: unknown split tag {split_tag!r}", line=line_no)
-            source = row[source_col] if source_col is not None and \
-                len(row) > source_col else "unknown"
-            try:
-                beats.append(BeatRecord(samples, label, source=source,
-                                        split_tag=split_tag))
-            except ConfigError as exc:
-                raise ParseError(f"{path}: {exc}", line=line_no) from None
-    if not beats:
+            if not 0 <= label < len(CLASS_NAMES):
+                raise ParseError(f"{path}: beat label {label} outside 0..4",
+                                 line=line_no)
+            rows.append(samples)
+            labels.append(label)
+            splits.append(split_tag)
+            sources.append(row[source_col] if source_col is not None and
+                           len(row) > source_col else "unknown")
+    if not rows:
         raise ParseError(f"{path}: no beat rows", line=2)
-    return BeatDataset(beats)
+    return BeatDataset(np.array(rows, dtype=np.float32).reshape(
+        len(rows), label_col), labels, splits, sources)
 
 
 def reference_bootstrap(outcomes, metric_fn, seed, n_resamples):

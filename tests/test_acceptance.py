@@ -22,11 +22,10 @@ import numpy as np
 import pytest
 
 import test_gradcheck as gradcheck
-from helpers import pulse_beat, toy_two_class
+from helpers import beat_set, pulse_beat, toy_two_class
 
 from ecgkit.beats import (
     BeatDataset,
-    BeatRecord,
     DEFAULT_BEAT_LEN,
     load_records_dir,
     stratified_split,
@@ -157,19 +156,19 @@ def test_balancing_restores_minority_classes_with_valid_synthetics():
     rng = np.random.default_rng(77)
     length = DEFAULT_BEAT_LEN
     before = {0: 96, 2: 64, 4: 48}
-    beats = []
+    rows, labels = [], []
     for label, count in sorted(before.items()):
         center = 30 + 30 * label
         for _ in range(count):
-            beats.append(BeatRecord(pulse_beat(rng, length, center), label,
-                                    source="real", split_tag="train"))
-    dataset = BeatDataset(beats)
+            rows.append(pulse_beat(rng, length, center))
+            labels.append(label)
+    dataset = beat_set(rows, labels, split="train", source="real")
 
     config = GanTrainConfig(epochs=1, batch_size=32, hidden=16,
                             dense_width=32)
     generators = {}
     for label in (2, 4):
-        gen, disc, _ = gan_train([b for b in beats if b.label == label],
+        gen, disc, _ = gan_train(dataset.X[dataset.y == label], label,
                                  config, seed=1000 + label)
         generators[label] = (gen, disc)
 
@@ -180,12 +179,12 @@ def test_balancing_restores_minority_classes_with_valid_synthetics():
     for label in before:
         assert after[label] >= math.ceil(0.99 * majority)
 
-    synthetic = [b for b in balanced if b.source == "synthetic"]
+    synthetic = balanced.X[balanced.source == "synthetic"]
     assert len(synthetic) == (96 - 64) + (96 - 48)
-    for beat in synthetic:
-        assert len(beat.samples) == length
-        assert float(beat.samples.min()) >= 0.0
-        assert float(beat.samples.max()) <= 1.0
+    for samples in synthetic:
+        assert len(samples) == length
+        assert float(samples.min()) >= 0.0
+        assert float(samples.max()) <= 1.0
 
 
 def test_threshold_metrics_and_auc_match_brute_force():
@@ -265,14 +264,15 @@ def test_fusion_weights_match_reference_pair_and_scale_invariance():
 def test_saliency_peak_tracks_the_discriminative_pulse():
     rng = np.random.default_rng(88)
     length = DEFAULT_BEAT_LEN
-    entries = []
+    rows, labels, centers = [], [], []
     for label in (0, 1):
         lo, hi = (25, 70) if label == 0 else (117, 162)
         for _ in range(60):
             center = int(rng.integers(lo, hi))
-            entries.append((BeatRecord(pulse_beat(rng, length, center), label,
-                                       source="real"), center))
-    dataset = BeatDataset([record for record, _ in entries])
+            rows.append(pulse_beat(rng, length, center))
+            labels.append(label)
+            centers.append(center)
+    dataset = beat_set(rows, labels, source="real")
     stratified_split(dataset, 0.75, seed=3)
 
     model = build(ModelDescriptor(arch="cnn", input_len=length, n_classes=2),
@@ -281,13 +281,13 @@ def test_saliency_peak_tracks_the_discriminative_pulse():
                      TrainRunConfig.for_arch("cnn", epochs=10, batch_size=16,
                                              lr=1e-2, seed=1))
 
-    held_out = [(record, center) for record, center in entries
-                if record.split_tag == "val"]
-    stacked = np.stack([record.samples for record, _ in held_out])
+    val = dataset.split == "val"
+    held_out = list(zip(dataset.X[val], np.array(centers)[val]))
+    stacked = dataset.X[val]
     predicted = predict_classes(model.logits_array(stacked))
     hits = 0
-    for (record, center), label in zip(held_out, predicted):
-        saliency = grad_cam(model, record.samples, int(label))
+    for (samples, center), label in zip(held_out, predicted):
+        saliency = grad_cam(model, samples, int(label))
         if abs(int(np.argmax(saliency.values)) - center) <= 10:
             hits += 1
     assert hits / len(held_out) >= 0.90
@@ -315,9 +315,9 @@ def _synthetic_beat(rng, label, length=DEFAULT_BEAT_LEN):
 
 def test_smoke_training_reaches_strong_macro_f1_on_synthetic_beats():
     rng = np.random.default_rng(909)
-    beats = [BeatRecord(_synthetic_beat(rng, label), label, source="real")
-             for label in range(5) for _ in range(400)]
-    dataset = BeatDataset(beats)
+    labels = [label for label in range(5) for _ in range(400)]
+    dataset = beat_set([_synthetic_beat(rng, label) for label in labels],
+                       labels, source="real")
     stratified_split(dataset, 0.85, seed=17)
 
     start = time.monotonic()
@@ -326,7 +326,8 @@ def test_smoke_training_reaches_strong_macro_f1_on_synthetic_beats():
                      TrainRunConfig.for_arch("cnn", epochs=5, seed=17))
     elapsed = time.monotonic() - start
 
-    X, y = dataset.matrix("val")
+    val = dataset.split == "val"
+    X, y = dataset.X[val], dataset.y[val]
     bundle = evaluate_predictions(y, predict_classes(model.logits_array(X)))
     assert bundle.macro_f1 >= 0.70
     assert elapsed <= 600.0
@@ -336,8 +337,8 @@ def _proportional_subset(dataset, n_total, seed):
     """Stratified subsample: largest-remainder quotas, >= 2 beats a class."""
     rng = np.random.default_rng(seed)
     by_label = {}
-    for beat in dataset:
-        by_label.setdefault(beat.label, []).append(beat)
+    for i, label in enumerate(dataset.y.tolist()):
+        by_label.setdefault(label, []).append(i)
     total = len(dataset)
     quotas = {label: n_total * len(b) / total for label, b in by_label.items()}
     take = {label: int(q) for label, q in quotas.items()}
@@ -349,7 +350,8 @@ def _proportional_subset(dataset, n_total, seed):
         want = min(len(beats), max(2, take[label]))
         picked = sorted(rng.permutation(len(beats))[:want].tolist())
         chosen.extend(beats[i] for i in picked)
-    return BeatDataset(chosen)
+    return BeatDataset(dataset.X[chosen], dataset.y[chosen],
+                       dataset.split[chosen], dataset.source[chosen])
 
 
 @needs_clinical_data
@@ -364,7 +366,8 @@ def test_smoke_training_on_clinical_subset():
                      TrainRunConfig.for_arch("cnn", epochs=5, seed=17))
     elapsed = time.monotonic() - start
 
-    X, y = subset.matrix("val")
+    val = subset.split == "val"
+    X, y = subset.X[val], subset.y[val]
     bundle = evaluate_predictions(y, predict_classes(model.logits_array(X)))
     assert bundle.macro_f1 >= 0.70
     assert elapsed <= 600.0
@@ -385,15 +388,16 @@ def _clinical_run():
     generators = {}
     for label, count in sorted(train_counts.items()):
         if 0 < count < majority:
-            minority = [b for b in dataset
-                        if b.split_tag == "train" and b.label == label]
-            gen, disc, _ = gan_train(minority, GanTrainConfig(),
+            minority = dataset.X[(dataset.split == "train")
+                                 & (dataset.y == label)]
+            gen, disc, _ = gan_train(minority, label, GanTrainConfig(),
                                      seed=derive_seed(17, f"gan/{label}"))
             generators[label] = (gen, disc)
     balanced = balance_dataset(dataset, generators, GanTrainConfig(tau=0.5),
                                seed=17)
 
-    X_val, y_val = balanced.matrix("val")
+    val = balanced.split == "val"
+    X_val, y_val = balanced.X[val], balanced.y[val]
     logits = {}
     scores = {}
     for arch in ("cnn", "cnn_lstm"):

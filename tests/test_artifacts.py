@@ -23,7 +23,7 @@ class Interrupting:
 
 def rewrite_beats_failing_midway(path):
     dataset = toy_two_class(n_per_class=4, length=16)
-    dataset.beats[5].source = Interrupting()
+    dataset.source[5] = Interrupting()
     with pytest.raises(KeyboardInterrupt):
         write_beats_csv(path, dataset)
 

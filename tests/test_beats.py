@@ -9,12 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 from ecgkit.beats import (
     BeatDataset,
-    BeatRecord,
     CLASS_NAMES,
     SPLIT_TAGS,
     load_records_dir,
     map_code_to_label,
-    normalize_beat,
     read_beats_csv,
     segment_beats,
     select_lead,
@@ -24,7 +22,8 @@ from ecgkit.beats import (
 from ecgkit.errors import ConfigError, IoError, ParseError, SplitError
 from ecgkit.wfdb_io import AnnotationEvent, MNEMONIC_TO_CODE, parse_header, write_record
 
-from helpers import reference_beat_csv_bytes, reference_read_beats_csv
+from helpers import (beat_set, normalize_beat, reference_beat_csv_bytes,
+                     reference_read_beats_csv, reference_segment_beats)
 
 
 def ann(index, mnemonic):
@@ -51,23 +50,33 @@ class TestLabelMapping:
         assert map_code_to_label(999) is None
 
 
+def normalized(samples):
+    """The one beat segment_beats cuts from a signal of exactly its
+    length."""
+    samples = np.asarray(samples, dtype=np.float64)
+    beats = segment_beats(samples, [ann(len(samples) // 2, "N")],
+                          beat_len=len(samples))
+    return beats.X[0]
+
+
 class TestNormalize:
     def test_simple_ramp(self):
-        np.testing.assert_allclose(normalize_beat([1, 2, 3]), [0, 0.5, 1])
+        np.testing.assert_allclose(normalized([1, 2, 3]), [0, 0.5, 1])
 
     def test_uneven_spacing(self):
-        np.testing.assert_allclose(normalize_beat([2, 4, 10]), [0, 0.25, 1])
+        np.testing.assert_allclose(normalized([2, 4, 10]), [0, 0.25, 1])
 
     def test_constant_becomes_zeros(self):
-        np.testing.assert_array_equal(normalize_beat([7, 7, 7]), [0, 0, 0])
+        np.testing.assert_array_equal(normalized([7, 7, 7]), [0, 0, 0])
 
     def test_range_property(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = rng.normal(size=int(rng.integers(2, 300)))
-            if np.ptp(x) == 0:
+            # segment_beats cuts windows of 3 samples and more
+            if np.ptp(x) == 0 or len(x) < 3:
                 continue
-            out = normalize_beat(x)
+            out = normalized(x)
             assert abs(out.min()) <= 1e-12
             assert abs(out.max() - 1) <= 1e-12
 
@@ -79,17 +88,17 @@ class TestSegmentation:
         signal = np.arange(1000.0) ** 2
         beats = segment_beats(signal, [ann(200, "N")], beat_len=187)
         assert len(beats) == 1
-        assert len(beats[0].samples) == 187
+        assert len(beats.X[0]) == 187
         # centered window: 93 samples before the peak, 93 after
         np.testing.assert_array_equal(
-            beats[0].samples,
+            beats.X[0],
             normalize_beat(signal[107:294]).astype(np.float32))
 
     def test_even_length_window(self):
         signal = np.arange(100.0) ** 2
         beats = segment_beats(signal, [ann(50, "V")], beat_len=4)
         np.testing.assert_array_equal(
-            beats[0].samples,
+            beats.X[0],
             normalize_beat(signal[48:52]).astype(np.float32))
 
     def test_edge_beats_dropped(self):
@@ -97,7 +106,7 @@ class TestSegmentation:
         events = [ann(10, "N"), ann(200, "N"), ann(395, "N")]
         beats = segment_beats(signal, events, beat_len=187)
         assert len(beats) == 1
-        assert beats[0].source.endswith(":200")
+        assert beats.source[0].endswith(":200")
 
     def test_count_preserved_for_interior_beats(self):
         signal = np.random.default_rng(0).normal(size=2000)
@@ -109,17 +118,74 @@ class TestSegmentation:
         signal = np.zeros(1000)
         events = [ann(300, "N"), ann(400, "/"), ann(500, "V")]
         beats = segment_beats(signal, events, beat_len=187)
-        assert [b.label for b in beats] == [0, 2]
+        assert beats.y.tolist() == [0, 2]
 
     def test_beats_are_normalized_by_default(self):
         signal = np.random.default_rng(1).normal(size=1000)
         beats = segment_beats(signal, [ann(500, "N")], beat_len=187)
-        assert beats[0].samples.min() == pytest.approx(0, abs=1e-6)
-        assert beats[0].samples.max() == pytest.approx(1, abs=1e-6)
+        assert beats.X[0].min() == pytest.approx(0, abs=1e-6)
+        assert beats.X[0].max() == pytest.approx(1, abs=1e-6)
 
     def test_too_short_window_rejected(self):
         with pytest.raises(ConfigError):
             segment_beats(np.zeros(100), [ann(50, "N")], beat_len=2)
+
+
+# the kept beat codes, and rhythm, artifact and paced marks the segmenter
+# skips
+CODES = st.sampled_from([(MNEMONIC_TO_CODE[m], m)
+                         for m in ("N", "L", "R", "A", "V", "f", "F", "/",
+                                   "Q", "+", "~")])
+# ADC-like levels, so windows share values and some are constant, and
+# arbitrary finite values
+SIGNAL_VALUES = st.one_of(st.integers(-2048, 2047).map(lambda v: v / 200.0),
+                          st.floats(-1e6, 1e6))
+
+
+@st.composite
+def annotated_signals(draw):
+    """(signal, events, beat_len, record name): events on and around both
+    windows that touch a record edge, and anywhere else in the record."""
+    beat_len = draw(st.integers(3, 12))
+    n = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        signal = np.full(n, draw(SIGNAL_VALUES))
+    else:
+        signal = draw(hnp.arrays(np.float64, n, elements=SIGNAL_VALUES))
+    half = beat_len // 2
+    edges = [half - 1, half, n - beat_len + half, n - beat_len + half + 1]
+    index = st.one_of(st.integers(0, n + beat_len),
+                      st.sampled_from([i for i in edges if i >= 0] or [0]))
+    events = [AnnotationEvent(i, code, mnemonic) for i, (code, mnemonic)
+              in draw(st.lists(st.tuples(index, CODES), max_size=12))]
+    name = draw(st.sampled_from(["", "100", "rec,7"]))
+    return signal, events, beat_len, name
+
+
+class TestSegmentationProperties:
+    @given(case=annotated_signals())
+    def test_rows_bit_equal_per_beat_reference(self, case):
+        signal, events, beat_len, name = case
+        got = segment_beats(signal, events, beat_len=beat_len,
+                            source_record=name)
+        rows, labels, sources = reference_segment_beats(signal, events,
+                                                        beat_len, name)
+        want = np.array(rows, dtype=np.float32).reshape(len(rows), beat_len)
+        assert got.X.dtype == np.float32
+        np.testing.assert_array_equal(got.X.view(np.uint32),
+                                      want.view(np.uint32))
+        assert got.y.tolist() == labels
+        assert got.source.tolist() == sources
+        assert all(tag == "unassigned" for tag in got.split)
+
+    def test_constant_windows_are_zeros(self):
+        signal = np.concatenate([np.full(10, 3.5), np.arange(10.0)])
+        beats = segment_beats(signal, [ann(5, "N"), ann(15, "V")],
+                              beat_len=9)
+        np.testing.assert_array_equal(beats.X[0], np.zeros(9))
+        assert beats.X[0].view(np.uint32).max() == 0  # +0.0, not -0.0
+        np.testing.assert_array_equal(beats.X[1],
+                                      normalize_beat(signal[11:20]))
 
 
 class TestLeadSelection:
@@ -143,14 +209,68 @@ class TestLeadSelection:
         assert "V5" in str(exc.value)
 
 
+def columns(n, length=4):
+    return (np.zeros((n, length), dtype=np.float32), np.zeros(n, np.int64),
+            np.full(n, "train", dtype=object), np.full(n, "r", dtype=object))
+
+
+class TestBeatDataset:
+    def test_float32_matrix_kept_without_copy(self):
+        X, y, split, source = columns(3)
+        ds = BeatDataset(X, y, split, source)
+        assert ds.X is X and ds.y is y
+        assert ds.split is split and ds.source is source
+        assert len(ds) == 3
+
+    def test_other_samples_cast_to_float32(self):
+        _, y, split, source = columns(2)
+        ds = BeatDataset([[0.1, 0.2], [0.3, 0.4]], y, split, source)
+        assert ds.X.dtype == np.float32
+        np.testing.assert_array_equal(
+            ds.X, np.array([[0.1, 0.2], [0.3, 0.4]], dtype=np.float32))
+
+    def test_samples_must_be_a_matrix(self):
+        _, y, split, source = columns(4)
+        with pytest.raises(ConfigError, match=r"\[n, L\] matrix"):
+            BeatDataset(np.zeros(4, dtype=np.float32), y, split, source)
+
+    @pytest.mark.parametrize("short", [1, 2, 3])
+    def test_columns_must_agree_in_length(self, short):
+        cols = list(columns(3))
+        cols[short] = cols[short][:2]
+        with pytest.raises(ConfigError, match="differ in length"):
+            BeatDataset(*cols)
+
+    @pytest.mark.parametrize("label", [-1, 5])
+    def test_labels_outside_the_classes_refused(self, label):
+        X, y, split, source = columns(3)
+        y[1] = label
+        with pytest.raises(ConfigError, match=f"beat label {label} outside"):
+            BeatDataset(X, y, split, source)
+
+    def test_unknown_split_tag_refused(self):
+        X, y, split, source = columns(3)
+        split[2] = "held-out"
+        with pytest.raises(ConfigError, match="held-out"):
+            BeatDataset(X, y, split, source)
+
+    def test_rows_view(self):
+        X, y, split, source = columns(2)
+        y[1] = 3
+        rows = list(BeatDataset(X, y, split, source))
+        assert [(r.label, r.source, r.split_tag) for r in rows] == \
+            [(0, "r", "train"), (3, "r", "train")]
+        assert rows[1].samples.base is X
+
+
 def build_dataset(counts, length=187, seed=0):
     rng = np.random.default_rng(seed)
-    beats = []
+    rows, labels = [], []
     for label, n in counts.items():
         for _ in range(n):
-            beats.append(BeatRecord(rng.random(length, dtype=np.float32),
-                                    label, source="synthetic"))
-    return BeatDataset(beats)
+            rows.append(rng.random(length, dtype=np.float32))
+            labels.append(label)
+    return beat_set(rows, labels, source="synthetic")
 
 
 class TestStratifiedSplit:
@@ -165,14 +285,14 @@ class TestStratifiedSplit:
     def test_tags_partition_dataset(self):
         ds = build_dataset({0: 11, 2: 7, 4: 5})
         stratified_split(ds, 0.85, seed=1)
-        assert all(b.split_tag in ("train", "val") for b in ds.beats)
+        assert all(tag in ("train", "val") for tag in ds.split)
 
     def test_same_seed_reproduces_assignment(self):
         tags = []
         for _ in range(2):
             ds = build_dataset({0: 30, 1: 10}, seed=9)
             stratified_split(ds, 0.8, seed=42)
-            tags.append([b.split_tag for b in ds.beats])
+            tags.append(ds.split.tolist())
         assert tags[0] == tags[1]
 
     def test_different_seeds_differ(self):
@@ -180,7 +300,7 @@ class TestStratifiedSplit:
         ds2 = build_dataset({0: 200}, seed=9)
         stratified_split(ds1, 0.5, seed=1)
         stratified_split(ds2, 0.5, seed=2)
-        assert [b.split_tag for b in ds1.beats] != [b.split_tag for b in ds2.beats]
+        assert ds1.split.tolist() != ds2.split.tolist()
 
     def test_fraction_bounds(self):
         ds = build_dataset({0: 10})
@@ -214,20 +334,18 @@ class TestBeatCsv:
         path = write_beats_csv(tmp_path / "beats.csv", ds)
         back = read_beats_csv(path)
         assert len(back) == len(ds)
-        X0, y0 = ds.matrix()
-        X1, y1 = back.matrix()
-        np.testing.assert_array_equal(X0, X1)
-        np.testing.assert_array_equal(y0, y1)
-        assert [b.split_tag for b in back] == [b.split_tag for b in ds]
-        assert [b.source for b in back] == [b.source for b in ds]
+        np.testing.assert_array_equal(ds.X, back.X)
+        np.testing.assert_array_equal(ds.y, back.y)
+        assert back.split.tolist() == ds.split.tolist()
+        assert back.source.tolist() == ds.source.tolist()
 
     def test_reader_tolerates_minimal_schema(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("s0,s1,s2,label\n0,0.5,1,2\n0.1,0.2,0.3,0\n")
         ds = read_beats_csv(path)
         assert len(ds) == 2
-        assert [b.label for b in ds] == [2, 0]
-        assert all(b.split_tag == "unassigned" for b in ds)
+        assert ds.y.tolist() == [2, 0]
+        assert all(tag == "unassigned" for tag in ds.split)
 
     def test_header_errors(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -263,23 +381,9 @@ class TestBeatCsv:
             read_beats_csv(path)
         assert exc.value.line == 4
 
-    def test_samples_are_rows_of_one_matrix(self, tmp_path):
-        ds = build_dataset({0: 3, 1: 2}, length=8)
-        back = read_beats_csv(write_beats_csv(tmp_path / "b.csv", ds))
-        matrix = back.beats[0].samples.base
-        assert matrix is not None
-        assert all(beat.samples.base is matrix for beat in back)
-
     def test_empty_dataset_refused(self, tmp_path):
         with pytest.raises(IoError):
-            write_beats_csv(tmp_path / "x.csv", BeatDataset())
-
-    def test_ragged_dataset_refused_before_any_file_is_written(self, tmp_path):
-        ds = BeatDataset([BeatRecord(np.zeros(8), 0), BeatRecord(np.ones(5), 1)])
-        path = tmp_path / "ragged.csv"
-        with pytest.raises(IoError, match="not rectangular"):
-            write_beats_csv(path, ds)
-        assert not path.exists()
+            write_beats_csv(tmp_path / "x.csv", beat_set([], []))
 
     def test_repeated_and_distinct_blocks_match_reference(self, tmp_path):
         # ADC-quantized rows, whose values repeat, then GAN-like rows of
@@ -287,21 +391,23 @@ class TestBeatCsv:
         rng = np.random.default_rng(5)
         quantized = rng.integers(0, 40, size=(200, 24)) / 39.0
         distinct = rng.random((140, 24))
-        beats = [BeatRecord(row, i % 5, source=f"r{i // 50},{i}",
-                            split_tag=SPLIT_TAGS[i % 4])
-                 for i, row in enumerate(np.vstack([quantized, distinct]))]
-        path = write_beats_csv(tmp_path / "mixed.csv", BeatDataset(beats))
-        assert path.read_bytes() == \
-            reference_beat_csv_bytes(BeatDataset(beats))
+        rows = np.vstack([quantized, distinct])
+        beats = beat_set(rows, [i % 5 for i in range(len(rows))],
+                         split=[SPLIT_TAGS[i % 4] for i in range(len(rows))],
+                         source=[f"r{i // 50},{i}" for i in range(len(rows))])
+        path = write_beats_csv(tmp_path / "mixed.csv", beats)
+        assert path.read_bytes() == reference_beat_csv_bytes(beats)
 
     def test_byte_format_pinned_on_tricky_values(self, tmp_path):
         tricky = [np.nan, np.inf, -np.inf, -0.0, 1e-45, 1e-5, 123456789.0,
                   3.4028235e38, 0.1]
         sources = ["rec,100:5", 'say "hi"', "line\nbreak", "plain"]
-        beats = [BeatRecord(np.roll(tricky, i), i % 5, source=src,
-                            split_tag=SPLIT_TAGS[i % 3])
-                 for i, src in enumerate(sources)]
-        path = write_beats_csv(tmp_path / "tricky.csv", BeatDataset(beats))
+        beats = beat_set([np.roll(tricky, i) for i in range(len(sources))],
+                         [i % 5 for i in range(len(sources))],
+                         split=[SPLIT_TAGS[i % 3]
+                                for i in range(len(sources))],
+                         source=sources)
+        path = write_beats_csv(tmp_path / "tricky.csv", beats)
 
         # reference: one csv.writer row per beat, each sample formatted as
         # the float32 value with "{:.9g}"
@@ -309,19 +415,19 @@ class TestBeatCsv:
         writer = csv.writer(ref)
         writer.writerow([f"s{i}" for i in range(len(tricky))]
                         + ["label", "split", "source"])
-        for beat in beats:
-            writer.writerow([f"{v:.9g}" for v in beat.samples]
-                            + [str(beat.label), beat.split_tag, beat.source])
+        for samples, label, split, source in zip(beats.X, beats.y,
+                                                 beats.split, beats.source):
+            writer.writerow([f"{v:.9g}" for v in samples]
+                            + [str(label), split, source])
         assert path.read_bytes() == ref.getvalue().encode()
 
         back = read_beats_csv(path)
         assert len(back) == len(beats)
-        for got, want in zip(back, beats):
-            np.testing.assert_array_equal(got.samples.view(np.uint32),
-                                          want.samples.view(np.uint32))
-        assert [b.label for b in back] == [b.label for b in beats]
-        assert [b.split_tag for b in back] == [b.split_tag for b in beats]
-        assert [b.source for b in back] == sources
+        np.testing.assert_array_equal(back.X.view(np.uint32),
+                                      beats.X.view(np.uint32))
+        assert back.y.tolist() == beats.y.tolist()
+        assert back.split.tolist() == beats.split.tolist()
+        assert back.source.tolist() == sources
 
 
 def _float32_exact(values):
@@ -363,11 +469,10 @@ def beat_datasets(draw):
     labels = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
     tags = draw(st.lists(st.sampled_from(SPLIT_TAGS), min_size=1,
                          max_size=4))
-    return BeatDataset([
-        BeatRecord(row, labels[i % len(labels)],
-                   source=sources[i % len(sources)],
-                   split_tag=tags[i % len(tags)])
-        for i, row in enumerate(samples)])
+    n = len(samples)
+    return beat_set(samples, [labels[i % len(labels)] for i in range(n)],
+                    split=[tags[i % len(tags)] for i in range(n)],
+                    source=[sources[i % len(sources)] for i in range(n)])
 
 
 @st.composite
@@ -410,8 +515,9 @@ def _outcome(reader, path):
         dataset = reader(path)
     except ParseError as exc:
         return ("refused", str(exc), exc.line)
-    return ("read", [(beat.samples.view(np.uint32).tolist(), beat.label,
-                      beat.split_tag, beat.source) for beat in dataset])
+    return ("read", list(zip(dataset.X.view(np.uint32).tolist(),
+                             dataset.y.tolist(), dataset.split.tolist(),
+                             dataset.source.tolist())))
 
 
 @pytest.fixture(scope="module")
@@ -429,15 +535,15 @@ class TestBeatCsvProperties:
     def test_read_of_write_is_bit_equal(self, csv_path, dataset):
         back = read_beats_csv(write_beats_csv(csv_path, dataset))
         assert len(back) == len(dataset)
-        for got, want in zip(back, dataset):
-            # "nan" reads back as the one quiet NaN, whatever its payload
-            expected = np.where(np.isnan(want.samples), np.float32(np.nan),
-                                want.samples)
-            assert got.samples.dtype == np.float32
-            np.testing.assert_array_equal(got.samples.view(np.uint32),
-                                          expected.view(np.uint32))
-            assert (got.label, got.split_tag, got.source) == \
-                (want.label, want.split_tag, want.source)
+        # "nan" reads back as the one quiet NaN, whatever its payload
+        expected = np.where(np.isnan(dataset.X), np.float32(np.nan),
+                            dataset.X)
+        assert back.X.dtype == np.float32
+        np.testing.assert_array_equal(back.X.view(np.uint32),
+                                      expected.view(np.uint32))
+        assert back.y.tolist() == dataset.y.tolist()
+        assert back.split.tolist() == dataset.split.tolist()
+        assert back.source.tolist() == dataset.source.tolist()
 
     @given(text=beat_files(corrupt=False))
     def test_reader_equals_reference_on_rectangular_files(self, csv_path,
@@ -473,7 +579,7 @@ class TestRecordsDirLoader:
         assert len(ds) == 5
         assert ds.counts_for_split("unassigned") == {0: 2, 1: 1, 2: 1, 3: 0,
                                                      4: 1}
-        sources = sorted(b.source for b in ds)
+        sources = sorted(ds.source)
         assert sources[0].startswith("a01:")
 
     def test_edge_and_unmapped_beats_excluded(self, tmp_path):

@@ -1,9 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ecgkit.beats import write_beats_csv
 from ecgkit.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from ecgkit.errors import FormatError
+from ecgkit.cli import run
+from ecgkit.errors import EcgkitError, FormatError
 from ecgkit.models import ModelDescriptor, build
+
+from helpers import toy_two_class
 
 
 def small_model(arch="cnn", seed=4):
@@ -108,3 +116,114 @@ def test_magic_is_stable(tmp_path):
     model = small_model()
     path = save_checkpoint(tmp_path / "m.ckpt", model)
     assert path.read_bytes()[:7] == b"ECGKIT1"
+
+
+def split_records(raw):
+    """(head, records) of checkpoint bytes: head runs through the record
+    count, and each record is its bytes from name length to data."""
+    json_len = struct.unpack("<I", raw[7:11])[0]
+    pos = 11 + json_len
+    (count,) = struct.unpack("<I", raw[pos:pos + 4])
+    head, pos = raw[:pos + 4], pos + 4
+    records = []
+    for _ in range(count):
+        start = pos
+        (name_len,) = struct.unpack("<H", raw[pos:pos + 2])
+        pos += 2 + name_len
+        ndim = raw[pos]
+        dims = struct.unpack(f"<{ndim}I", raw[pos + 1:pos + 1 + 4 * ndim])
+        pos += 1 + 4 * ndim + 4 * int(np.prod(dims))
+        records.append(raw[start:pos])
+    assert pos == len(raw)
+    return head, records
+
+
+@pytest.fixture
+def saved(tmp_path):
+    return save_checkpoint(tmp_path / "m.ckpt", small_model()).read_bytes()
+
+
+def load_bytes(tmp_path, raw):
+    path = tmp_path / "patched.ckpt"
+    path.write_bytes(raw)
+    return load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected_at_their_offset(tmp_path, saved):
+    with pytest.raises(FormatError, match="after its last record") as exc:
+        load_bytes(tmp_path, saved + b"\x00")
+    assert exc.value.offset == len(saved)
+
+
+def test_trailing_bytes_exit_4_through_evaluate(tmp_path, saved, capsys):
+    checkpoint = tmp_path / "trailing.ckpt"
+    checkpoint.write_bytes(saved + b"ECGKIT1")
+    beats = write_beats_csv(tmp_path / "beats.csv",
+                            toy_two_class(n_per_class=4, length=64))
+    code = run(["evaluate", "--checkpoint", str(checkpoint),
+                "--test", str(beats), "--split", "val",
+                "--out", str(tmp_path / "report")])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"ecgkit: FormatError: offset {len(saved)}: checkpoint has bytes "
+        f"after its last record\n")
+
+
+def test_record_count_other_than_descriptor_rejected(tmp_path, saved):
+    head, records = split_records(saved)
+    (count,) = struct.unpack("<I", head[-4:])
+    patched = head[:-4] + struct.pack("<I", count + 1) + b"".join(records)
+    with pytest.raises(FormatError,
+                       match=f"holds {count + 1} arrays, descriptor "
+                             f"implies {count}") as exc:
+        load_bytes(tmp_path, patched)
+    assert exc.value.offset == len(head)
+
+
+def test_duplicated_record_leaves_an_array_missing(tmp_path, saved):
+    head, records = split_records(saved)
+    patched = head + records[0] + b"".join(records[:1] + records[2:])
+    with pytest.raises(FormatError, match="checkpoint missing arrays") as exc:
+        load_bytes(tmp_path, patched)
+    name = records[1][2:2 + struct.unpack("<H", records[1][:2])[0]]
+    assert repr(name.decode()) in str(exc.value)
+    assert exc.value.offset == len(patched)
+
+
+def test_record_name_not_utf8_rejected(tmp_path, saved):
+    head, records = split_records(saved)
+    (name_len,) = struct.unpack("<H", records[0][:2])
+    bad = records[0][:2] + b"\xff" * name_len + records[0][2 + name_len:]
+    with pytest.raises(FormatError, match="not valid UTF-8") as exc:
+        load_bytes(tmp_path, head + bad + b"".join(records[1:]))
+    assert exc.value.offset == len(head) + 2
+
+
+@pytest.fixture(scope="module")
+def resnet_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "resnet1d.ckpt"
+    return save_checkpoint(path, small_model("resnet1d")).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt_fuzz") / "fuzzed.ckpt"
+
+
+# one flipped byte at most: more flips in the descriptor's digits could
+# describe a model of gigabytes
+@given(flip=st.one_of(st.none(), st.tuples(st.integers(0, 399),
+                                           st.integers(1, 255))),
+       cut=st.one_of(st.none(), st.integers(0, 400)))
+def test_corrupted_head_raises_only_ecgkit_errors(resnet_bytes, fuzz_path,
+                                                 flip, cut):
+    raw = bytearray(resnet_bytes)
+    if flip is not None:
+        raw[flip[0]] ^= flip[1]
+    if cut is not None:
+        raw = raw[:cut]
+    fuzz_path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(fuzz_path)
+    except EcgkitError:
+        pass

@@ -222,9 +222,9 @@ class TestIngest:
                     "--out", str(out), "--seed", "17"])
         assert code == 0
         dataset = read_beats_csv(out)
-        assert len(dataset.beats) > 80
-        assert all(len(b.samples) == BEAT_LEN for b in dataset.beats)
-        tags = {b.split_tag for b in dataset.beats}
+        assert len(dataset) > 80
+        assert dataset.X.shape[1] == BEAT_LEN
+        tags = set(dataset.split)
         assert tags == {"train", "val"}
 
     def test_manifest_written(self, tmp_path):
@@ -256,19 +256,21 @@ class TestIngest:
 
 
 def imbalanced_csv(path, n_majority=48, n_minority=36, length=16, seed=4):
-    from ecgkit.beats import BeatDataset, BeatRecord
-    from helpers import pulse_beat
+    from helpers import beat_set, pulse_beat
     rng = np.random.default_rng(seed)
-    beats = []
+    rows, labels, splits = [], [], []
     for label, count, center in ((0, n_majority, length // 4),
                                  (1, n_minority, 3 * length // 4)):
         for _ in range(count):
-            beats.append(BeatRecord(pulse_beat(rng, length, center), label,
-                                    source="r01:0", split_tag="train"))
+            rows.append(pulse_beat(rng, length, center))
+            labels.append(label)
+            splits.append("train")
     for label in (0, 1):
-        beats.append(BeatRecord(pulse_beat(rng, length, length // 2), label,
-                                source="r01:0", split_tag="val"))
-    write_beats_csv(path, BeatDataset(beats))
+        rows.append(pulse_beat(rng, length, length // 2))
+        labels.append(label)
+        splits.append("val")
+    write_beats_csv(path, beat_set(rows, labels, split=splits,
+                                   source="r01:0"))
     return path
 
 
@@ -282,11 +284,11 @@ class TestAugment:
         dataset = read_beats_csv(out)
         counts = dataset.counts_for_split("train")
         assert counts[0] == counts[1] == 48
-        sources = {b.source for b in dataset.beats}
+        sources = set(dataset.source)
         assert sources == {"real", "synthetic"}
-        synthetic = [b for b in dataset.beats if b.source == "synthetic"]
-        assert len(synthetic) == 12
-        assert all(b.split_tag == "train" for b in synthetic)
+        synthetic = dataset.source == "synthetic"
+        assert synthetic.sum() == 12
+        assert all(tag == "train" for tag in dataset.split[synthetic])
 
     def test_summary_and_manifest(self, tmp_path):
         src = imbalanced_csv(tmp_path / "in.csv")
@@ -307,8 +309,8 @@ class TestAugment:
         out = tmp_path / "aug.csv"
         assert run(["augment", "--in", str(src), "--out", str(out)]) == 0
         dataset = read_beats_csv(out)
-        assert all(b.source == "real" for b in dataset.beats)
-        assert len(dataset.beats) == 82
+        assert all(source == "real" for source in dataset.source)
+        assert len(dataset) == 82
 
     def test_deterministic(self, tmp_path):
         src = imbalanced_csv(tmp_path / "in.csv")
@@ -334,8 +336,8 @@ class TestAugment:
         seen = []
         real_gan_train = cli.gan_train
 
-        def recording_train(beats, config, seed):
-            result = real_gan_train(beats, config, seed=seed)
+        def recording_train(beats, label, config, seed):
+            result = real_gan_train(beats, label, config, seed=seed)
             seen.append((config, result[0].beat_len))
             return result
 
@@ -384,7 +386,8 @@ class TestTrain:
         model = load_checkpoint(workspace["out"] / "train" / "cnn"
                                 / "model.ckpt")
         dataset = read_beats_csv(workspace["beats"])
-        X, y = dataset.matrix("val")
+        val = dataset.split == "val"
+        X, y = dataset.X[val], dataset.y[val]
         accuracy = float((model.logits_array(X).argmax(axis=1) == y).mean())
         assert accuracy >= 0.9
 
@@ -643,7 +646,7 @@ class TestEnsemble:
                             skiprows=1)[:, 1:]
         model = load_checkpoint(workspace["out"] / "train" / "cnn"
                                 / "model.ckpt")
-        X, _ = read_beats_csv(ensemble_inputs["test"]).matrix()
+        X = read_beats_csv(ensemble_inputs["test"]).X
         np.testing.assert_array_equal(logits,
                                       model.logits_array(X).astype(np.float64))
 
@@ -809,7 +812,7 @@ class TestGradcamCommand:
                     "--samples", "1,4", "--target-class", str(target),
                     "--out", str(out)]) == 0
         model = load_checkpoint(checkpoint)
-        X, _ = read_beats_csv(ensemble_inputs["test"]).matrix()
+        X = read_beats_csv(ensemble_inputs["test"]).X
         for index in (1, 4):
             rows = np.loadtxt(out / f"gradcam_{index}.csv", delimiter=",",
                               skiprows=1)
@@ -1047,13 +1050,13 @@ class TestReproduceEnsembleStage:
 
 def three_class_csv(path, counts=(80, 40, 40), seed=6):
     """A split beat file whose two minority classes each need a GAN."""
-    from ecgkit.beats import BeatDataset, BeatRecord, stratified_split
-    from helpers import pulse_beat
+    from ecgkit.beats import stratified_split
+    from helpers import beat_set, pulse_beat
     rng = np.random.default_rng(seed)
-    beats = [BeatRecord(pulse_beat(rng, BEAT_LEN, (2 * label + 1) * 5), label,
-                        source="toy")
-             for label, count in enumerate(counts) for _ in range(count)]
-    dataset = BeatDataset(beats)
+    labels = [label for label, count in enumerate(counts)
+              for _ in range(count)]
+    dataset = beat_set([pulse_beat(rng, BEAT_LEN, (2 * label + 1) * 5)
+                        for label in labels], labels)
     stratified_split(dataset, 0.8, seed=seed)
     return write_beats_csv(path, dataset)
 
@@ -1170,15 +1173,15 @@ class TestFanOut:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("stage, fails", [
-        ("gan_train", lambda beats: beats[0].label == 2),
-        ("train", lambda model: model.descriptor.arch == "cnn_lstm_attn"),
+        ("gan_train", lambda real, label, *_: label == 2),
+        ("train", lambda model, *_: model.descriptor.arch == "cnn_lstm_attn"),
     ])
     def test_worker_failure_reads_as_in_process(self, tmp_path, monkeypatch,
                                                 capsys, stage, fails):
         real = getattr(cli, stage)
 
         def failing(first, *args, **kwargs):
-            if fails(first):
+            if fails(first, *args):
                 raise NumericalError("loss went non-finite")
             return real(first, *args, **kwargs)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecgkit import gan
-from ecgkit.beats import BeatDataset, BeatRecord
+from ecgkit.beats import concat
 from ecgkit.errors import AugmentError, ConfigError
 from ecgkit.gan import (
     DiscriminatorNet,
@@ -20,7 +20,7 @@ from ecgkit.gan import (
 )
 from ecgkit.tensor import Tensor
 from ecgkit.training import AdamW
-from helpers import pulse_beat
+from helpers import beat_set, pulse_beat
 
 SMALL = dict(hidden=8, dense_width=16, batch_size=16, epochs=2)
 
@@ -33,9 +33,8 @@ def small_config(**overrides):
 
 def pulse_beats(n, label, length=24, seed=0, split_tag="train"):
     rng = np.random.default_rng(seed)
-    return [BeatRecord(pulse_beat(rng, length, length // 4), label,
-                       source="toy", split_tag=split_tag)
-            for _ in range(n)]
+    return beat_set([pulse_beat(rng, length, length // 4) for _ in range(n)],
+                    [label] * n, split=split_tag)
 
 
 class TestConfig:
@@ -168,7 +167,7 @@ class TestGanTrain:
     def test_smoke_run_records_alternating_losses(self):
         beats = pulse_beats(32, label=2)
         cfg = small_config()
-        g, d, history = gan_train(beats, cfg, seed=0)
+        g, d, history = gan_train(beats.X, 2, cfg, seed=0)
         # 2 steps per epoch x 2 epochs, one D and one G entry each
         assert len(history) == 8
         assert [tag for tag, _ in history] == ["D", "G"] * 4
@@ -203,45 +202,35 @@ class TestGanTrain:
                 super().step()
 
         monkeypatch.setattr(gan, "AdamW", RecordingAdamW)
-        gan_train(pulse_beats(32, label=2), small_config(), seed=0)
+        gan_train(pulse_beats(32, label=2).X, 2, small_config(), seed=0)
         assert g_steps == [True] * 4
 
     def test_same_seed_same_run(self):
         beats = pulse_beats(32, label=1)
-        runs = [gan_train(beats, small_config(), seed=11) for _ in range(2)]
+        runs = [gan_train(beats.X, 1, small_config(), seed=11)
+                for _ in range(2)]
         assert runs[0][2] == runs[1][2]
         out = [g.generate(2, np.random.default_rng(1)) for g, _, _ in runs]
         np.testing.assert_array_equal(out[0], out[1])
 
-    def test_mixed_labels_rejected(self):
-        beats = pulse_beats(20, label=1) + pulse_beats(20, label=2)
-        with pytest.raises(ConfigError) as exc:
-            gan_train(beats, small_config(), seed=17)
-        assert "single class" in str(exc.value)
-
     def test_too_few_beats(self):
         with pytest.raises(ConfigError):
-            gan_train(pulse_beats(31, label=1), small_config(), seed=17)
+            gan_train(pulse_beats(31, label=1).X, 1, small_config(), seed=17)
 
     def test_fewer_beats_than_batch(self):
         with pytest.raises(ConfigError):
-            gan_train(pulse_beats(40, label=1), small_config(batch_size=64),
-                      seed=17)
-
-    def test_length_mismatch(self):
-        beats = pulse_beats(16, label=1) + pulse_beats(16, label=1, length=30)
-        with pytest.raises(ConfigError, match="one length"):
-            gan_train(beats, small_config(), seed=17)
+            gan_train(pulse_beats(40, label=1).X, 1,
+                      small_config(batch_size=64), seed=17)
 
     def test_one_sample_beats(self):
-        beats = [BeatRecord(np.zeros(1), 1, source="toy", split_tag="train")
-                 for _ in range(32)]
+        beats = np.zeros((32, 1), dtype=np.float32)
         with pytest.raises(ConfigError, match="one length >= 2"):
-            gan_train(beats, small_config(), seed=17)
+            gan_train(beats, 1, small_config(), seed=17)
 
     def test_empty_input(self):
         with pytest.raises(ConfigError):
-            gan_train([], small_config(), seed=17)
+            gan_train(np.zeros((0, 24), dtype=np.float32), 1, small_config(),
+                      seed=17)
 
 
 class TestFrozenGeneratorSeparability:
@@ -252,7 +241,7 @@ class TestFrozenGeneratorSeparability:
         rng = np.random.default_rng(1)
         g = GeneratorNet(cfg, rng, 1, 24)
         d = DiscriminatorNet(cfg, rng)
-        real = np.stack([b.samples for b in pulse_beats(64, 1, seed=2)])
+        real = pulse_beats(64, 1, seed=2).X
         fakes = g.generate(64, rng)
         opt = AdamW(d.params, 2e-3)
         for _ in range(120):
@@ -296,27 +285,21 @@ class TestSynthesize:
         gen = _StubGenerator()
         out = synthesize(gen, _StubDiscriminator(), 10, tau=0.0, seed=3)
         expected = gen.generate(16, np.random.default_rng(3))[:10]
-        np.testing.assert_array_equal(np.stack([b.samples for b in out]),
-                                      expected)
+        np.testing.assert_array_equal(out, expected)
 
     def test_accepted_beats_satisfy_filter(self):
         gen = _StubGenerator()
         disc = _StubDiscriminator()
         out = synthesize(gen, disc, 25, tau=0.7, seed=4)
         assert len(out) == 25
-        scores = disc.score(np.stack([b.samples for b in out]))
+        scores = disc.score(out)
         assert (scores >= 0.7).all()
-        for beat in out:
-            assert beat.label == 1
-            assert beat.source == "synthetic"
-            assert beat.split_tag == "train"
 
     def test_fixed_seed_fixes_accepted_set(self):
         gen = _StubGenerator()
         runs = [synthesize(gen, _StubDiscriminator(), 12, tau=0.6, seed=7)
                 for _ in range(2)]
-        for a, b in zip(*runs):
-            np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_budget_exhaustion_reports_acceptance_rate(self):
         with pytest.raises(AugmentError) as exc:
@@ -341,10 +324,9 @@ class TestSynthesize:
         d = DiscriminatorNet(cfg, rng)
         out = synthesize(g, d, 5, tau=0.0, seed=2)
         assert len(out) == 5
-        for beat in out:
-            assert len(beat.samples) == 24
-            assert beat.samples.min() >= 0.0 and beat.samples.max() <= 1.0
-            assert beat.label == 4
+        for row in out:
+            assert len(row) == 24
+            assert row.min() >= 0.0 and row.max() <= 1.0
 
     def test_argument_validation(self):
         gen = _StubGenerator()
@@ -356,13 +338,12 @@ class TestSynthesize:
 
 
 def imbalanced_dataset(length=24):
-    beats = (pulse_beats(12, 0, length, seed=0)
-             + pulse_beats(4, 1, length, seed=1)
-             + pulse_beats(7, 2, length, seed=2)
-             + pulse_beats(2, 0, length, seed=3, split_tag="val")
-             + pulse_beats(1, 1, length, seed=4, split_tag="val")
-             + pulse_beats(2, 0, length, seed=5, split_tag="test"))
-    return BeatDataset(beats)
+    return concat([pulse_beats(12, 0, length, seed=0),
+                   pulse_beats(4, 1, length, seed=1),
+                   pulse_beats(7, 2, length, seed=2),
+                   pulse_beats(2, 0, length, seed=3, split_tag="val"),
+                   pulse_beats(1, 1, length, seed=4, split_tag="val"),
+                   pulse_beats(2, 0, length, seed=5, split_tag="test")])
 
 
 def nets_for(label, seed=0):
@@ -382,11 +363,13 @@ class TestBalanceDataset:
         present = [c for c in counts.values() if c]
         assert max(present) - min(present) <= 0.01 * max(present)
         # originals preserved in order, synthetic appended
-        assert balanced.beats[:before] == dataset.beats
-        extras = balanced.beats[before:]
-        assert len(extras) == 8 + 5
-        assert all(b.source == "synthetic" and b.split_tag == "train"
-                   for b in extras)
+        for column in ("X", "y", "split", "source"):
+            np.testing.assert_array_equal(
+                getattr(balanced, column)[:before], getattr(dataset, column))
+        assert len(balanced) - before == 8 + 5
+        assert all(source == "synthetic" and tag == "train"
+                   for source, tag in zip(balanced.source[before:],
+                                          balanced.split[before:]))
 
     def test_val_and_test_untouched(self):
         dataset = imbalanced_dataset()
@@ -396,8 +379,9 @@ class TestBalanceDataset:
             dataset.counts_for_split("val")
         assert balanced.counts_for_split("test") == \
             dataset.counts_for_split("test")
-        assert not any(b.source == "synthetic" and
-                       b.split_tag in ("val", "test") for b in balanced)
+        assert not any(source == "synthetic" and tag in ("val", "test")
+                       for source, tag in zip(balanced.source,
+                                              balanced.split))
 
     def test_missing_generator_named(self):
         with pytest.raises(ConfigError) as exc:
@@ -406,8 +390,8 @@ class TestBalanceDataset:
         assert "A" in str(exc.value)   # label 1 has no generator
 
     def test_balanced_input_returned_unchanged(self):
-        dataset = BeatDataset(pulse_beats(6, 0, seed=0)
-                              + pulse_beats(6, 3, seed=1))
+        dataset = concat([pulse_beats(6, 0, seed=0),
+                          pulse_beats(6, 3, seed=1)])
         assert balance_dataset(dataset, {}, GanTrainConfig(tau=0.0),
                                seed=17) is dataset
 
@@ -425,7 +409,7 @@ class TestBalanceDataset:
                             GanTrainConfig(balance_ratio=0.0), seed=17)
 
     def test_no_train_split(self):
-        dataset = BeatDataset(pulse_beats(5, 0, split_tag="val"))
+        dataset = pulse_beats(5, 0, split_tag="val")
         with pytest.raises(ConfigError):
             balance_dataset(dataset, {}, GanTrainConfig(), seed=17)
 
@@ -435,8 +419,8 @@ class TestBalanceDataset:
             balanced = balance_dataset(imbalanced_dataset(),
                                        {1: nets_for(1), 2: nets_for(2)},
                                        GanTrainConfig(tau=0.0), seed=9)
-            X, y = balanced.matrix("train")
-            outs.append((X, y))
+            train = balanced.split == "train"
+            outs.append((balanced.X[train], balanced.y[train]))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
 
@@ -450,7 +434,7 @@ class TestSummary:
         assert sum(r["percent"] for r in report.values()) == pytest.approx(100)
 
     def test_empty_split_is_all_zero(self):
-        report = class_count_report(BeatDataset())
+        report = class_count_report(beat_set([], []))
         assert all(r["count"] == 0 and r["percent"] == 0.0
                    for r in report.values())
 

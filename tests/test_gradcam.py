@@ -143,7 +143,8 @@ class TestLocalization:
         assert max(r.train_acc for r in history.records) == 1.0
 
         pulse_center = 3 * 64 // 4
-        X_val, y_val = dataset.matrix("val")
+        val = dataset.split == "val"
+        X_val, y_val = dataset.X[val], dataset.y[val]
         right_beats = X_val[y_val == 1]
         hits = 0
         for beat in right_beats:

@@ -20,7 +20,7 @@ from ecgkit.training import (
     focal_loss,
     train,
 )
-from helpers import toy_two_class
+from helpers import beat_set, toy_two_class
 
 
 def probs_from_logits(logits):
@@ -313,17 +313,15 @@ class TestTrainLoop:
                              early_stop_patience=4)
         model, history = train(model, dataset, cfg)
         assert len(history) < 50   # plateaued long before the epoch budget
-        X_val, y_val = dataset.matrix("val")
-        val_loss, _ = evaluate_split(model, X_val, y_val, cfg.focal_alpha,
-                                     cfg.focal_gamma)
+        val = dataset.split == "val"
+        val_loss, _ = evaluate_split(model, dataset.X[val], dataset.y[val],
+                                     cfg.focal_alpha, cfg.focal_gamma)
         best = min(record.val_loss for record in history.records)
         assert val_loss == pytest.approx(best, rel=1e-5)
 
     def test_missing_split_tags_rejected(self):
-        from ecgkit.beats import BeatDataset, BeatRecord
         rng = np.random.default_rng(7)
-        dataset = BeatDataset([BeatRecord(rng.random(64), 0)
-                               for _ in range(10)])
+        dataset = beat_set([rng.random(64) for _ in range(10)], [0] * 10)
         with pytest.raises(ConfigError):
             train(tiny_cnn(), dataset, TrainRunConfig("cnn", 8, 1e-3))
 

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ecgkit.errors import ParseError
 from ecgkit.wfdb_io import (
@@ -9,6 +12,7 @@ from ecgkit.wfdb_io import (
     CODE_TO_MNEMONIC,
     MNEMONIC_TO_CODE,
     RecordHeader,
+    SignalSpec,
     decode_format212,
     encode_format212,
     parse_annotations,
@@ -271,3 +275,74 @@ def test_read_record_infers_length_when_header_omits_it(tmp_path):
     _, signals = read_record(tmp_path / "r")
     np.testing.assert_allclose(signals[0], a / 200.0)
     np.testing.assert_allclose(signals[1], b / 200.0)
+
+
+# header tokens write_header puts on a line as they are: no whitespace, and
+# no "/" in the record name, which the parser cuts at
+NAME_TOKENS = st.text(alphabet="abcXYZ019_-.", min_size=1, max_size=8)
+WORDS = st.text(alphabet="abcMLIV0-9+:#()", min_size=1, max_size=5)
+
+
+def printed_g(values):
+    """values snapped to what "%g" prints, so write_header keeps them."""
+    return values.map(lambda v: float(f"{v:g}"))
+
+
+@st.composite
+def record_headers(draw):
+    signals = [SignalSpec(
+        file_name=draw(NAME_TOKENS),
+        format_code=draw(st.integers(0, 999)),
+        gain=draw(printed_g(st.floats(-1e6, 1e6)).filter(bool)),
+        baseline=draw(st.integers(-(1 << 31), 1 << 31)),
+        adc_zero=draw(st.integers(-(1 << 31), 1 << 31)),
+        lead=" ".join(draw(st.lists(WORDS, min_size=1, max_size=3))))
+        for _ in range(draw(st.integers(1, 4)))]
+    return RecordHeader(
+        record_name=draw(NAME_TOKENS), n_signals=len(signals),
+        sampling_rate=draw(printed_g(st.floats(1e-3, 1e6))),
+        n_samples=draw(st.integers(0, 1 << 40)), signals=signals)
+
+
+@st.composite
+def format212_channels(draw):
+    n_signals = draw(st.integers(1, 2))
+    samples = st.one_of(st.integers(-2048, 2047),
+                        st.sampled_from([-2048, -1, 0, 2047]))
+    shape = (n_signals, draw(st.integers(0, 40)))
+    return list(draw(hnp.arrays(np.int64, shape, elements=samples)))
+
+
+# gaps a 10-bit delta holds, and gaps up to the largest SKIP interval
+GAPS = st.one_of(st.integers(0, 1023), st.sampled_from([1024, (1 << 31) - 1]),
+                 st.integers(1024, 1 << 20))
+
+
+@st.composite
+def annotation_events(draw):
+    events, t = [], 0
+    for gap, code in draw(st.lists(st.tuples(GAPS, st.integers(1, 49)),
+                                   max_size=20)):
+        t += gap
+        events.append(AnnotationEvent(t, code,
+                                      CODE_TO_MNEMONIC.get(code, "?")))
+    return events
+
+
+class TestRoundTripProperties:
+    @given(header=record_headers())
+    def test_header(self, header):
+        assert parse_header(write_header(header)) == header
+
+    @given(channels=format212_channels())
+    def test_format212_over_the_12_bit_range(self, channels):
+        n_samples = len(channels[0])
+        decoded = decode_format212(encode_format212(channels), n_samples,
+                                   len(channels))
+        assert len(decoded) == len(channels)
+        for got, want in zip(decoded, channels):
+            np.testing.assert_array_equal(got, want)
+
+    @given(events=annotation_events())
+    def test_annotations_with_skips(self, events):
+        assert parse_annotations(write_annotations(events)) == events
