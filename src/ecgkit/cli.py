@@ -7,7 +7,10 @@ the stage started and finished, and the produced files. One master seed
 fans out to per-stage seeds so stages never share randomness and reruns
 are bit-for-bit repeatable.  Jobs that share nothing, the per-class GANs
 and the per-architecture trainings, run in forked worker processes when
-the BLAS threads leave cores idle.
+the BLAS threads leave cores idle.  Each network runs only in the job that
+trains it: a GAN job hands back its class's synthetic beats and a training
+job the logits of the rows the ensemble fuses, so reproduce's own process
+joins, fuses and reports without loading or running a model.
 """
 
 import argparse
@@ -37,7 +40,7 @@ from .ensemble import (STRATEGIES, ManifestEntry, build_strategy, fuse,
                        write_manifest)
 from .errors import ConfigError, EcgkitError, IoError, ShapeError
 from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
-                  balance_summary, gan_train)
+                  balance_summary, gan_train, synthesize)
 from .gradcam import grad_cam
 from .metrics import (DEFAULT_RESAMPLES, MIN_BOOTSTRAP_SAMPLES, MIN_RESAMPLES,
                       block_macro_f1, bootstrap_ci, evaluate_predictions)
@@ -217,20 +220,23 @@ def cmd_ingest(args, command):
 
 def _augment(dataset, gan_config, seed, out):
     """Top up deficient train classes with beats from one adversarial
-    pair per class, each on its own seed. Writes out and the class counts
-    before and after beside it; returns (balanced, written paths).
+    pair per class, each trained and sampled on its own seeds in one job.
+    Writes out and the class counts before and after beside it; returns
+    (balanced, written paths).
     """
-    def adversarial_pair(label):
+    deficits = balance_deficits(dataset, gan_config)
+
+    def synthetic_beats(label):
         rows = (dataset.split == "train") & (dataset.y == label)
         stage_seed = derive_seed(seed, f"augment/{CLASS_NAMES[label]}")
         generator, discriminator, _ = gan_train(dataset.X[rows], label,
                                                 gan_config, seed=stage_seed)
-        return generator, discriminator
+        return synthesize(generator, discriminator, deficits[label],
+                          tau=gan_config.tau, seed=[seed, label])
 
-    labels = list(balance_deficits(dataset, gan_config))
-    generators = dict(zip(labels, _map_jobs(adversarial_pair, labels)))
+    synthetic = dict(zip(deficits, _map_jobs(synthetic_beats, deficits)))
     balanced = _normalized_sources(
-        balance_dataset(dataset, generators, gan_config, seed))
+        balance_dataset(dataset, synthetic, gan_config))
     out = write_beats_csv(out, balanced)
     summary_path = write_json(_sibling(out, ".summary.json"),
                               balance_summary(dataset, balanced))
@@ -250,22 +256,24 @@ def cmd_augment(args, command):
         manifest.add_files(written)
 
 
-def _train_one_arch(config, dataset, command, arch):
+def _train_one_arch(config, dataset, command, X_test, arch):
+    """Train arch and write its stage; returns (summary, logits) where
+    logits score X_test or, when X_test is None, the val split."""
     stage = Path(config.out_dir) / "train" / arch
     with _stage(command, config, stage / "run.manifest.json") as manifest:
         descriptor = ModelDescriptor(arch=arch,
                                      input_len=dataset.X.shape[1])
         model = build(descriptor,
                       seed=derive_seed(config.seed, f"train/{arch}"))
-        model, history = train(model, dataset, config.train_configs[arch])
+        model, history, val_logits = train(model, dataset,
+                                           config.train_configs[arch])
 
         checkpoint_path = stage / "model.ckpt"
         save_checkpoint(checkpoint_path, model)
         history_path = history.to_csv(stage / "history.csv")
 
-        val = dataset.split == "val"
-        y_pred = model.logits_array(dataset.X[val]).argmax(axis=1)
-        bundle = evaluate_predictions(dataset.y[val], y_pred)
+        y_val = dataset.y[dataset.split == "val"]
+        bundle = evaluate_predictions(y_val, val_logits.argmax(axis=1))
         summary = {"arch": arch,
                    "checkpoint": str(checkpoint_path),
                    "val_macro_f1": bundle.macro_f1,
@@ -274,7 +282,9 @@ def _train_one_arch(config, dataset, command, arch):
                    "epochs_run": len(history)}
         summary_path = write_json(stage / "summary.json", summary)
         manifest.add_files([checkpoint_path, history_path, summary_path])
-    return summary
+    if X_test is None:
+        return summary, val_logits
+    return summary, model.logits_array(X_test)
 
 
 def cmd_train(args, command):
@@ -286,8 +296,8 @@ def cmd_train(args, command):
                           "beats_csv in the config")
     dataset = read_beats_csv(config.beats_csv)
     archs = ARCHITECTURES if args.arch == "all" else [args.arch]
-    _map_jobs(functools.partial(_train_one_arch, config, dataset, command),
-              archs)
+    _map_jobs(functools.partial(_train_one_arch, config, dataset, command,
+                                None), archs)
 
 
 def _report_run(out_dir, manifest, y, logits, seed, model=None, X=None,
@@ -327,28 +337,19 @@ def cmd_evaluate(args, command):
                     n_resamples=args.resamples, gradcam_count=args.gradcam)
 
 
-def _ensemble_run(entries, manifest_path, X, y, strategy, out, report_dir,
+def _ensemble_run(entries, logits_by_model, y, strategy, out, report_dir,
                   manifest, seed, n_resamples=DEFAULT_RESAMPLES):
-    """Load each member once, dump its logits to out, fuse them with
-    strategy and report the fused scores in report_dir.
-
-    A relative checkpoint path is read from the manifest's directory, never
-    the working directory.  Returns the members' logits by model id.
-    """
-    logits_by_model = {}
+    """Dump each member's logits to out, fuse them with strategy and
+    report the fused scores in report_dir."""
     for entry in entries:
-        model = _load_scorer(os.path.normpath(
-            Path(manifest_path).parent / entry.checkpoint))
-        logits_by_model[entry.model_id] = model.logits_array(X)
-        path = write_logits_csv(out / f"logits_{entry.model_id}.csv",
-                                logits_by_model[entry.model_id])
-        manifest.add_files([path])
+        manifest.add_files([write_logits_csv(
+            out / f"logits_{entry.model_id}.csv",
+            logits_by_model[entry.model_id])])
     spec = build_strategy([e.model_id for e in entries],
                           [e.val_macro_f1 for e in entries], strategy)
     fused = fuse(spec, logits_by_model)
     _report_run(report_dir, manifest, y=y, logits=fused, seed=seed,
                 n_resamples=n_resamples, ensemble=spec)
-    return logits_by_model
 
 
 def cmd_ensemble(args, command):
@@ -357,7 +358,14 @@ def cmd_ensemble(args, command):
     with _stage(command, args, out / "run.manifest.json") as manifest:
         entries = load_manifest(args.manifest)
         X, y = _select_rows(read_beats_csv(args.test), "test")
-        _ensemble_run(entries, args.manifest, X, y, args.strategy, out, out,
+        logits_by_model = {}
+        for entry in entries:
+            # a relative checkpoint path is read from the manifest's
+            # directory, never the working directory
+            model = _load_scorer(os.path.normpath(
+                Path(args.manifest).parent / entry.checkpoint))
+            logits_by_model[entry.model_id] = model.logits_array(X)
+        _ensemble_run(entries, logits_by_model, y, args.strategy, out, out,
                       manifest, args.seed, args.resamples)
 
 
@@ -412,6 +420,11 @@ def cmd_reproduce(args, command):
         else:
             raise ConfigError("reproduce needs records_dir or beats_csv "
                               "in the config")
+        # stage 4's held-out beats: a test file, read before the GAN stage
+        # so a bad one fails early, else the val split the trainings score
+        X_test = y = None
+        if config.test_csv is not None:
+            X_test, y = _select_rows(read_beats_csv(config.test_csv), "test")
 
         # stage 2: class balance via per-class adversarial synthesis
         with stage(out / "augment" / "beats_aug.manifest.json") as manifest:
@@ -422,16 +435,14 @@ def cmd_reproduce(args, command):
         del dataset  # the training stages read balanced only
 
         # stage 3: all four architectures, each on its own seed
-        summaries = _map_jobs(
-            functools.partial(_train_one_arch, config, balanced, command),
-            ARCHITECTURES)
+        summaries, logits = zip(*_map_jobs(
+            functools.partial(_train_one_arch, config, balanced, command,
+                              X_test), ARCHITECTURES))
+        logits_by_model = dict(zip(ARCHITECTURES, logits))
+        if y is None:
+            y = balanced.y[balanced.split == "val"]
 
-        # stage 4: fuse on held-out beats; a dedicated test file wins over
-        # the validation split
-        if config.test_csv is not None:
-            X, y = _select_rows(read_beats_csv(config.test_csv), "test")
-        else:
-            X, y = _select_rows(balanced, "val")
+        # stage 4: fuse the logits the training jobs returned
         ensemble_dir = out / "ensemble"
         entries = [ManifestEntry(model_id=s["arch"],
                                  checkpoint=os.path.relpath(s["checkpoint"],
@@ -442,12 +453,11 @@ def cmd_reproduce(args, command):
             models_path = write_manifest(ensemble_dir / "models.json",
                                          entries)
             manifest.add_files([models_path])
-            logits_by_model = _ensemble_run(
-                entries, models_path, X, y, config.strategy, ensemble_dir,
-                ensemble_dir / "report", manifest,
-                derive_seed(master, "ensemble"))
+            _ensemble_run(entries, logits_by_model, y, config.strategy,
+                          ensemble_dir, ensemble_dir / "report", manifest,
+                          derive_seed(master, "ensemble"))
 
-        # stage 5: per-model reports on the same split from the stage 4 logits
+        # stage 5: per-model reports on the same split from the same logits
         for entry in entries:
             report_dir = out / "evaluate" / entry.model_id
             with stage(report_dir / "run.manifest.json") as manifest:

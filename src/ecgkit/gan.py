@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tk
 from .beats import CLASS_NAMES, BeatDataset, concat
-from .errors import AugmentError, ConfigError
+from .errors import AugmentError, ConfigError, ShapeError
 from .models import Params
 from .tensor import Tensor
 from .training import AdamW
@@ -274,36 +274,35 @@ def balance_deficits(dataset, config):
             if 0 < count < target}
 
 
-def balance_dataset(dataset, generators, config, seed):
+def balance_dataset(dataset, synthetic, config):
     """Top every deficient class in the train split up to the balance target.
 
-    balance_deficits decides which classes fall short and by how much;
-    candidates are kept when they score at least config.tau.
-    generators maps class label to a (generator, discriminator) pair; a
-    class below target without one is an error. Returns a new dataset: the
-    input rows in order, then the synthetic beats, tagged train and
-    synthetic.
+    balance_deficits decides which classes fall short and by how much.
+    synthetic maps class label to its synthesized beats, an [n, L] array
+    with one row per missing beat (what synthesize returns); a class below
+    target without rows, or with rows of another count or length, is an
+    error. Returns a new dataset: the input rows in order, then the
+    synthetic beats in label order, tagged train and synthetic.
     """
     deficits = balance_deficits(dataset, config)
-    missing = [label for label in deficits if label not in generators]
-    if missing:
-        label = missing[0]
-        count = dataset.counts_for_split("train")[label]
-        raise ConfigError(
-            f"class {CLASS_NAMES[label]} has {count} train beats, below the "
-            f"target {count + deficits[label]}, and no generator")
-    if not deficits:
-        return dataset
-
+    counts = dataset.counts_for_split("train")
     parts = [dataset]
     for label, needed in deficits.items():
-        generator, discriminator = generators[label]
-        rows = synthesize(generator, discriminator, needed, tau=config.tau,
-                          seed=[seed, label])
+        if label not in synthetic:
+            raise ConfigError(
+                f"class {CLASS_NAMES[label]} has {counts[label]} train beats, "
+                f"below the target {counts[label] + needed}, and no "
+                f"synthetic beats")
+        rows = synthetic[label]
+        want = (needed, dataset.X.shape[1])
+        if np.shape(rows) != want:
+            raise ShapeError(
+                f"class {CLASS_NAMES[label]} needs synthetic beats of shape "
+                f"{list(want)}, got {list(np.shape(rows))}")
         parts.append(BeatDataset(rows, np.full(needed, label),
                                  np.full(needed, "train", dtype=object),
                                  np.full(needed, "synthetic", dtype=object)))
-    return concat(parts)
+    return concat(parts) if deficits else dataset
 
 
 def class_count_report(dataset):

@@ -210,21 +210,25 @@ class TrainingHistory:
 
 
 def evaluate_split(model, X, y, alpha, gamma):
-    """Eval-mode loss and accuracy over one split."""
+    """Eval-mode loss, accuracy and float32 logits [n, classes] over one
+    split, scored in the chunks Model.logits_array takes, so the logits
+    are its bytes."""
     total_loss = 0.0
     correct = 0
     n = len(X)
+    out = np.empty((n, model.descriptor.n_classes), dtype=np.float32)
     with tk.no_grad():
         for start in range(0, n, EVAL_BATCH_ROWS):
             xb = X[start:start + EVAL_BATCH_ROWS]
             yb = y[start:start + EVAL_BATCH_ROWS]
             logits = model.forward(
                 Tensor(xb.reshape(len(xb), 1, -1)), training=False)
+            out[start:start + len(xb)] = logits.data
             probs = tk.softmax(logits, axis=-1)
             loss = focal_loss(probs, yb, alpha, gamma)
             total_loss += loss.item() * len(xb)
             correct += int((np.argmax(logits.data, axis=1) == yb).sum())
-    return total_loss / n, correct / n
+    return total_loss / n, correct / n, out
 
 
 def train(model, dataset, run_config):
@@ -233,7 +237,9 @@ def train(model, dataset, run_config):
     The dataset must carry train/val split tags.  Each batch is gathered
     from the dataset's X by row index, so no copy of the train split is
     made.  The model is updated in place and ends holding the weights of
-    its best validation epoch.
+    its best validation epoch.  Returns (model, history, val_logits): the
+    val split's logits at that epoch, the bytes model.logits_array would
+    give on those rows, so no caller scores them again.
     """
     train_rows = np.flatnonzero(dataset.split == "train")
     val_rows = np.flatnonzero(dataset.split == "val")
@@ -269,9 +275,9 @@ def train(model, dataset, run_config):
             optimizer.step()
             epoch_loss += loss.item() * len(xb)
             epoch_correct += int((np.argmax(logits.data, axis=1) == yb).sum())
-        val_loss, val_acc = evaluate_split(model, X_val, y_val,
-                                           run_config.focal_alpha,
-                                           run_config.focal_gamma)
+        val_loss, val_acc, val_logits = evaluate_split(
+            model, X_val, y_val, run_config.focal_alpha,
+            run_config.focal_gamma)
         history.append(EpochRecord(epoch, epoch_loss / n, val_loss,
                                    epoch_correct / n, val_acc))
         scheduler.step(val_loss)
@@ -279,11 +285,13 @@ def train(model, dataset, run_config):
             best_val = val_loss
             best_state = {k: v.copy()
                           for k, v in model.state_arrays().items()}
+            best_logits = val_logits
             stagnant = 0
         else:
             stagnant += 1
             if stagnant >= run_config.early_stop_patience:
                 break
-    if best_state is not None:
-        model.load_state_arrays(best_state)
-    return model, history
+    if best_state is None:  # no epoch improved: the model keeps the last
+        return model, history, val_logits
+    model.load_state_arrays(best_state)
+    return model, history, best_logits

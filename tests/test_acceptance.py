@@ -38,7 +38,8 @@ from ecgkit.ensemble import (
     fuse,
     predict_classes,
 )
-from ecgkit.gan import GanTrainConfig, balance_dataset, gan_train
+from ecgkit.gan import (GanTrainConfig, balance_dataset, balance_deficits,
+                        gan_train, synthesize)
 from ecgkit.gradcam import grad_cam
 from ecgkit.metrics import confusion, evaluate_predictions, prf1, roc_auc
 from ecgkit.models import ModelDescriptor, build
@@ -147,7 +148,7 @@ def test_both_sequence_models_fit_separable_toy_perfectly():
                       seed=1)
         run = TrainRunConfig.for_arch(arch, epochs=30, batch_size=8,
                                       lr=1e-2, seed=1)
-        _, history = train(model, dataset, run)
+        _, history, _ = train(model, dataset, run)
         top = max(record.train_acc for record in history.records)
         assert top == 1.0, f"{arch} peaked at train accuracy {top}"
 
@@ -166,14 +167,16 @@ def test_balancing_restores_minority_classes_with_valid_synthetics():
 
     config = GanTrainConfig(epochs=1, batch_size=32, hidden=16,
                             dense_width=32)
-    generators = {}
+    balance = GanTrainConfig(tau=0.2)
+    deficits = balance_deficits(dataset, balance)
+    synthetic = {}
     for label in (2, 4):
         gen, disc, _ = gan_train(dataset.X[dataset.y == label], label,
                                  config, seed=1000 + label)
-        generators[label] = (gen, disc)
+        synthetic[label] = synthesize(gen, disc, deficits[label],
+                                      tau=balance.tau, seed=[5, label])
 
-    balanced = balance_dataset(dataset, generators, GanTrainConfig(tau=0.2),
-                               seed=5)
+    balanced = balance_dataset(dataset, synthetic, balance)
     after = balanced.counts_for_split("train")
     majority = max(after.values())
     for label in before:
@@ -277,7 +280,7 @@ def test_saliency_peak_tracks_the_discriminative_pulse():
 
     model = build(ModelDescriptor(arch="cnn", input_len=length, n_classes=2),
                   seed=1)
-    model, _ = train(model, dataset,
+    model, _, _ = train(model, dataset,
                      TrainRunConfig.for_arch("cnn", epochs=10, batch_size=16,
                                              lr=1e-2, seed=1))
 
@@ -322,7 +325,7 @@ def test_smoke_training_reaches_strong_macro_f1_on_synthetic_beats():
 
     start = time.monotonic()
     model = build(ModelDescriptor(arch="cnn"), seed=17)
-    model, _ = train(model, dataset,
+    model, _, _ = train(model, dataset,
                      TrainRunConfig.for_arch("cnn", epochs=5, seed=17))
     elapsed = time.monotonic() - start
 
@@ -362,7 +365,7 @@ def test_smoke_training_on_clinical_subset():
 
     start = time.monotonic()
     model = build(ModelDescriptor(arch="cnn"), seed=17)
-    model, _ = train(model, subset,
+    model, _, _ = train(model, subset,
                      TrainRunConfig.for_arch("cnn", epochs=5, seed=17))
     elapsed = time.monotonic() - start
 
@@ -385,26 +388,27 @@ def _clinical_run():
 
     train_counts = dataset.counts_for_split("train")
     majority = max(train_counts.values())
-    generators = {}
+    balance = GanTrainConfig(tau=0.5)
+    deficits = balance_deficits(dataset, balance)
+    synthetic = {}
     for label, count in sorted(train_counts.items()):
         if 0 < count < majority:
             minority = dataset.X[(dataset.split == "train")
                                  & (dataset.y == label)]
             gen, disc, _ = gan_train(minority, label, GanTrainConfig(),
                                      seed=derive_seed(17, f"gan/{label}"))
-            generators[label] = (gen, disc)
-    balanced = balance_dataset(dataset, generators, GanTrainConfig(tau=0.5),
-                               seed=17)
+            synthetic[label] = synthesize(gen, disc, deficits[label],
+                                          tau=balance.tau, seed=[17, label])
+    balanced = balance_dataset(dataset, synthetic, balance)
 
-    val = balanced.split == "val"
-    X_val, y_val = balanced.X[val], balanced.y[val]
+    y_val = balanced.y[balanced.split == "val"]
     logits = {}
     scores = {}
     for arch in ("cnn", "cnn_lstm"):
         model = build(ModelDescriptor(arch=arch),
                       seed=derive_seed(17, f"train/{arch}"))
-        model, _ = train(model, balanced, TrainRunConfig.for_arch(arch, seed=17))
-        logits[arch] = model.logits_array(X_val)
+        _, _, logits[arch] = train(model, balanced,
+                                   TrainRunConfig.for_arch(arch, seed=17))
         scores[arch] = evaluate_predictions(
             y_val, predict_classes(logits[arch])).macro_f1
     return logits, scores, y_val

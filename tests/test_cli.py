@@ -20,10 +20,11 @@ from ecgkit.beats import read_beats_csv, write_beats_csv
 from ecgkit.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ecgkit.cli import run
 from ecgkit.config import RunManifest, derive_seed
+from ecgkit.ensemble import write_logits_csv
 from ecgkit.errors import NumericalError, ShapeError
 from ecgkit.gradcam import grad_cam
 from ecgkit.metrics import MIN_BOOTSTRAP_SAMPLES
-from ecgkit.models import ARCHITECTURES, ModelDescriptor, build
+from ecgkit.models import ARCHITECTURES, Model, ModelDescriptor, build
 from ecgkit.wfdb_io import MNEMONIC_TO_CODE, AnnotationEvent, write_record
 
 from helpers import toy_two_class, write_splitless_csv
@@ -856,19 +857,43 @@ def reproduce_config(tmp_path, records_dir, out_dir, **extra):
     return path
 
 
+def logged_reproduce(config, log):
+    """Run reproduce, logging to the file log one line per checkpoint load
+    ("load <path>") and per Model.logits_array call ("logits <rows>"); a
+    file, not a list, so the calls of forked workers are logged too.
+    Returns the logged lines."""
+    log.write_text("")
+
+    def logged(line, call):
+        def wrapper(*args):
+            with open(log, "a") as handle:
+                handle.write(line(*args) + "\n")
+            return call(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_checkpoint",
+                      logged(lambda path: f"load {path}", load_checkpoint))
+        patch.setattr(Model, "logits_array",
+                      logged(lambda model, X: f"logits {len(X)}",
+                             Model.logits_array))
+        assert run(["reproduce", "--config", str(config), "--all"]) == 0
+    return log.read_text().splitlines()
+
+
 @pytest.fixture(scope="module")
 def reproduced(tmp_path_factory):
     root = tmp_path_factory.mktemp("repro")
     records = make_records_dir(root / "records")
     out = root / "out"
     config = reproduce_config(root, records, out)
-    assert run(["reproduce", "--config", str(config), "--all"]) == 0
-    return {"root": root, "out": out, "config": config}
+    calls = logged_reproduce(config, root / "calls.log")
+    return {"root": root, "out": out, "config": config, "calls": calls}
 
 
 @pytest.fixture(scope="module")
 def reproduced_with_test_csv(tmp_path_factory):
-    """A beats_csv + test_csv reproduce run, counting checkpoint loads."""
+    """A beats_csv + test_csv reproduce run, logging network calls."""
     root = tmp_path_factory.mktemp("repro_csv")
     beats = write_toy_csv(root / "beats.csv", n_per_class=30)
     test_csv = write_toy_csv(root / "test.csv", n_per_class=10, seed=5,
@@ -879,16 +904,8 @@ def reproduced_with_test_csv(tmp_path_factory):
     payload = json.loads(config.read_text())
     del payload["records_dir"]
     config.write_text(json.dumps(payload))
-    loads = []
-
-    def counting_load(path):
-        loads.append(Path(path))
-        return load_checkpoint(path)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "load_checkpoint", counting_load)
-        assert run(["reproduce", "--config", str(config)]) == 0
-    return {"out": out, "payload": payload, "loads": loads}
+    calls = logged_reproduce(config, root / "calls.log")
+    return {"out": out, "payload": payload, "calls": calls}
 
 
 class TestReproduce:
@@ -965,6 +982,36 @@ class TestReproduce:
                              "metrics.json").read_text())
         assert 0.0 <= report["accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("damage", ["removed", "header only"])
+    def test_bad_test_csv_fails_before_augment(self, tmp_path, monkeypatch,
+                                               capsys, damage):
+        beats = write_toy_csv(tmp_path / "beats.csv", n_per_class=30)
+        test_csv = write_toy_csv(tmp_path / "test.csv", n_per_class=10,
+                                 seed=5, include_split=False)
+        out = tmp_path / "out"
+        config = reproduce_config(tmp_path, "unused", out,
+                                  beats_csv=str(beats),
+                                  test_csv=str(test_csv))
+        payload = json.loads(config.read_text())
+        del payload["records_dir"]
+        config.write_text(json.dumps(payload))
+        if damage == "header only":
+            test_csv.write_text(test_csv.read_text().splitlines()[0] + "\n")
+        else:  # gone after the config's own existence check
+            real_load = cli.load_config
+
+            def load_then_remove(path):
+                loaded = real_load(path)
+                test_csv.unlink()
+                return loaded
+
+            monkeypatch.setattr(cli, "load_config", load_then_remove)
+        assert run(["reproduce", "--config", str(config)]) == 4
+        error = {"removed": "FileNotFoundError", "header only": "ParseError"}
+        assert capsys.readouterr().err.startswith(
+            f"ecgkit: {error[damage]}: ")
+        assert not (out / "augment").exists()
+
 
 class TestStageManifests:
     def test_stamped_before_work_one_per_stage(self, tmp_path,
@@ -1012,11 +1059,13 @@ class TestStageManifests:
 
 
 class TestReproduceEnsembleStage:
-    def test_each_checkpoint_loads_once(self, reproduced_with_test_csv):
-        loads = reproduced_with_test_csv["loads"]
-        out = reproduced_with_test_csv["out"]
-        assert sorted(loads) == sorted(out / "train" / arch / "model.ckpt"
-                                       for arch in ARCHITECTURES)
+    def test_no_checkpoint_loads(self, reproduced_with_test_csv):
+        # each training job scores the test beats once, before it returns;
+        # the ensemble stage fuses what the jobs handed back
+        payload = reproduced_with_test_csv["payload"]
+        rows = len(read_beats_csv(payload["test_csv"]))
+        assert reproduced_with_test_csv["calls"] == \
+            [f"logits {rows}"] * len(ARCHITECTURES)
 
     def test_models_json_paths_are_relative_to_it(self,
                                                   reproduced_with_test_csv):
@@ -1046,6 +1095,38 @@ class TestReproduceEnsembleStage:
                  if p.name != "run.manifest.json"}
         assert len(fresh) > len(ARCHITECTURES)
         assert fresh == staged
+
+
+class TestReproduceValRoute:
+    def test_no_network_after_training(self, reproduced):
+        # the val logits come from the trainings' own epoch passes
+        assert reproduced["calls"] == []
+
+    def test_reports_match_evaluate_command(self, reproduced, tmp_path):
+        out = reproduced["out"]
+        seed = json.loads(reproduced["config"].read_text())["seed"]
+        beats = out / "augment" / "beats_aug.csv"
+        dataset = read_beats_csv(beats)
+        X_val = dataset.X[dataset.split == "val"]
+        for arch in ARCHITECTURES:
+            checkpoint = out / "train" / arch / "model.ckpt"
+            again = tmp_path / arch
+            assert run(["evaluate", "--checkpoint", str(checkpoint),
+                        "--test", str(beats), "--split", "val",
+                        "--seed", str(derive_seed(seed, f"evaluate/{arch}")),
+                        "--out", str(again)]) == 0
+            staged = {p.name: p.read_bytes()
+                      for p in (out / "evaluate" / arch).iterdir()
+                      if p.name != "run.manifest.json"}
+            fresh = {p.name: p.read_bytes() for p in again.iterdir()
+                     if p.name != "run.manifest.json"}
+            assert len(fresh) > 1
+            assert fresh == staged, arch
+            dump = write_logits_csv(
+                tmp_path / f"logits_{arch}.csv",
+                load_checkpoint(checkpoint).logits_array(X_val))
+            assert dump.read_bytes() == \
+                (out / "ensemble" / f"logits_{arch}.csv").read_bytes(), arch
 
 
 def three_class_csv(path, counts=(80, 40, 40), seed=6):

@@ -5,12 +5,13 @@ import pytest
 
 from ecgkit import gan
 from ecgkit.beats import concat
-from ecgkit.errors import AugmentError, ConfigError
+from ecgkit.errors import AugmentError, ConfigError, ShapeError
 from ecgkit.gan import (
     DiscriminatorNet,
     GanTrainConfig,
     GeneratorNet,
     balance_dataset,
+    balance_deficits,
     balance_summary,
     class_count_report,
     discriminator_loss,
@@ -352,12 +353,26 @@ def nets_for(label, seed=0):
     return GeneratorNet(cfg, rng, label, 24), DiscriminatorNet(cfg, rng)
 
 
+def synthetic_from(dataset, nets, config, seed):
+    """{label: rows} as the augment stage draws them: synthesize from each
+    deficient class's pair in nets, on the seed [seed, label]."""
+    deficits = balance_deficits(dataset, config)
+    return {label: synthesize(*pair, deficits[label], tau=config.tau,
+                              seed=[seed, label])
+            for label, pair in nets.items() if label in deficits}
+
+
+def balanced_from(dataset, nets, config, seed):
+    return balance_dataset(dataset,
+                           synthetic_from(dataset, nets, config, seed), config)
+
+
 class TestBalanceDataset:
     def test_minorities_raised_to_majority(self):
         dataset = imbalanced_dataset()
         before = len(dataset)
-        balanced = balance_dataset(dataset, {1: nets_for(1), 2: nets_for(2)},
-                                   GanTrainConfig(tau=0.0), seed=5)
+        balanced = balanced_from(dataset, {1: nets_for(1), 2: nets_for(2)},
+                                 GanTrainConfig(tau=0.0), seed=5)
         counts = balanced.counts_for_split("train")
         assert counts == {0: 12, 1: 12, 2: 12, 3: 0, 4: 0}
         present = [c for c in counts.values() if c]
@@ -373,8 +388,8 @@ class TestBalanceDataset:
 
     def test_val_and_test_untouched(self):
         dataset = imbalanced_dataset()
-        balanced = balance_dataset(dataset, {1: nets_for(1), 2: nets_for(2)},
-                                   GanTrainConfig(tau=0.0), seed=17)
+        balanced = balanced_from(dataset, {1: nets_for(1), 2: nets_for(2)},
+                                 GanTrainConfig(tau=0.0), seed=17)
         assert balanced.counts_for_split("val") == \
             dataset.counts_for_split("val")
         assert balanced.counts_for_split("test") == \
@@ -385,19 +400,37 @@ class TestBalanceDataset:
 
     def test_missing_generator_named(self):
         with pytest.raises(ConfigError) as exc:
-            balance_dataset(imbalanced_dataset(), {2: nets_for(2)},
-                            GanTrainConfig(tau=0.0), seed=17)
+            balanced_from(imbalanced_dataset(), {2: nets_for(2)},
+                          GanTrainConfig(tau=0.0), seed=17)
         assert "A" in str(exc.value)   # label 1 has no generator
+
+    def test_deficient_class_without_rows_refused(self):
+        rows = np.zeros((5, 24), dtype=np.float32)   # class V's deficit
+        with pytest.raises(ConfigError, match="class A has 4 train beats, "
+                                              "below the target 12, and no "
+                                              "synthetic beats"):
+            balance_dataset(imbalanced_dataset(), {2: rows},
+                            GanTrainConfig())
+
+    @pytest.mark.parametrize("shape", [(7, 24), (9, 24), (0, 24), (8, 23)])
+    def test_rows_other_than_the_deficit_refused(self, shape):
+        # class A lacks 8 beats of length 24 and class V lacks 5
+        synthetic = {1: np.zeros(shape, dtype=np.float32),
+                     2: np.zeros((5, 24), dtype=np.float32)}
+        with pytest.raises(ShapeError, match=rf"class A needs synthetic beats "
+                                             rf"of shape \[8, 24\], got "
+                                             rf"\[{shape[0]}, {shape[1]}\]"):
+            balance_dataset(imbalanced_dataset(), synthetic, GanTrainConfig())
 
     def test_balanced_input_returned_unchanged(self):
         dataset = concat([pulse_beats(6, 0, seed=0),
                           pulse_beats(6, 3, seed=1)])
-        assert balance_dataset(dataset, {}, GanTrainConfig(tau=0.0),
-                               seed=17) is dataset
+        assert balance_dataset(dataset, {}, GanTrainConfig(tau=0.0)) \
+            is dataset
 
     def test_partial_ratio_lowers_target(self):
         dataset = imbalanced_dataset()
-        balanced = balance_dataset(
+        balanced = balanced_from(
             dataset, {1: nets_for(1)},
             GanTrainConfig(tau=0.0, balance_ratio=0.5), seed=17)
         counts = balanced.counts_for_split("train")
@@ -406,19 +439,19 @@ class TestBalanceDataset:
     def test_ratio_bounds(self):
         with pytest.raises(ConfigError):
             balance_dataset(imbalanced_dataset(), {},
-                            GanTrainConfig(balance_ratio=0.0), seed=17)
+                            GanTrainConfig(balance_ratio=0.0))
 
     def test_no_train_split(self):
         dataset = pulse_beats(5, 0, split_tag="val")
         with pytest.raises(ConfigError):
-            balance_dataset(dataset, {}, GanTrainConfig(), seed=17)
+            balance_dataset(dataset, {}, GanTrainConfig())
 
     def test_deterministic_given_seed(self):
         outs = []
         for _ in range(2):
-            balanced = balance_dataset(imbalanced_dataset(),
-                                       {1: nets_for(1), 2: nets_for(2)},
-                                       GanTrainConfig(tau=0.0), seed=9)
+            balanced = balanced_from(imbalanced_dataset(),
+                                     {1: nets_for(1), 2: nets_for(2)},
+                                     GanTrainConfig(tau=0.0), seed=9)
             train = balanced.split == "train"
             outs.append((balanced.X[train], balanced.y[train]))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
@@ -440,8 +473,8 @@ class TestSummary:
 
     def test_summary_shape(self):
         dataset = imbalanced_dataset()
-        balanced = balance_dataset(dataset, {1: nets_for(1), 2: nets_for(2)},
-                                   GanTrainConfig(tau=0.0), seed=17)
+        balanced = balanced_from(dataset, {1: nets_for(1), 2: nets_for(2)},
+                                 GanTrainConfig(tau=0.0), seed=17)
         summary = balance_summary(dataset, balanced)
         assert set(summary) == {"before", "after"}
         assert summary["before"]["A"]["count"] == 4

@@ -139,7 +139,7 @@ class TestLocalization:
         dataset = toy_two_class(n_per_class=20, length=64, seed=7)
         model = small_model(seed=7)
         cfg = TrainRunConfig("cnn", batch_size=8, lr=1e-2, epochs=25, seed=7)
-        model, history = train(model, dataset, cfg)
+        model, history, _ = train(model, dataset, cfg)
         assert max(r.train_acc for r in history.records) == 1.0
 
         pulse_center = 3 * 64 // 4

@@ -7,7 +7,8 @@ import pytest
 
 from ecgkit import tensor as tk
 from ecgkit.errors import ConfigError, NumericalError, UsageError
-from ecgkit.models import ARCHITECTURES, ModelDescriptor, build
+from ecgkit.models import (ARCHITECTURES, EVAL_BATCH_ROWS, ModelDescriptor,
+                           build)
 from ecgkit.tensor import Tensor
 from ecgkit.training import (
     AdamW,
@@ -285,7 +286,7 @@ class TestTrainLoop:
         dataset = toy_two_class(n_per_class=20, length=64, seed=1)
         model = tiny_cnn(seed=1)
         cfg = TrainRunConfig("cnn", batch_size=8, lr=1e-2, epochs=30, seed=1)
-        model, history = train(model, dataset, cfg)
+        model, history, _ = train(model, dataset, cfg)
         assert max(r.train_acc for r in history.records) == 1.0
 
     def test_same_seed_reproduces_history(self):
@@ -295,7 +296,7 @@ class TestTrainLoop:
             model = tiny_cnn(seed=2)
             cfg = TrainRunConfig("cnn", batch_size=8, lr=2e-3, epochs=4,
                                  seed=9)
-            _, history = train(model, dataset, cfg)
+            _, history, _ = train(model, dataset, cfg)
             histories.append(history)
         assert histories[0].records == histories[1].records
 
@@ -303,7 +304,7 @@ class TestTrainLoop:
         dataset = toy_two_class(n_per_class=10, length=64, seed=3)
         model = tiny_cnn(seed=3)
         cfg = TrainRunConfig("cnn", batch_size=8, lr=1e-3, epochs=3, seed=5)
-        _, history = train(model, dataset, cfg)
+        _, history, _ = train(model, dataset, cfg)
         assert [r.epoch for r in history.records] == [1, 2, 3]
 
     def test_early_stop_and_best_weight_restore(self):
@@ -311,13 +312,36 @@ class TestTrainLoop:
         model = tiny_cnn(seed=4)
         cfg = TrainRunConfig("cnn", batch_size=8, lr=5e-3, epochs=50, seed=4,
                              early_stop_patience=4)
-        model, history = train(model, dataset, cfg)
+        model, history, _ = train(model, dataset, cfg)
         assert len(history) < 50   # plateaued long before the epoch budget
         val = dataset.split == "val"
-        val_loss, _ = evaluate_split(model, dataset.X[val], dataset.y[val],
-                                     cfg.focal_alpha, cfg.focal_gamma)
+        val_loss, _, _ = evaluate_split(model, dataset.X[val],
+                                        dataset.y[val], cfg.focal_alpha,
+                                        cfg.focal_gamma)
         best = min(record.val_loss for record in history.records)
         assert val_loss == pytest.approx(best, rel=1e-5)
+
+    def test_val_logits_are_the_best_epoch_models_bytes(self):
+        # an early-stopped run, so the best epoch is not the last one and
+        # the logits must be kept from it, not taken after the loop
+        dataset = toy_two_class(n_per_class=15, length=64, seed=4)
+        cfg = TrainRunConfig("cnn", batch_size=8, lr=5e-3, epochs=50, seed=4,
+                             early_stop_patience=4)
+        model, history, val_logits = train(tiny_cnn(seed=4), dataset, cfg)
+        assert history.best_epoch() != len(history)
+        expected = model.logits_array(dataset.X[dataset.split == "val"])
+        assert val_logits.dtype == expected.dtype == np.float32
+        assert val_logits.tobytes() == expected.tobytes()
+
+    def test_evaluate_split_logits_match_logits_array(self):
+        # more rows than one eval chunk, so the chunking is exercised
+        rng = np.random.default_rng(8)
+        X = rng.random((EVAL_BATCH_ROWS + 9, 64), dtype=np.float32)
+        y = rng.integers(0, 5, len(X))
+        model = tiny_cnn(seed=8)
+        _, acc, logits = evaluate_split(model, X, y, 1.0, 2.0)
+        assert logits.tobytes() == model.logits_array(X).tobytes()
+        assert acc == (logits.argmax(axis=1) == y).mean()
 
     def test_missing_split_tags_rejected(self):
         rng = np.random.default_rng(7)
