@@ -76,7 +76,6 @@ from .report import render_report
 from .training import (
     AdamW,
     EpochRecord,
-    PlateauScheduler,
     TrainingHistory,
     TrainRunConfig,
     focal_loss,
@@ -109,7 +108,6 @@ __all__ = [
     "NumericalError",
     "ParseError",
     "PipelineConfig",
-    "PlateauScheduler",
     "RocCurve",
     "RunManifest",
     "SaliencyMap",

@@ -276,7 +276,7 @@ def read_beats_csv(path):
     split/source columns; such beats come back unassigned/unknown.  A row
     whose field count differs from the header's is refused.  When loadtxt
     or a label, split or sample check refuses the file, it is scanned again
-    row by row, so the ParseError names the line.
+    row by row, only to name the bad line in the ParseError.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -293,8 +293,11 @@ def read_beats_csv(path):
                 f"{path}: expected column s{i}, found {header[i]!r}", line=1)
     try:
         dataset = _dataset_from_table(path, header, encoding)
-    except (ValueError, OverflowError, ConfigError):
-        dataset = _scan_rows(path, header)
+    except (ValueError, OverflowError, ConfigError) as exc:
+        _scan_rows(path, header)
+        # a spelling only loadtxt refuses, such as "1_0" or a non-ASCII
+        # digit: no row check finds it, so no line is named
+        raise ParseError(f"{path}: {exc}") from None
     if not len(dataset):
         raise ParseError(f"{path}: no beat rows", line=2)
     return dataset
@@ -302,8 +305,7 @@ def read_beats_csv(path):
 
 def _dataset_from_table(path, header, encoding):
     """The beats of path's body, parsed by one loadtxt call; raises
-    ValueError, OverflowError or ConfigError on anything _scan_rows would
-    refuse."""
+    ValueError, OverflowError or ConfigError on a bad row."""
     label_col = header.index("label")
     dtype = np.dtype([("samples", np.float32, (label_col,))]
                      + [(f"c{i}", object)
@@ -327,12 +329,11 @@ def _dataset_from_table(path, header, encoding):
 
 
 def _scan_rows(path, header):
-    """The beats of path read row by row with the csv module; the first
-    bad row raises a ParseError naming its line."""
+    """Raise a ParseError naming the first row of path, read row by row
+    with the csv module, whose field count, samples, label or split tag is
+    bad; return when no row is."""
     label_col = header.index("label")
     split_col = header.index("split") if "split" in header else None
-    source_col = header.index("source") if "source" in header else None
-    rows, labels, splits, sources = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -343,22 +344,13 @@ def _scan_rows(path, header):
                 raise ParseError(f"{path}: row has {len(row)} fields, "
                                  f"header has {len(header)}", line=line_no)
             try:
-                samples = np.array(row[:label_col], dtype=np.float32)
+                np.array(row[:label_col], dtype=np.float32)
                 label = int(row[label_col])
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}", line=line_no) from None
-            split_tag = row[split_col] if split_col is not None \
-                else "unassigned"
-            if split_tag not in SPLIT_TAGS:
-                raise ParseError(
-                    f"{path}: unknown split tag {split_tag!r}", line=line_no)
+            if split_col is not None and row[split_col] not in SPLIT_TAGS:
+                raise ParseError(f"{path}: unknown split tag "
+                                 f"{row[split_col]!r}", line=line_no)
             if not 0 <= label < len(CLASS_NAMES):
                 raise ParseError(f"{path}: beat label {label} outside 0..4",
                                  line=line_no)
-            rows.append(samples)
-            labels.append(label)
-            splits.append(split_tag)
-            sources.append(row[source_col] if source_col is not None
-                           else "unknown")
-    return BeatDataset(np.array(rows, dtype=np.float32).reshape(
-        len(rows), label_col), labels, splits, sources)

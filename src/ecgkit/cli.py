@@ -278,7 +278,7 @@ def _train_one_arch(config, dataset, command, X_test, arch):
                    "checkpoint": str(checkpoint_path),
                    "val_macro_f1": bundle.macro_f1,
                    "val_accuracy": bundle.accuracy,
-                   "best_epoch": history.best_epoch(),
+                   "best_epoch": history.best_epoch,
                    "epochs_run": len(history)}
         summary_path = write_json(stage / "summary.json", summary)
         manifest.add_files([checkpoint_path, history_path, summary_path])

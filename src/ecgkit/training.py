@@ -1,5 +1,6 @@
-"""Training recipe: focal loss, decoupled-decay Adam, plateau scheduler,
-early stopping, and the per-architecture run configurations.
+"""Training recipe: focal loss, decoupled-decay Adam, a train loop that
+halves the learning rate on a validation plateau and stops early, and the
+per-architecture run configurations.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _ADAM_EPS = 1e-8
 _PLATEAU_FACTOR = 0.5
 _PLATEAU_PATIENCE = 3
 _MIN_LR = 1e-6
-# the margin a validation loss must improve by, for scheduler and early stop
+# the margin a validation loss must improve by to reset the stagnant count
 _MIN_IMPROVEMENT = 1e-8
 
 
@@ -116,27 +117,6 @@ class AdamW:
             p.data -= self.lr * update
 
 
-class PlateauScheduler:
-    """Halve the learning rate after 3 consecutive epochs without
-    validation-loss improvement; never below 1e-6."""
-
-    def __init__(self, optimizer):
-        self.optimizer = optimizer
-        self.best = np.inf
-        self.stagnant = 0
-
-    def step(self, val_loss):
-        if val_loss < self.best - _MIN_IMPROVEMENT:
-            self.best = val_loss
-            self.stagnant = 0
-            return
-        self.stagnant += 1
-        if self.stagnant >= _PLATEAU_PATIENCE:
-            self.optimizer.lr = max(self.optimizer.lr * _PLATEAU_FACTOR,
-                                    _MIN_LR)
-            self.stagnant = 0
-
-
 @dataclass
 class TrainRunConfig:
     arch: str
@@ -186,17 +166,13 @@ class TrainingHistory:
 
     def __init__(self):
         self.records = []
+        self.best_epoch = None  # train sets it: the epoch of the kept weights
 
     def __len__(self):
         return len(self.records)
 
     def append(self, record):
         self.records.append(record)
-
-    def best_epoch(self):
-        if not self.records:
-            raise UsageError("history is empty")
-        return min(self.records, key=lambda r: r.val_loss).epoch
 
     def to_csv(self, path):
         with atomic_open(path, "w") as fh:
@@ -211,33 +187,34 @@ class TrainingHistory:
 
 def evaluate_split(model, X, y, alpha, gamma):
     """Eval-mode loss, accuracy and float32 logits [n, classes] over one
-    split, scored in the chunks Model.logits_array takes, so the logits
-    are its bytes."""
+    split.  The logits are Model.logits_array's; the loss is averaged over
+    the same EVAL_BATCH_ROWS chunks of them."""
+    logits = model.logits_array(X)
     total_loss = 0.0
-    correct = 0
-    n = len(X)
-    out = np.empty((n, model.descriptor.n_classes), dtype=np.float32)
-    with tk.no_grad():
-        for start in range(0, n, EVAL_BATCH_ROWS):
-            xb = X[start:start + EVAL_BATCH_ROWS]
-            yb = y[start:start + EVAL_BATCH_ROWS]
-            logits = model.forward(
-                Tensor(xb.reshape(len(xb), 1, -1)), training=False)
-            out[start:start + len(xb)] = logits.data
-            probs = tk.softmax(logits, axis=-1)
-            loss = focal_loss(probs, yb, alpha, gamma)
-            total_loss += loss.item() * len(xb)
-            correct += int((np.argmax(logits.data, axis=1) == yb).sum())
-    return total_loss / n, correct / n, out
+    for start in range(0, len(X), EVAL_BATCH_ROWS):
+        chunk = logits[start:start + EVAL_BATCH_ROWS]
+        probs = tk.softmax(Tensor(chunk), axis=-1)
+        loss = focal_loss(probs, y[start:start + EVAL_BATCH_ROWS], alpha,
+                          gamma)
+        total_loss += loss.item() * len(chunk)
+    correct = int((logits.argmax(axis=1) == y).sum())
+    return total_loss / len(X), correct / len(X), logits
 
 
 def train(model, dataset, run_config):
-    """Mini-batch training with plateau scheduling and early stopping.
+    """Mini-batch training with a learning-rate plateau and early stopping.
+
+    An epoch is stagnant unless its validation loss beats the best so far
+    by more than _MIN_IMPROVEMENT.  One count of stagnant epochs since the
+    best drives both rules: every _PLATEAU_PATIENCE-th stagnant epoch
+    halves the learning rate (never below _MIN_LR), and the loop stops when
+    the count reaches early_stop_patience.  history.best_epoch is the epoch
+    that last reset the count, or the last epoch when none improved.
 
     The dataset must carry train/val split tags.  Each batch is gathered
     from the dataset's X by row index, so no copy of the train split is
     made.  The model is updated in place and ends holding the weights of
-    its best validation epoch.  Returns (model, history, val_logits): the
+    history.best_epoch.  Returns (model, history, val_logits): the
     val split's logits at that epoch, the bytes model.logits_array would
     give on those rows, so no caller scores them again.
     """
@@ -251,7 +228,6 @@ def train(model, dataset, run_config):
     rng = np.random.default_rng(run_config.seed)
     optimizer = AdamW(model.parameters(), lr=run_config.lr,
                       weight_decay=run_config.weight_decay)
-    scheduler = PlateauScheduler(optimizer)
     history = TrainingHistory()
     best_val = np.inf
     best_state = None
@@ -280,18 +256,21 @@ def train(model, dataset, run_config):
             run_config.focal_gamma)
         history.append(EpochRecord(epoch, epoch_loss / n, val_loss,
                                    epoch_correct / n, val_acc))
-        scheduler.step(val_loss)
         if val_loss < best_val - _MIN_IMPROVEMENT:
             best_val = val_loss
+            history.best_epoch = epoch
             best_state = {k: v.copy()
                           for k, v in model.state_arrays().items()}
             best_logits = val_logits
             stagnant = 0
         else:
             stagnant += 1
+            if stagnant % _PLATEAU_PATIENCE == 0:
+                optimizer.lr = max(optimizer.lr * _PLATEAU_FACTOR, _MIN_LR)
             if stagnant >= run_config.early_stop_patience:
                 break
     if best_state is None:  # no epoch improved: the model keeps the last
+        history.best_epoch = len(history)
         return model, history, val_logits
     model.load_state_arrays(best_state)
     return model, history, best_logits

@@ -119,7 +119,7 @@ def reference_beat_csv_bytes(dataset):
 def reference_read_beats_csv(path):
     """A beat CSV read one csv-module row at a time: the reference for
     read_beats_csv on rectangular files, and for the line its ParseError
-    names."""
+    names (none for a sample spelling only np.loadtxt refuses)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -141,6 +141,12 @@ def reference_read_beats_csv(path):
                 continue
             if len(row) < label_col + 1:
                 raise ParseError(f"{path}: short row", line=line_no)
+            if any("_" in cell or not cell.isascii()
+                   for cell in row[:label_col]):
+                # Python's float reads "1_0" and non-ASCII digits;
+                # np.loadtxt, and so the reader, refuses them
+                raise ParseError(f"{path}: sample spelling np.loadtxt "
+                                 "refuses")
             try:
                 samples = np.array(row[:label_col], dtype=np.float32)
                 label = int(row[label_col])

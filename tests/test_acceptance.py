@@ -44,13 +44,7 @@ from ecgkit.gradcam import grad_cam
 from ecgkit.metrics import confusion, evaluate_predictions, prf1, roc_auc
 from ecgkit.models import ModelDescriptor, build
 from ecgkit.tensor import Tensor
-from ecgkit.training import (
-    AdamW,
-    PlateauScheduler,
-    TrainRunConfig,
-    focal_loss,
-    train,
-)
+from ecgkit.training import TrainRunConfig, focal_loss, train
 from ecgkit.wfdb_io import decode_format212, encode_format212, parse_header
 
 MITBIH_DIR = os.environ.get("ECGKIT_MITBIH_DIR")
@@ -113,31 +107,6 @@ def test_focal_loss_with_unit_alpha_zero_gamma_is_cross_entropy():
         picked = np.clip(probs[np.arange(n), targets], 1e-12, None)
         worst = max(worst, abs(focal - float(-np.log(picked).mean())))
     assert worst < 1e-9
-
-
-def test_scheduler_halves_on_third_stagnant_epoch_with_exact_floor():
-    param = Tensor(np.zeros(1), requires_grad=True)
-    opt = AdamW({"w": param}, lr=1e-3)
-    sched = PlateauScheduler(opt)
-    sched.step(0.4)
-    sched.step(0.5)
-    sched.step(0.5)
-    assert opt.lr == 1e-3          # two stagnant epochs keep the rate
-    sched.step(0.5)
-    assert opt.lr == 5e-4          # the third halves it
-    sched.step(0.3)
-    sched.step(0.5)
-    sched.step(0.5)
-    assert opt.lr == 5e-4          # improvement reset the counter
-    sched.step(0.5)
-    assert opt.lr == 2.5e-4
-
-    param = Tensor(np.zeros(1), requires_grad=True)
-    opt = AdamW({"w": param}, lr=1.5e-6)
-    sched = PlateauScheduler(opt)
-    for _ in range(10):
-        sched.step(1.0)
-    assert opt.lr == 1e-6          # clamps to the floor exactly
 
 
 def test_both_sequence_models_fit_separable_toy_perfectly():

@@ -382,6 +382,16 @@ class TestBeatCsv:
             read_beats_csv(path)
         assert exc.value.line == 4
 
+    def test_sample_spelling_loadtxt_refuses_is_refused(self, tmp_path):
+        # Python's float reads "1_0" as 10.0; the file is refused as the
+        # table parse refuses it, and since no row check objects to the
+        # row, no line is named
+        path = tmp_path / "odd.csv"
+        path.write_text("s0,s1,label\n0.5,0.25,1\n0.5,1_0,1\n")
+        with pytest.raises(ParseError, match="1_0") as exc:
+            read_beats_csv(path)
+        assert exc.value.line is None
+
     def test_empty_dataset_refused(self, tmp_path):
         with pytest.raises(IoError):
             write_beats_csv(tmp_path / "x.csv", beat_set([], []))
@@ -559,11 +569,16 @@ class TestBeatCsvProperties:
     def test_reader_equals_reference_on_corrupted_cells(self, csv_path,
                                                         text):
         # the same beats where the reference reads the file, else the same
-        # ParseError message and line
+        # ParseError message and line; a sample spelling only np.loadtxt
+        # refuses names no line, and the message is loadtxt's
         with open(csv_path, "w", newline="") as fh:
             fh.write(text)
-        assert _outcome(read_beats_csv, csv_path) == \
-            _outcome(reference_read_beats_csv, csv_path)
+        got = _outcome(read_beats_csv, csv_path)
+        want = _outcome(reference_read_beats_csv, csv_path)
+        if want[0] == "refused" and want[2] is None:
+            assert got[0] == "refused" and got[2] is None
+        else:
+            assert got == want
 
 
 class TestRecordsDirLoader:

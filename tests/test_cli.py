@@ -375,6 +375,7 @@ class TestTrain:
         assert summary["arch"] == "cnn"
         assert 0.0 <= summary["val_macro_f1"] <= 1.0
         assert summary["epochs_run"] >= 1
+        assert 1 <= summary["best_epoch"] <= summary["epochs_run"]
         assert Path(summary["checkpoint"]).exists()
 
     def test_history_row_count_matches_summary(self, workspace):
@@ -859,15 +860,16 @@ def reproduce_config(tmp_path, records_dir, out_dir, **extra):
 
 def logged_reproduce(config, log):
     """Run reproduce, logging to the file log one line per checkpoint load
-    ("load <path>") and per Model.logits_array call ("logits <rows>"); a
-    file, not a list, so the calls of forked workers are logged too.
-    Returns the logged lines."""
+    ("load <path> in <caller>") and per Model.logits_array call ("logits
+    <rows> in <caller>"); a file, not a list, so the calls of forked
+    workers are logged too.  Returns the logged lines."""
     log.write_text("")
 
     def logged(line, call):
         def wrapper(*args):
+            caller = sys._getframe(1).f_code.co_name
             with open(log, "a") as handle:
-                handle.write(line(*args) + "\n")
+                handle.write(f"{line(*args)} in {caller}\n")
             return call(*args)
         return wrapper
 
@@ -879,6 +881,12 @@ def logged_reproduce(config, log):
                              Model.logits_array))
         assert run(["reproduce", "--config", str(config), "--all"]) == 0
     return log.read_text().splitlines()
+
+
+def val_row_count(out):
+    """The val rows of a reproduce run's training set."""
+    dataset = read_beats_csv(out / "augment" / "beats_aug.csv")
+    return int((dataset.split == "val").sum())
 
 
 @pytest.fixture(scope="module")
@@ -1060,12 +1068,15 @@ class TestStageManifests:
 
 class TestReproduceEnsembleStage:
     def test_no_checkpoint_loads(self, reproduced_with_test_csv):
-        # each training job scores the test beats once, before it returns;
-        # the ensemble stage fuses what the jobs handed back
+        # each training job scores the val beats once in its one epoch and
+        # the test beats once before it returns; the ensemble stage fuses
+        # what the jobs handed back
         payload = reproduced_with_test_csv["payload"]
         rows = len(read_beats_csv(payload["test_csv"]))
-        assert reproduced_with_test_csv["calls"] == \
-            [f"logits {rows}"] * len(ARCHITECTURES)
+        val_rows = val_row_count(reproduced_with_test_csv["out"])
+        assert sorted(reproduced_with_test_csv["calls"]) == sorted(
+            [f"logits {rows} in _train_one_arch",
+             f"logits {val_rows} in evaluate_split"] * len(ARCHITECTURES))
 
     def test_models_json_paths_are_relative_to_it(self,
                                                   reproduced_with_test_csv):
@@ -1099,8 +1110,11 @@ class TestReproduceEnsembleStage:
 
 class TestReproduceValRoute:
     def test_no_network_after_training(self, reproduced):
-        # the val logits come from the trainings' own epoch passes
-        assert reproduced["calls"] == []
+        # the val logits come from the trainings' own epoch passes, one
+        # per epoch of each one-epoch training, and nothing scores again
+        val_rows = val_row_count(reproduced["out"])
+        assert reproduced["calls"] == \
+            [f"logits {val_rows} in evaluate_split"] * len(ARCHITECTURES)
 
     def test_reports_match_evaluate_command(self, reproduced, tmp_path):
         out = reproduced["out"]

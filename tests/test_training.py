@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ecgkit import tensor as tk
+from ecgkit import training
 from ecgkit.errors import ConfigError, NumericalError, UsageError
 from ecgkit.models import (ARCHITECTURES, EVAL_BATCH_ROWS, ModelDescriptor,
                            build)
@@ -13,7 +14,6 @@ from ecgkit.tensor import Tensor
 from ecgkit.training import (
     AdamW,
     EpochRecord,
-    PlateauScheduler,
     TABLE1,
     TrainRunConfig,
     TrainingHistory,
@@ -171,53 +171,101 @@ class TestAdamW:
         assert "head.w" in str(exc.value)
 
 
-class TestPlateauScheduler:
-    def make(self, lr=1e-3):
-        p = Tensor(np.zeros(1), requires_grad=True)
-        opt = AdamW({"w": p}, lr=lr)
-        return opt, PlateauScheduler(opt)
+def scripted_run(monkeypatch, losses, lr=1e-3, patience=50):
+    """Train a tiny cnn, one optimizer step per epoch, with the validation
+    losses scripted.  Returns (lrs, history, scored, model, val_logits):
+    lrs[e] is AdamW.lr at the step of epoch e + 1, and scored[e] the
+    model's state arrays and val logits when that epoch was scored."""
+    script = iter(losses)
+    scored_epochs, lrs = [], []
+    real_evaluate = training.evaluate_split
+    real_step = AdamW.step
 
-    def test_halves_after_exactly_three_stagnant_epochs(self):
-        opt, sched = self.make(1e-3)
-        sched.step(0.4)
-        assert opt.lr == 1e-3
-        sched.step(0.5)
-        sched.step(0.5)
-        assert opt.lr == 1e-3      # two stagnant epochs: not yet
-        sched.step(0.5)
-        assert opt.lr == 5e-4      # third fires the reduction
-        sched.step(0.5)
-        assert opt.lr == 5e-4      # counter reset, one stagnant epoch again
+    def scripted_evaluate(model, X, y, alpha, gamma):
+        _, acc, logits = real_evaluate(model, X, y, alpha, gamma)
+        state = {k: v.copy() for k, v in model.state_arrays().items()}
+        scored_epochs.append((state, logits))
+        return next(script), acc, logits
 
-    def test_floor_is_exact(self):
-        opt, sched = self.make(1.5e-6)
-        sched.step(1.0)
-        for _ in range(3):
-            sched.step(1.0)
-        assert opt.lr == 1e-6
+    def recording_step(self):
+        lrs.append(self.lr)
+        real_step(self)
 
-    def test_strictly_decreasing_losses_keep_lr(self):
-        opt, sched = self.make(1e-3)
-        for loss in np.linspace(1.0, 0.1, 20):
-            sched.step(float(loss))
-        assert opt.lr == 1e-3
+    monkeypatch.setattr(training, "evaluate_split", scripted_evaluate)
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    dataset = toy_two_class(n_per_class=5, length=64, seed=3)
+    cfg = TrainRunConfig("cnn", batch_size=64, lr=lr, epochs=len(losses),
+                         seed=3, early_stop_patience=patience)
+    model, history, val_logits = train(tiny_cnn(seed=3), dataset, cfg)
+    return lrs, history, scored_epochs, model, val_logits
 
-    def test_tiny_improvement_counts_as_stagnant(self):
-        opt, sched = self.make(1e-3)
-        sched.step(0.5)
-        for _ in range(3):
-            sched.step(0.5 - 1e-12)
-        assert opt.lr == 5e-4
 
-    def test_lr_sequence_nonincreasing_and_floored(self):
-        rng = np.random.default_rng(5)
-        opt, sched = self.make(1e-3)
-        seen = [opt.lr]
-        for _ in range(200):
-            sched.step(float(rng.uniform(0.4, 0.6)))
-            seen.append(opt.lr)
-        assert all(a >= b for a, b in zip(seen, seen[1:]))
-        assert all(lr >= 1e-6 for lr in seen)
+class TestPlateauAndEarlyStop:
+    def test_halves_on_the_third_and_sixth_stagnant_epoch(self,
+                                                          monkeypatch):
+        lrs, *_ = scripted_run(monkeypatch, [0.4] + [0.5] * 8)
+        # epochs 2-4 are stagnant 1-3, so epoch 5 steps at half the rate;
+        # the count is not reset by the cut, and the 6th halves it again
+        assert lrs == [1e-3] * 4 + [5e-4] * 3 + [2.5e-4] * 2
+
+    def test_floor_is_exact(self, monkeypatch):
+        lrs, *_ = scripted_run(monkeypatch, [1.0] * 8, lr=1.5e-6)
+        assert lrs == [1.5e-6] * 4 + [1e-6] * 4
+
+    def test_improvement_resets_the_count(self, monkeypatch):
+        losses = [0.4, 0.5, 0.5, 0.3, 0.5, 0.5, 0.5, 0.5]
+        lrs, history, *_ = scripted_run(monkeypatch, losses)
+        assert lrs == [1e-3] * 7 + [5e-4]
+        assert history.best_epoch == 4
+
+    def test_tiny_improvement_counts_as_stagnant(self, monkeypatch):
+        losses = [0.5, 0.5 - 1e-12, 0.5 - 2e-12, 0.5 - 3e-12, 0.5 - 4e-12]
+        lrs, history, *_ = scripted_run(monkeypatch, losses)
+        assert lrs == [1e-3] * 4 + [5e-4]
+        assert history.best_epoch == 1
+
+    def test_strictly_decreasing_losses_keep_lr(self, monkeypatch):
+        losses = [float(v) for v in np.linspace(1.0, 0.1, 12)]
+        lrs, history, *_ = scripted_run(monkeypatch, losses)
+        assert lrs == [1e-3] * 12
+        assert history.best_epoch == 12
+
+    def test_lr_sequence_nonincreasing_and_floored(self, monkeypatch):
+        losses = np.random.default_rng(5).uniform(0.4, 0.6, 60).tolist()
+        lrs, *_ = scripted_run(monkeypatch, losses, lr=1e-5)
+        assert len(lrs) == 60
+        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
+        assert min(lrs) == 1e-6
+
+    def test_stops_when_the_count_reaches_patience(self, monkeypatch):
+        losses = [0.5, 0.6, 0.4, 0.6, 0.6, 0.6, 0.6, 0.3, 0.2]
+        lrs, history, *_ = scripted_run(monkeypatch, losses, patience=4)
+        assert len(history) == len(lrs) == 7
+        assert history.best_epoch == 3
+
+    def test_best_epoch_is_the_epoch_whose_weights_are_kept(self,
+                                                            monkeypatch):
+        # epoch 2 is lower, but by less than the margin: epoch 1 stays best
+        losses = [0.5, 0.5 - 5e-9, 0.7, 0.7]
+        _, history, scored, model, val_logits = scripted_run(
+            monkeypatch, losses, patience=3)
+        assert len(history) == 4
+        assert history.best_epoch == 1
+        state, logits = scored[0]
+        kept = model.state_arrays()
+        assert kept.keys() == state.keys()
+        for name, array in state.items():
+            assert kept[name].tobytes() == array.tobytes(), name
+        assert val_logits.tobytes() == logits.tobytes()
+
+    def test_no_improvement_keeps_the_last_epoch(self, monkeypatch):
+        _, history, scored, model, val_logits = scripted_run(
+            monkeypatch, [np.inf] * 3)
+        assert history.best_epoch == 3
+        state, logits = scored[-1]
+        for name, array in state.items():
+            assert model.state_arrays()[name].tobytes() == array.tobytes()
+        assert val_logits.tobytes() == logits.tobytes()
 
 
 class TestRunConfig:
@@ -266,14 +314,6 @@ class TestTrainingHistory:
         assert rows[0] == TrainingHistory.CSV_HEADER
         assert [EpochRecord(int(row[0]), *map(float, row[1:]))
                 for row in rows[1:]] == records
-
-    def test_best_epoch(self):
-        history = history_of([
-            EpochRecord(1, 1.0, 0.9, 0.5, 0.5),
-            EpochRecord(2, 0.8, 0.6, 0.6, 0.6),
-            EpochRecord(3, 0.7, 0.65, 0.7, 0.6),
-        ])
-        assert history.best_epoch() == 2
 
 
 def tiny_cnn(length=64, seed=0):
@@ -328,7 +368,7 @@ class TestTrainLoop:
         cfg = TrainRunConfig("cnn", batch_size=8, lr=5e-3, epochs=50, seed=4,
                              early_stop_patience=4)
         model, history, val_logits = train(tiny_cnn(seed=4), dataset, cfg)
-        assert history.best_epoch() != len(history)
+        assert history.best_epoch != len(history)
         expected = model.logits_array(dataset.X[dataset.split == "val"])
         assert val_logits.dtype == expected.dtype == np.float32
         assert val_logits.tobytes() == expected.tobytes()
