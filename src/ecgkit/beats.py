@@ -303,6 +303,14 @@ def read_beats_csv(path):
     return dataset
 
 
+def _label(text):
+    """The class of a label cell spelled in ASCII digits alone, as
+    write_beats_csv writes it; Python's int also reads "0_1" or " 2 "."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"beat label {text!r} is not in ASCII digits")
+    return int(text)
+
+
 def _dataset_from_table(path, header, encoding):
     """The beats of path's body, parsed by one loadtxt call; raises
     ValueError, OverflowError or ConfigError on a bad row."""
@@ -323,7 +331,7 @@ def _dataset_from_table(path, header, encoding):
             return [default] * len(table)
         return table[f"c{header.index(name)}"]
 
-    labels = [int(label) for label in table[f"c{label_col}"].tolist()]
+    labels = [_label(text) for text in table[f"c{label_col}"].tolist()]
     return BeatDataset(table["samples"], labels, column("split", "unassigned"),
                        column("source", "unknown"))
 
@@ -345,7 +353,7 @@ def _scan_rows(path, header):
                                  f"header has {len(header)}", line=line_no)
             try:
                 np.array(row[:label_col], dtype=np.float32)
-                label = int(row[label_col])
+                label = _label(row[label_col])
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}", line=line_no) from None
             if split_col is not None and row[split_col] not in SPLIT_TAGS:

@@ -14,11 +14,12 @@ import struct
 
 import numpy as np
 
-from .artifacts import atomic_open
-from .errors import FormatError, IoError
+from .artifacts import atomic_open, json_fields, json_schema, parse_json
+from .errors import ConfigError, FormatError, IoError
 from .models import ModelDescriptor, build
 
 MAGIC = b"ECGKIT1"
+_DESCRIPTOR_SCHEMA = json_schema(ModelDescriptor, ())
 
 
 def _read_exact(handle, count, what):
@@ -67,9 +68,11 @@ def _read_descriptor(handle):
     block_start = handle.tell()
     raw = _read_exact(handle, json_len, "descriptor block")
     try:
-        payload = json.loads(raw.decode("utf-8"))
-        return ModelDescriptor.from_dict(payload)
-    except Exception as exc:
+        payload = parse_json(raw, "descriptor", FormatError)
+        return ModelDescriptor(**json_fields(
+            payload, _DESCRIPTOR_SCHEMA, "descriptor", None, FormatError,
+            ("arch",)))
+    except (FormatError, ConfigError) as exc:
         raise FormatError(f"bad descriptor block: {exc}",
                           offset=block_start) from None
 

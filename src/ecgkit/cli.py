@@ -211,6 +211,10 @@ def _ingest(records_dir, lead, beat_len, train_fraction, seed, out):
 
 
 def cmd_ingest(args, command):
+    # checked before any record is read
+    if not 0.0 < args.train_fraction < 1.0:
+        raise ConfigError(f"--train-fraction must lie in (0, 1), got "
+                          f"{args.train_fraction}")
     path = _sibling(args.out, ".manifest.json")
     with _stage(command, args, path) as manifest:
         _, out = _ingest(args.records_dir, args.lead, args.beat_len,
@@ -343,9 +347,9 @@ def _ensemble_run(entries, logits_by_model, y, strategy, out, report_dir,
     report the fused scores in report_dir."""
     for entry in entries:
         manifest.add_files([write_logits_csv(
-            out / f"logits_{entry.model_id}.csv",
-            logits_by_model[entry.model_id])])
-    spec = build_strategy([e.model_id for e in entries],
+            out / f"logits_{entry.id}.csv",
+            logits_by_model[entry.id])])
+    spec = build_strategy([e.id for e in entries],
                           [e.val_macro_f1 for e in entries], strategy)
     fused = fuse(spec, logits_by_model)
     _report_run(report_dir, manifest, y=y, logits=fused, seed=seed,
@@ -364,7 +368,7 @@ def cmd_ensemble(args, command):
             # directory, never the working directory
             model = _load_scorer(os.path.normpath(
                 Path(args.manifest).parent / entry.checkpoint))
-            logits_by_model[entry.model_id] = model.logits_array(X)
+            logits_by_model[entry.id] = model.logits_array(X)
         _ensemble_run(entries, logits_by_model, y, args.strategy, out, out,
                       manifest, args.seed, args.resamples)
 
@@ -444,7 +448,7 @@ def cmd_reproduce(args, command):
 
         # stage 4: fuse the logits the training jobs returned
         ensemble_dir = out / "ensemble"
-        entries = [ManifestEntry(model_id=s["arch"],
+        entries = [ManifestEntry(id=s["arch"],
                                  checkpoint=os.path.relpath(s["checkpoint"],
                                                             ensemble_dir),
                                  val_macro_f1=s["val_macro_f1"])
@@ -459,12 +463,12 @@ def cmd_reproduce(args, command):
 
         # stage 5: per-model reports on the same split from the same logits
         for entry in entries:
-            report_dir = out / "evaluate" / entry.model_id
+            report_dir = out / "evaluate" / entry.id
             with stage(report_dir / "run.manifest.json") as manifest:
                 _report_run(report_dir, manifest, y=y,
-                            logits=logits_by_model[entry.model_id],
+                            logits=logits_by_model[entry.id],
                             seed=derive_seed(master,
-                                             f"evaluate/{entry.model_id}"))
+                                             f"evaluate/{entry.id}"))
 
 
 def _build_parser():

@@ -2,66 +2,25 @@
 
 Config files are strict JSON: every key must be a field of the settings
 dataclasses (PipelineConfig, TrainRunConfig, GanTrainConfig), whose
-annotations give its JSON type, and anything the file leaves out falls back
-to the published per-architecture training defaults. A resolved config hashes canonically
-so reordered keys produce the same fingerprint.
+annotations give its JSON type (artifacts.json_schema), and anything the
+file leaves out falls back to the published per-architecture training
+defaults. A resolved config hashes canonically so reordered keys produce
+the same fingerprint.
 """
 
 import hashlib
 import json
-import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .artifacts import write_json
+from .artifacts import json_fields, json_schema, parse_json, write_json
 from .beats import DEFAULT_BEAT_LEN
 from .ensemble import STRATEGIES
 from .errors import ConfigError, FormatError
 from .gan import GanTrainConfig
 from .models import ARCHITECTURES, MIN_INPUT_LEN
 from .training import TrainRunConfig
-
-# JSON types a config value may take, by the annotation of its field
-_JSON_TYPES = {int: (int,), float: (float, int), str: (str,)}
-
-
-def _schema(cls, skip):
-    """{key: accepted JSON types} over the fields of a settings dataclass;
-    a field whose default is None also accepts null."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: _JSON_TYPES[hints[f.name]]
-            + ((type(None),) if f.default is None else ())
-            for f in fields(cls) if f.name not in skip}
-
-
-def _check_type(key, value, allowed):
-    """The value of a schema-conforming key; float keys come back float."""
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        names = "/".join("null" if t is type(None) else t.__name__
-                         for t in allowed)
-        raise ConfigError(f"config key {key!r} expects {names}, "
-                          f"got {value!r}")
-    if float not in allowed:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"config key {key!r} is out of float "
-                          f"range") from None
-
-
-def _check_section(name, payload, schema):
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config section {name!r} must be an object, "
-                          f"got {payload!r}")
-    unknown = set(payload) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} "
-                          f"in section {name!r}")
-    return {key: _check_type(f"{name}.{key}", value, schema[key])
-            for key, value in payload.items()}
-
 
 @dataclass
 class PipelineConfig:
@@ -101,35 +60,26 @@ class PipelineConfig:
         return out
 
 
-_TOP_SCHEMA = _schema(PipelineConfig, skip=("train_configs", "gan"))
-_ARCH_SCHEMA = _schema(TrainRunConfig, skip=("arch",))
-_GAN_SCHEMA = _schema(GanTrainConfig, ())
+_TOP_SCHEMA = json_schema(PipelineConfig, skip=("train_configs", "gan"))
+_ARCH_SCHEMA = json_schema(TrainRunConfig, skip=("arch",))
+_GAN_SCHEMA = json_schema(GanTrainConfig, ())
+# a config file's sections: one per architecture, then the GAN's
+_SECTIONS = {**dict.fromkeys(ARCHITECTURES, _ARCH_SCHEMA), "gan": _GAN_SCHEMA}
+_ROOT_SCHEMA = {**_TOP_SCHEMA, **dict.fromkeys(_SECTIONS, (dict,))}
 
 
 def config_from_payload(payload):
-    """Validate a parsed JSON object against the schema and resolve it."""
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config root must be an object, got {payload!r}")
-    known = set(_TOP_SCHEMA) | set(ARCHITECTURES) | {"gan"}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-
-    kwargs = {}
-    for key, allowed in _TOP_SCHEMA.items():
-        if key in payload:
-            kwargs[key] = _check_type(key, payload[key], allowed)
-
-    train_configs = {}
-    for arch in ARCHITECTURES:
-        if arch in payload:
-            section = _check_section(arch, payload[arch], _ARCH_SCHEMA)
-            train_configs[arch] = TrainRunConfig.for_arch(arch, **section)
-    gan_payload = {}
-    if "gan" in payload:
-        gan_payload = _check_section("gan", payload["gan"], _GAN_SCHEMA)
+    """Check a parsed JSON object against the schema and resolve it."""
+    kwargs = json_fields(payload, _ROOT_SCHEMA, "config", None, ConfigError,
+                         ())
+    sections = {name: json_fields(kwargs.pop(name), schema, "config", name,
+                                  ConfigError, ())
+                for name, schema in _SECTIONS.items() if name in kwargs}
+    train_configs = {arch: TrainRunConfig.for_arch(arch, **sections[arch])
+                     for arch in ARCHITECTURES if arch in sections}
     return PipelineConfig(train_configs=train_configs,
-                          gan=GanTrainConfig(**gan_payload), **kwargs)
+                          gan=GanTrainConfig(**sections.get("gan", {})),
+                          **kwargs)
 
 
 def load_config(path):
@@ -138,17 +88,11 @@ def load_config(path):
     An empty file means "all defaults". Referenced input paths must exist.
     """
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    if not text.strip():
-        payload = {}
-    else:
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: "
-                              f"{exc}") from None
+    payload = parse_json(data, f"config {path}", ConfigError) \
+        if data.strip() else {}
     config = config_from_payload(payload)
     for key in ("records_dir", "beats_csv", "test_csv"):
         value = getattr(config, key)
@@ -194,7 +138,7 @@ class RunManifest:
     version: str
     started_at: str
     finished_at: str = ""
-    files: list = field(default_factory=list)
+    files: list[str] = field(default_factory=list)
 
     @staticmethod
     def now():
@@ -212,24 +156,10 @@ class RunManifest:
     def load(cls, path):
         """The manifest at path; FormatError names path when the file is
         not a JSON object of exactly the manifest's keys and types."""
-        try:
-            payload = json.loads(Path(path).read_text())
-        except ValueError as exc:
-            raise FormatError(f"manifest {path} is not valid JSON: "
-                              f"{exc}") from None
-        if not isinstance(payload, dict):
-            raise FormatError(f"manifest {path} must hold a JSON object")
-        keys = {f.name for f in fields(cls)}
-        if set(payload) != keys:
-            raise FormatError(
-                f"manifest {path} has keys {sorted(payload)}, "
-                f"expected {sorted(keys)}")
-        files = payload["files"]
-        if not (isinstance(files, list)
-                and all(isinstance(name, str) for name in files)):
-            raise FormatError(f"manifest {path}: files must be a list of "
-                              f"strings")
-        for key in sorted(keys - {"files"}):
-            if not isinstance(payload[key], str):
-                raise FormatError(f"manifest {path}: {key} must be a string")
-        return cls(**payload)
+        where = f"manifest {path}"
+        payload = parse_json(Path(path).read_bytes(), where, FormatError)
+        return cls(**json_fields(payload, _MANIFEST_SCHEMA, where, None,
+                                 FormatError, _MANIFEST_SCHEMA))
+
+
+_MANIFEST_SCHEMA = json_schema(RunManifest, ())

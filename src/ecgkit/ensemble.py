@@ -8,12 +8,13 @@ blend weighted by those scores.
 """
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open, write_json
+from .artifacts import atomic_open, json_fields, json_schema, parse_json, \
+    write_json
 from .errors import ConfigError, IoError, ParseError, ShapeError, UsageError
 
 # strategy name -> fewest members it needs
@@ -134,59 +135,38 @@ def write_logits_csv(path, logits):
 
 @dataclass
 class ManifestEntry:
-    model_id: str
+    id: str
     checkpoint: str
     val_macro_f1: float
 
     def __post_init__(self):
-        # range first: a JSON integer too large for a float still compares
+        # range first: an integer too large for a float still compares
         if not 0.0 <= self.val_macro_f1 <= 1.0:
             raise ConfigError(f"validation macro-F1 {self.val_macro_f1} for "
-                              f"{self.model_id!r} outside [0, 1]")
+                              f"{self.id!r} outside [0, 1]")
         self.val_macro_f1 = float(self.val_macro_f1)
 
 
-_MANIFEST_KEYS = {"id", "checkpoint", "val_macro_f1"}
+_ENTRY_SCHEMA = json_schema(ManifestEntry, ())
 
 
 def load_manifest(path):
-    """Model roster for the ensemble: ids, checkpoint paths, val scores."""
+    """Model roster for the ensemble: ids, checkpoint paths, val scores;
+    ParseError when path is not UTF-8 JSON, ConfigError when its content
+    is not a roster."""
     try:
-        with open(path) as handle:
-            payload = json.load(handle)
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read manifest {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"manifest is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or \
-            not isinstance(payload.get("models"), list):
-        raise ConfigError("manifest must be an object whose 'models' key is "
-                          "a list")
-    extra = set(payload) - {"models"}
-    if extra:
-        raise ConfigError(f"unknown manifest keys: {sorted(extra)}")
-    entries = []
-    for item in payload["models"]:
-        if not isinstance(item, dict):
-            raise ConfigError(f"manifest model entry {item!r} is not an "
-                              "object")
-        unknown = set(item) - _MANIFEST_KEYS
-        if unknown:
-            raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-        missing = _MANIFEST_KEYS - set(item)
-        if missing:
-            raise ConfigError(f"model entry missing keys: {sorted(missing)}")
-        for key, types, kind in (("id", str, "a string"),
-                                 ("checkpoint", str, "a string"),
-                                 ("val_macro_f1", (int, float), "a number")):
-            value = item[key]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(f"manifest key {key!r} expects {kind}, "
-                                  f"got {value!r}")
-        entries.append(ManifestEntry(model_id=item["id"],
-                                     checkpoint=item["checkpoint"],
-                                     val_macro_f1=item["val_macro_f1"]))
-    ids = [entry.model_id for entry in entries]
+    where = f"manifest {path}"
+    roster = json_fields(parse_json(data, where, ParseError),
+                         {"models": (list,)}, where, None, ConfigError,
+                         ("models",))
+    entries = [ManifestEntry(**json_fields(item, _ENTRY_SCHEMA,
+                                           f"{where} model {i}", None,
+                                           ConfigError, _ENTRY_SCHEMA))
+               for i, item in enumerate(roster["models"])]
+    ids = [entry.id for entry in entries]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate model ids in manifest: {ids}")
     if not entries:
@@ -195,6 +175,4 @@ def load_manifest(path):
 
 
 def write_manifest(path, entries):
-    return write_json(path, {"models": [
-        {"id": entry.model_id, "checkpoint": entry.checkpoint,
-         "val_macro_f1": entry.val_macro_f1} for entry in entries]})
+    return write_json(path, {"models": [asdict(entry) for entry in entries]})

@@ -87,16 +87,6 @@ class ModelDescriptor:
         d["channel_plan"] = list(self.channel_plan)
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown descriptor keys {sorted(unknown)}")
-        if "arch" not in d:
-            raise ConfigError("descriptor lacks an arch field")
-        return cls(**d)
-
 
 def _init_value(name, shape, rng):
     leaf = name.rsplit(".", 1)[-1]

@@ -136,6 +136,9 @@ class TrainRunConfig:
             raise ConfigError(f"learning rate must be > 0, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, "
+                              f"got {self.weight_decay}")
         if self.focal_gamma < 0:
             raise ConfigError(f"focusing exponent must be >= 0, "
                               f"got {self.focal_gamma}")

@@ -149,7 +149,11 @@ def reference_read_beats_csv(path):
                                  "refuses")
             try:
                 samples = np.array(row[:label_col], dtype=np.float32)
-                label = int(row[label_col])
+                label_text = row[label_col]
+                if not (label_text.isascii() and label_text.isdigit()):
+                    raise ValueError(f"beat label {label_text!r} is not in "
+                                     f"ASCII digits")
+                label = int(label_text)
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}", line=line_no) from None
             split_tag = row[split_col] if split_col is not None and \

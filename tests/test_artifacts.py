@@ -1,10 +1,14 @@
 """Every artifact appears complete or not at all: a writer that fails,
 raises or is interrupted mid-file leaves the earlier file byte for byte and
-no temp sibling behind."""
+no temp sibling behind.  Every JSON document read back is UTF-8, holds
+exactly its schema's keys, and gives each the JSON type its field takes."""
+
+from dataclasses import dataclass, field
 
 import pytest
 
-from ecgkit.artifacts import write_json
+from ecgkit.artifacts import json_fields, json_schema, parse_json, write_json
+from ecgkit.errors import ConfigError, FormatError
 from ecgkit.beats import write_beats_csv
 from ecgkit.checkpoint import save_checkpoint
 from ecgkit.models import ModelDescriptor, build
@@ -67,3 +71,76 @@ def test_symlink_target_is_replaced_not_written_through(tmp_path):
     assert not link.is_symlink()
     assert link.read_text() == '{\n  "a": 2,\n  "b": 1\n}\n'
     assert elsewhere.read_text() == "kept\n"
+
+
+@dataclass
+class Sample:
+    name: str
+    count: int = 1
+    rate: float = 0.5
+    note: str = None
+    plan: tuple = None
+    files: list[str] = field(default_factory=list)
+
+
+SAMPLE_SCHEMA = json_schema(Sample, skip=("note",))
+
+
+def check(payload, required=("name",)):
+    return json_fields(payload, SAMPLE_SCHEMA, "sample", None, ConfigError,
+                       required)
+
+
+def test_schema_follows_the_annotations():
+    null = type(None)
+    assert SAMPLE_SCHEMA == {"name": (str,), "count": (int,),
+                             "rate": (float, int), "plan": (list, null),
+                             "files": (list[str],)}
+
+
+def test_checked_fields_come_back_with_floats_as_float():
+    fields = check({"name": "a", "count": 3, "rate": 2, "plan": None,
+                    "files": ["x"]})
+    assert fields == {"name": "a", "count": 3, "rate": 2.0, "plan": None,
+                      "files": ["x"]}
+    assert isinstance(fields["rate"], float)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([], "sample must be a JSON object, got \\[\\]"),
+    ({"name": "a", "note": "n"}, "unknown sample key 'note'"),
+    ({"count": 2}, "missing sample key 'name'"),
+    ({"name": "a", "count": True}, "'count' expects int, got True"),
+    ({"name": "a", "rate": False}, "'rate' expects float/int"),
+    ({"name": "a", "count": 2.0}, "'count' expects int"),
+    ({"name": "a", "count": None}, "'count' expects int, got None"),
+    ({"name": "a", "plan": "88"}, "'plan' expects list/null"),
+    ({"name": "a", "files": ["x", 1]}, "'files' expects list\\[str\\]"),
+    ({"name": "a", "rate": float("nan")}, "'rate' must be a finite number"),
+    ({"name": "a", "rate": -float("inf")}, "'rate' must be a finite"),
+    ({"name": "a", "rate": 10 ** 400}, "'rate' must be a finite number"),
+])
+def test_refusals_name_the_key(payload, message):
+    with pytest.raises(ConfigError, match=message):
+        check(payload)
+
+
+def test_section_names_the_key_within_it():
+    with pytest.raises(FormatError,
+                       match="unknown doc key 'x' in section 'cnn'"):
+        json_fields({"x": 1}, SAMPLE_SCHEMA, "doc", "cnn", FormatError, ())
+    with pytest.raises(FormatError, match="doc key 'cnn.count' expects int"):
+        json_fields({"count": "1"}, SAMPLE_SCHEMA, "doc", "cnn", FormatError,
+                    ())
+
+
+@pytest.mark.parametrize("data", [b"{nope", b"", b'{"a": "\xe9"}',
+                                  b"\xef\xbb\xbf{}", b"[" * 100000])
+def test_parse_refuses_bytes_that_are_not_utf8_json(data):
+    with pytest.raises(FormatError, match="doc x.json is not valid JSON"):
+        parse_json(data, "doc x.json", FormatError)
+
+
+def test_parse_reads_utf8_whatever_the_locale():
+    assert parse_json('{"a": "é"}'.encode("utf-8"), "doc", FormatError) == \
+        {"a": "é"}

@@ -372,6 +372,18 @@ class TestBeatCsv:
         assert exc.value.line == 3
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("label", ["0_1", " 2 ", "+1", "-0", "\u0663",
+                                       "1.0", ""])
+    def test_label_spelled_other_than_ascii_digits_names_its_line(
+            self, tmp_path, label):
+        # Python's int reads all of these but the last two as a class
+        path = tmp_path / "odd.csv"
+        path.write_text(f"s0,label\n0.5,1\n0.25,{label}\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="ASCII digits") as exc:
+            read_beats_csv(path)
+        assert exc.value.line == 3
+
     @pytest.mark.parametrize("row, fields", [("0.5,2", 2), ("0.5,2,val,x,y", 5)])
     def test_row_with_other_field_count_names_its_line(self, tmp_path, row,
                                                        fields):

@@ -1,6 +1,7 @@
 """Settings census: every parameter with a default under src/ecgkit must be
 passed by some caller in src/ or bench/, no module there imports another
-module's underscore names, and only artifacts.py writes files.
+module's underscore names, and only artifacts.py writes files or parses
+JSON.
 
 A default that no caller overrides is a setting with one value in use and
 belongs in a module constant.  Calls are resolved by the function or class
@@ -199,10 +200,9 @@ def _writes(call):
                 and not set(mode.value) & set("wax+"))
 
 
-def direct_writes():
-    """Sorted (module, innermost enclosing def) for every write call in the
-    package outside artifacts.py."""
-    found = set()
+def _package_nodes():
+    """(module, innermost enclosing def, node) for every syntax node of
+    the package outside artifacts.py."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "artifacts":
             continue
@@ -211,10 +211,15 @@ def direct_writes():
         for node in ast.walk(tree):  # outer defs first, inner ones override
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((id(n), node.name) for n in ast.walk(node))
-        found.update((path.stem, owner.get(id(node), "<module>"))
-                     for node in ast.walk(tree)
-                     if isinstance(node, ast.Call) and _writes(node))
-    return sorted(found)
+        for node in ast.walk(tree):
+            yield path.stem, owner.get(id(node), "<module>"), node
+
+
+def direct_writes():
+    """Sorted (module, innermost enclosing def) for every write call in the
+    package outside artifacts.py."""
+    return sorted({(module, owner) for module, owner, node in _package_nodes()
+                   if isinstance(node, ast.Call) and _writes(node)})
 
 
 def test_every_artifact_write_goes_through_atomic_open():
@@ -226,3 +231,26 @@ def test_every_artifact_write_goes_through_atomic_open():
         + ", ".join(f"{m}.{f}" for m, f in unlisted))
     stale = sorted(set(DIRECT_WRITERS) - set(found))
     assert not stale, f"allow-listed writers that no longer write: {stale}"
+
+
+_JSON_READS = {"load", "loads"}
+
+
+def _reads_json(node):
+    """node calls json.load or json.loads, or imports either by name."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json" and \
+            any(alias.name in _JSON_READS for alias in node.names)
+    func = getattr(node, "func", None)
+    return isinstance(func, ast.Attribute) and func.attr in _JSON_READS \
+        and getattr(func.value, "id", None) == "json"
+
+
+def test_every_json_read_goes_through_artifacts():
+    found = sorted({(module, owner) for module, owner, node
+                    in _package_nodes() if _reads_json(node)})
+    assert not found, (
+        "read JSON documents through artifacts.parse_json and check them "
+        "with artifacts.json_fields, so every reader decodes UTF-8 and "
+        "refuses unknown keys, wrong types and non-finite numbers alike: "
+        + ", ".join(f"{m}.{f}" for m, f in found))

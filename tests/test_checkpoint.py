@@ -77,6 +77,48 @@ def test_corrupt_descriptor_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def with_descriptor(raw, block):
+    """Checkpoint bytes raw with its descriptor block replaced by block."""
+    json_len = struct.unpack("<I", raw[7:11])[0]
+    return MAGIC + struct.pack("<I", len(block)) + block \
+        + raw[11 + json_len:]
+
+
+def test_descriptor_round_trips(tmp_path):
+    descriptor = ModelDescriptor("cnn_lstm_attn", input_len=93,
+                                 channel_plan=(8, 8), lstm_hidden=8,
+                                 attention_dim=8)
+    path = save_checkpoint(tmp_path / "m.ckpt", build(descriptor, 0))
+    assert load_checkpoint(path).descriptor == descriptor
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"width": 7}, "width"),
+    ({"arch": None}, "arch"),  # None drops the key
+    ({"input_len": True}, "input_len"),
+    ({"lstm_dropout": float("nan")}, "lstm_dropout"),
+    ({"lstm_dropout": float("inf")}, "lstm_dropout"),
+    ({"channel_plan": "88"}, "channel_plan"),
+])
+def test_descriptor_keys_and_types_are_checked(tmp_path, saved, edit,
+                                               named):
+    import json
+    block = json.loads(saved[11:11 + struct.unpack("<I", saved[7:11])[0]])
+    block.update(edit)
+    block = {key: value for key, value in block.items() if value is not None}
+    with pytest.raises(FormatError, match=named) as exc:
+        load_bytes(tmp_path, with_descriptor(saved, json.dumps(block)
+                                             .encode()))
+    assert exc.value.offset == 11
+
+
+@pytest.mark.parametrize("block", [b'\xff{"arch": "cnn"}', b'["cnn"]'])
+def test_descriptor_not_a_utf8_json_object_rejected(tmp_path, saved, block):
+    with pytest.raises(FormatError, match="descriptor") as exc:
+        load_bytes(tmp_path, with_descriptor(saved, block))
+    assert exc.value.offset == 11
+
+
 def test_descriptor_shape_mismatch_rejected(tmp_path):
     # claim a different channel plan in the descriptor than the records hold
     model = small_model()

@@ -114,6 +114,16 @@ class TestDispatch:
         assert run(["train", "--arch", "cnn", "--config", str(config)]) == 3
         assert "bacth_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train", "--arch", "cnn"],
+                                         ["reproduce"]])
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys,
+                                             command):
+        config = tmp_path / "cfg.json"
+        config.write_bytes('{"seed": 3, "lead": "é"}'.encode("latin-1"))
+        assert run(command + ["--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and str(config) in err
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         beats = tmp_path / "beats.csv"
         beats.write_text("not,a,beat,file\n1,2,3,4\n")
@@ -247,6 +257,18 @@ class TestIngest:
         run(["ingest", "--records-dir", str(records), "--out", str(b),
              "--beat-len", str(BEAT_LEN), "--seed", "3"])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "1", "-0.2", "nan"])
+    def test_bad_train_fraction_is_config_error_before_reading(
+            self, tmp_path, capsys, fraction):
+        # the records directory does not exist: a stage that read it would
+        # exit 4 with an IoError
+        out = tmp_path / "beats.csv"
+        assert run(["ingest", "--records-dir", str(tmp_path / "absent"),
+                    "--train-fraction", fraction, "--out", str(out)]) == 3
+        assert "config error: --train-fraction must lie in (0, 1)" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_directory_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "records"
@@ -651,6 +673,17 @@ class TestEnsemble:
         X = read_beats_csv(ensemble_inputs["test"]).X
         np.testing.assert_array_equal(logits,
                                       model.logits_array(X).astype(np.float64))
+
+    def test_manifest_not_utf8_is_data_error(self, ensemble_inputs,
+                                             tmp_path, capsys):
+        bad = tmp_path / "models.json"
+        bad.write_bytes(b'{"models": ["\xff"]}')
+        code = run(["ensemble", "--manifest", str(bad),
+                    "--test", str(ensemble_inputs["test"]),
+                    "--out", str(tmp_path / "r")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "ParseError" in err and str(bad) in err
 
     def test_single_member_manifest_fails(self, ensemble_inputs, tmp_path,
                                           capsys):

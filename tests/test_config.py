@@ -230,6 +230,36 @@ class TestRejection:
         with pytest.raises(ConfigError, match="cnn.lr"):
             load_config(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
+                                       "1e400"])
+    @pytest.mark.parametrize("name", FLOAT_KEYS)
+    def test_non_finite_number_names_key(self, tmp_path, name, value):
+        *section, key = name.split(".")
+        text = f'{{"{key}": {value}}}'
+        for outer in section:
+            text = f'{{"{outer}": {text}}}'
+        with pytest.raises(ConfigError, match=f"'{name}' must be a finite "
+                                              f"number"):
+            load_config(write_config(tmp_path, text))
+
+    def test_config_not_utf8_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"out_dir": "r\xe9sultats"}')
+        with pytest.raises(ConfigError, match="cfg.json"):
+            load_config(path)
+
+    def test_null_only_where_the_default_is_null(self):
+        assert config_from_payload({"lead": None}).lead is None
+        with pytest.raises(ConfigError, match="out_dir"):
+            config_from_payload({"out_dir": None})
+        with pytest.raises(ConfigError, match="cnn.lr"):
+            config_from_payload({"cnn": {"lr": None}})
+
+    @pytest.mark.parametrize("decay", [-1.0, -1e-12])
+    def test_negative_weight_decay_names_key(self, decay):
+        with pytest.raises(ConfigError, match="weight_decay"):
+            config_from_payload({"cnn": {"weight_decay": decay}})
+
     def test_non_object_root(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, "[1, 2]"))
