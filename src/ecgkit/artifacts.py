@@ -68,9 +68,18 @@ def json_schema(cls, skip):
 
 def parse_json(data, where, error):
     """The JSON value the bytes data hold, decoded as UTF-8 (RFC 8259);
-    error names where when they are not UTF-8 or not JSON."""
+    error names where when they are not UTF-8 or not JSON, and names the
+    key when an object repeats one."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{where} repeats key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise error(f"{where} is not valid JSON: {exc}") from None
 

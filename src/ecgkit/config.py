@@ -17,7 +17,7 @@ from pathlib import Path
 from .artifacts import json_fields, json_schema, parse_json, write_json
 from .beats import DEFAULT_BEAT_LEN
 from .ensemble import STRATEGIES
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, IoError
 from .gan import GanTrainConfig
 from .models import ARCHITECTURES, MIN_INPUT_LEN
 from .training import TrainRunConfig
@@ -154,10 +154,15 @@ class RunManifest:
 
     @classmethod
     def load(cls, path):
-        """The manifest at path; FormatError names path when the file is
-        not a JSON object of exactly the manifest's keys and types."""
+        """The manifest at path; IoError names path when it cannot be
+        read, FormatError when the file is not a JSON object of exactly
+        the manifest's keys and types."""
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise IoError(f"cannot read manifest {path}: {exc}") from None
         where = f"manifest {path}"
-        payload = parse_json(Path(path).read_bytes(), where, FormatError)
+        payload = parse_json(data, where, FormatError)
         return cls(**json_fields(payload, _MANIFEST_SCHEMA, where, None,
                                  FormatError, _MANIFEST_SCHEMA))
 

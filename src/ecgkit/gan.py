@@ -7,7 +7,6 @@ confidence threshold, and the accepted beats top the training split up to
 the majority-class count. Validation and test splits are never touched.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,22 +143,6 @@ def generator_loss(fake_scores):
     return tk.neg(tk.log(tk.clamp_min(fake_scores, 1e-12)).mean())
 
 
-@contextmanager
-def _untracked(params):
-    """Run the block with requires_grad off on every tensor in params.
-
-    The tape reads requires_grad when an op runs, so ops inside the block
-    record no link to these tensors and compute no gradient for them.
-    """
-    for p in params.values():
-        p.requires_grad = False
-    try:
-        yield
-    finally:
-        for p in params.values():
-            p.requires_grad = True
-
-
 def gan_train(real, label, config, seed):
     """Adversarially train a generator/discriminator pair on one class.
 
@@ -215,7 +198,7 @@ def gan_train(real, label, config, seed):
             # whose parameters stay off the tape so backward skips them
             noise = generator.sample_noise(batch, rng)
             fake = generator.forward(Tensor(noise), training=True, rng=rng)
-            with _untracked(discriminator.params):
+            with discriminator.params.frozen():
                 scores = discriminator.forward(fake, training=True, rng=rng)
             loss_g = generator_loss(scores)
             g_opt.zero_grad()

@@ -31,9 +31,9 @@ class SaliencyMap:
 def grad_cam(model, beat, target_class):
     """Channel-weighted class activation map for a single beat.
 
-    The model must expose convolutional feature maps through the forward
-    capture hook; an architecture without them cannot be explained this
-    way and raises UsageError.
+    The feature map is model.trunk's output.  Only model.head runs on the
+    tape, from a leaf holding that map, with the parameters frozen, so
+    backward computes the feature gradient and nothing else.
     """
     beat = np.asarray(beat, dtype=np.float32)
     if beat.ndim != 1:
@@ -45,26 +45,16 @@ def grad_cam(model, beat, target_class):
         raise UsageError(f"target class {target_class} outside "
                          f"0..{n_classes - 1}")
 
-    capture = {}
-    logits = model.forward(Tensor(beat[None, None, :]), training=False,
-                           capture=capture)
-    features = capture.get("features")
-    if features is None:
-        raise UsageError("model captures no convolutional feature maps; "
-                         "saliency is undefined for this architecture")
-
-    target = tk.narrow(tk.reshape(logits, (n_classes,)), 0, target_class, 1)
-    # backward keeps .grad only on tensors that ask for it
-    features.requires_grad = True
-    target.backward()
-    grad = features.grad
-    model.zero_grad()
-    if grad is None:
-        raise UsageError("no gradient reached the feature maps")
+    with tk.no_grad():
+        features = model.trunk(Tensor(beat[None, None, :])).data
+    leaf = Tensor(features, requires_grad=True)
+    with model.params.frozen():
+        logits = model.head(leaf)
+    tk.narrow(tk.reshape(logits, (n_classes,)), 0, target_class, 1).backward()
 
     # channel weight = time-mean of the gradient, one scalar per channel
-    alpha = grad.mean(axis=1, dtype=np.float64)
-    activations = features.data.astype(np.float64)
+    alpha = leaf.grad.mean(axis=1, dtype=np.float64)
+    activations = features.astype(np.float64)
     cam = np.maximum((alpha[:, None, :] * activations).sum(axis=2), 0.0)[0]
 
     length = beat.shape[0]

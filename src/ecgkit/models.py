@@ -6,12 +6,15 @@ by its forward pass: the pass declares every parameter where it reads it,
 and `build` runs it once to draw them.  All architectures consume a batch
 shaped [b, 1, input_len] and emit logits [b, n_classes].  Inside, the input
 becomes [b, input_len, 1] and every layer runs channels-last on
-[b, time, channels], the layout of the tensor ops.
+[b, time, channels], the layout of the tensor ops.  The pass is
+head(trunk(x)): the trunk's conv or residual blocks make the feature map
+Grad-CAM reads, and the head pools it and applies the dense layer.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -130,6 +133,18 @@ class Params(dict):
             forward(Tensor(np.zeros(shape, dtype=np.float32)))
         self.declaring, self.rng = False, None
 
+    @contextmanager
+    def frozen(self):
+        """Run the block with requires_grad off on every tensor: the tape
+        reads it when an op runs, so the block's ops link to none of them."""
+        for p in self.values():
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p in self.values():
+                p.requires_grad = True
+
     def param(self, name, shape):
         if self.declaring and name not in self:
             if self.rng is None:
@@ -165,10 +180,6 @@ class Model:
     def parameters(self):
         return self.params
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def named_buffers(self):
         for prefix in sorted(self.stats):
             yield f"{prefix}.mean", self.stats[prefix].mean
@@ -186,30 +197,44 @@ class Model:
         for name, buf in self.named_buffers():
             buf[...] = arrays[name]
 
-    def forward(self, x, training=False, rng=None, capture=None):
+    def forward(self, x, training=False, rng=None):
+        """Logits [b, n_classes] for a batch x[b, 1, input_len]."""
+        return self.head(self.trunk(x, training), training, rng)
+
+    def trunk(self, x, training=False):
+        """The convolutional feature map [b, time, channels] of x[b, 1,
+        input_len], the map Grad-CAM reads."""
         if x.data.ndim != 3 or x.data.shape[1] != 1:
             raise ShapeError(f"expected input [batch, 1, len], "
                              f"got {x.data.shape}")
-        if x.data.shape[2] != self.descriptor.input_len:
+        # while declaring, build checks the plan against the shortest beat
+        if x.data.shape[2] != self.descriptor.input_len and \
+                not self.params.declaring:
             raise ShapeError(
                 f"input length {x.data.shape[2]} != descriptor length "
                 f"{self.descriptor.input_len}")
         # one channel, so [b, 1, len] -> [b, len, 1] moves no data
-        x = tk.reshape(x, (x.data.shape[0], x.data.shape[2], 1))
-        return self._forward(x, training, rng, capture)
-
-    def _forward(self, x, training, rng, capture):
-        """Logits for x[b, len, 1] of any length; the trunk's output is the
-        feature map Grad-CAM reads."""
-        d = self.descriptor
-        if d.arch == "resnet1d":
-            h = self._resnet_trunk(x, training)
-        else:
-            h = x
-            for i, c_out in enumerate(d.channel_plan):
+        h = tk.reshape(x, (x.data.shape[0], x.data.shape[2], 1))
+        plan = self.descriptor.channel_plan
+        if self.descriptor.arch != "resnet1d":
+            for i, c_out in enumerate(plan):
                 h = self._conv_norm_pool(h, f"block{i}", c_out, training)
-        if capture is not None:
-            capture["features"] = h
+            return h
+        h = self._bn(self._conv(h, "stem.conv", plan[0], 7, stride=2,
+                                padding=3),
+                     "stem.bn", training, "relu")
+        h = tk.max_pool1d(h, 2, 2)
+        for stage, c_out in enumerate(plan):
+            for block in range(self.descriptor.blocks_per_stage):
+                stride = 2 if stage > 0 and block == 0 else 1
+                h = self._residual_block(h, f"res{stage}.{block}", c_out,
+                                         stride, training)
+        return h
+
+    def head(self, h, training=False, rng=None):
+        """Logits for a feature map h[b, time, channels]: pooling, or the
+        BiLSTM and its pooling, then the dense layer."""
+        d = self.descriptor
         if d.arch in ("cnn", "resnet1d"):
             return self.params.dense(h.mean(axis=1), "head", d.n_classes)
         layers = [self.params.lstm_layer(
@@ -220,13 +245,11 @@ class Model:
         if d.arch == "cnn_lstm":
             return self.params.dense(hidden.mean(axis=1), "head", d.n_classes)
         attn = d.attention_dim
-        context, alpha = tk.attention_pool(
+        context, _ = tk.attention_pool(
             hidden,
             self.params.param("attn.w_h", (attn, hidden.data.shape[2])),
             self.params.param("attn.b_h", (attn,)),
             self.params.param("attn.v", (attn,)))
-        if capture is not None:
-            capture["attention"] = alpha
         return self.params.dense(context, "head", d.n_classes)
 
     def _conv(self, h, prefix, c_out, kernel, stride=1, padding=0):
@@ -271,19 +294,6 @@ class Model:
         return tk.add(h, self._shortcut(source, f"{prefix}.down", c_out,
                                         stride))
 
-    def _resnet_trunk(self, x, training):
-        plan = self.descriptor.channel_plan
-        h = self._bn(self._conv(x, "stem.conv", plan[0], 7, stride=2,
-                                padding=3),
-                     "stem.bn", training, "relu")
-        h = tk.max_pool1d(h, 2, 2)
-        for stage, c_out in enumerate(plan):
-            for block in range(self.descriptor.blocks_per_stage):
-                stride = 2 if stage > 0 and block == 0 else 1
-                h = self._residual_block(h, f"res{stage}.{block}", c_out,
-                                         stride, training)
-        return h
-
     def logits_array(self, X):
         """Eval-mode logits for a [n, len] float array, without taping."""
         X = np.asarray(X, dtype=np.float32)
@@ -305,7 +315,6 @@ def build(descriptor, seed):
     """
     model = Model(descriptor)
     model.params.declare(
-        None if seed is None else np.random.default_rng(seed),
-        lambda x: model._forward(x, False, None, None),
-        (1, MIN_INPUT_LEN, 1))
+        None if seed is None else np.random.default_rng(seed), model.forward,
+        (1, 1, MIN_INPUT_LEN))
     return model

@@ -3,7 +3,7 @@
 Every op that sees a tracked input returns a Tensor with a tape node
 behind it.  The node is not the value: it links to its inputs' nodes and
 holds a closure mapping the output gradient to one gradient per input,
-and that closure captures only the arrays, shapes and flags its formula
+and that closure holds only the arrays, shapes and flags its formula
 reads.  The tape holds what backward reads; a forward value lives while
 you hold its Tensor.  A conv output that feeds batch norm, say, is freed
 as soon as the caller drops it, because batch norm's backward reads its
@@ -11,11 +11,10 @@ normalized input, not the conv output.
 
 backward() walks the tape iteratively in reverse topological order, so
 deep graphs never touch Python's recursion limit, and releases each node
-as soon as its closure has run.  After backward() only tensors with
-requires_grad hold a .grad, and the released graph cannot be walked
-again.  A leaf's requires_grad counts when an op reads it; an interior
-tensor's counts when backward() reaches it, so setting it after the
-forward pass still keeps that tensor's gradient.
+as soon as its closure has run.  Gradients go to leaves: after backward()
+only leaves with requires_grad hold a .grad (a leaf's flag counts when an
+op reads it), and an interior tensor the caller still holds is untracked:
+an op on it records no node, and backward() from it raises UsageError.
 
 Recurrent layers are fused: lstm_sequence runs a whole LSTM direction as one
 tape node (one input-projection GEMM over all steps, the recurrence in
@@ -25,8 +24,8 @@ graph per step.
 
 Batch norm is fused with its activation: batch_norm1d(..., activation=None,
 "relu" or "swish") is one tape node, and no separate swish or relu op
-exists.  In training, or when taped in eval (Grad-CAM), its tape keeps only
-the normalized input xhat; backward recomputes xhat * gamma + beta and the
+exists.  In training, or when taped in eval, its tape keeps only the
+normalized input xhat; backward recomputes xhat * gamma + beta and the
 activation from it.  Everything after the per-channel statistics runs in
 blocks of rows, and eval under no_grad never builds a full xhat.
 
@@ -46,7 +45,6 @@ import ctypes
 import os
 import threading
 import warnings
-import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -99,7 +97,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -114,16 +112,14 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def backward(self):
-        """Accumulate d(self)/d(t) into t.grad for every tensor t with
+        """Accumulate d(self)/d(t) into t.grad for every leaf t with
         requires_grad set, then release the graph behind self.
 
-        .grad is kept exactly on tensors with requires_grad; every other
-        tensor on the tape ends with .grad None, and a second backward()
-        on the same graph raises UsageError.  To read an interior
-        gradient, set requires_grad on that tensor before the call.
+        For the gradient at an interior tensor, run the rest of the
+        computation from a leaf holding its data.
         """
         root = self._node
-        if root is None:
+        if root is None or root.backward is None:
             raise UsageError(
                 "backward called on a tensor with no tape behind it: it was "
                 "produced outside any taped computation, or an earlier "
@@ -147,6 +143,7 @@ class Tensor:
                 if type(parent) is _Node and parent not in visited:
                     stack.append((parent, False))
         root.grad = np.ones_like(self.data)
+        self._node = None
         # every consumer of a node comes after it in topo, so once it is
         # popped its gradient is complete and nothing reads it again
         while topo:
@@ -156,16 +153,11 @@ class Tensor:
             node.parents = ()
             if grad is not None and step is not None:
                 grads = step(grad)
-                step = None  # drop what the closure captured before summing
+                step = None  # drop what the closure holds before summing
                 for parent, g in zip(parents, grads):
                     if parent is not None and g is not None:
                         _accum(parent, g)
                 grads = g = None  # not held while the next closure runs
-            out = node.tensor()
-            if out is not None:
-                out._node = None
-                if out.requires_grad:
-                    out.grad = grad
 
     def sum(self, axis=None, keepdims=False):
         return _reduce(self, "sum", axis, keepdims)
@@ -180,19 +172,17 @@ class _Node:
     parents holds one entry per op input: the input's own _Node, the input
     itself when it is a leaf with requires_grad, or None when no gradient
     is wanted for it.  backward(g) returns one gradient (or None) per
-    input, computed only from what it captured at forward time.  The node
-    reaches its output Tensor through a weak reference, so it never keeps
-    the output's data alive.
+    input, computed only from what it bound at forward time.  backward()
+    releases a node by dropping its closure; no op links to it after that.
     """
 
-    __slots__ = ("parents", "backward", "grad", "dtype", "tensor")
+    __slots__ = ("parents", "backward", "grad", "dtype")
 
-    def __init__(self, parents, backward, out):
+    def __init__(self, parents, backward, dtype):
         self.parents = parents
         self.backward = backward
         self.grad = None
-        self.dtype = out.data.dtype
-        self.tensor = weakref.ref(out)
+        self.dtype = dtype
 
 
 def _as_tensor(x, like=None):
@@ -202,18 +192,25 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _link(t):
+    """t's unreleased node, else t when it requires grad, else None."""
+    node = t._node
+    if node is not None and node.backward is not None:
+        return node
+    return t if t.requires_grad else None
+
+
 def _tracked(t):
-    return t.requires_grad or t._node is not None
+    return _link(t) is not None
 
 
 def _record(data, inputs, backward):
     """Wrap an op's result; tape it when grad is on and an input is tracked."""
     out = Tensor(data)
     if _grad_enabled():
-        links = tuple(t._node if t._node is not None
-                      else (t if t.requires_grad else None) for t in inputs)
+        links = tuple(_link(t) for t in inputs)
         if any(link is not None for link in links):
-            out._node = _Node(links, backward, out)
+            out._node = _Node(links, backward, out.data.dtype)
     return out
 
 

@@ -1,7 +1,7 @@
 """Settings census: every parameter with a default under src/ecgkit must be
-passed by some caller in src/ or bench/, no module there imports another
-module's underscore names, and only artifacts.py writes files or parses
-JSON.
+passed by some caller in src/ or bench/, no module there imports or reads
+another module's underscore names, and only artifacts.py writes files or
+parses JSON.
 
 A default that no caller overrides is a setting with one value in use and
 belongs in a module constant.  Calls are resolved by the function or class
@@ -168,6 +168,61 @@ def test_no_module_imports_another_modules_private_names():
     assert not found, (
         "a module's underscore names are its own; make the name public or "
         "move the code: " + ", ".join(f"{m} imports {n}" for m, n in found))
+
+
+def _private_names(tree):
+    """Underscore names a module defines: its functions, classes and
+    assigned names, and the attributes it stores."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {name for name in names if _is_private(name)}
+
+
+def private_attribute_reads(trees):
+    """Sorted (module, attribute) for every underscore attribute a module
+    of trees ({module: syntax tree}) reads that it does not define itself
+    but another module of trees does."""
+    defined = {module: _private_names(tree) for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in defined.items()
+                                  if other != module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in elsewhere - defined[module]:
+                found.add((module, node.attr))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    found = private_attribute_reads({
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))})
+    assert not found, (
+        "a module's underscore attributes are its own; make the name public "
+        "or move the code: "
+        + ", ".join(f"{m} reads .{n}" for m, n in found))
+
+
+def test_private_attribute_check_finds_a_cross_module_read():
+    trees = {
+        "models": ast.parse("class Model:\n"
+                            "    def _trunk(self):\n"
+                            "        self._cache = 1\n"),
+        "gradcam": ast.parse("import os\n"
+                             "def grad_cam(model):\n"
+                             "    os._exit(model._trunk() + model._cache)\n"),
+    }
+    assert private_attribute_reads(trees) == [("gradcam", "_cache"),
+                                              ("gradcam", "_trunk")]
 
 
 # (module, function) -> why it writes files without artifacts.atomic_open

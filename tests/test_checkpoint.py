@@ -119,6 +119,13 @@ def test_descriptor_not_a_utf8_json_object_rejected(tmp_path, saved, block):
     assert exc.value.offset == 11
 
 
+def test_descriptor_repeated_key_rejected(tmp_path, saved):
+    block = b'{"arch": "cnn", "arch": "resnet1d"}'
+    with pytest.raises(FormatError, match="repeats key 'arch'") as exc:
+        load_bytes(tmp_path, with_descriptor(saved, block))
+    assert exc.value.offset == 11
+
+
 def test_descriptor_shape_mismatch_rejected(tmp_path):
     # claim a different channel plan in the descriptor than the records hold
     model = small_model()

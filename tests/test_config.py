@@ -7,7 +7,7 @@ import pytest
 from ecgkit import config as config_module
 from ecgkit.config import (PipelineConfig, RunManifest, config_from_payload,
                            config_hash, derive_seed, load_config)
-from ecgkit.errors import ConfigError, FormatError
+from ecgkit.errors import ConfigError, FormatError, IoError
 from ecgkit.models import _DEFAULT_PLANS, ARCHITECTURES
 from ecgkit.training import TABLE1
 
@@ -273,6 +273,11 @@ class TestRejection:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    def test_repeated_key_is_named(self, tmp_path):
+        path = write_config(tmp_path, '{"seed": 1, "seed": 2}')
+        with pytest.raises(ConfigError, match="repeats key 'seed'"):
+            load_config(path)
+
     @pytest.mark.parametrize("key", ["beat_len", "noise_len"])
     def test_gan_lengths_are_unknown_keys(self, tmp_path, key):
         # the augment stage takes the beat length from the data
@@ -468,6 +473,17 @@ class TestRunManifest:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="resumed"):
             RunManifest.load(path)
+
+    def test_repeated_key_is_format_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        text = json.dumps(self.valid_payload(tmp_path))
+        path.write_text(text[:-1] + ', "version": "0"}')
+        with pytest.raises(FormatError, match="repeats key 'version'"):
+            RunManifest.load(path)
+
+    def test_missing_file_is_io_error_naming_path(self, tmp_path):
+        with pytest.raises(IoError, match="absent.json"):
+            RunManifest.load(tmp_path / "absent.json")
 
     @pytest.mark.parametrize("files", ["beats.csv", [1], ["a", None],
                                        {"a": "b"}])

@@ -283,6 +283,13 @@ class TestManifest:
             load_manifest(path)
         assert "extra" in str(exc.value)
 
+    def test_repeated_key_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"models": [{"id": "cnn", "checkpoint": "c", '
+                        '"id": "rnn", "val_macro_f1": 0.9}]}')
+        with pytest.raises(ParseError, match="repeats key 'id'"):
+            load_manifest(path)
+
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"models": [{"id": "cnn"}]}')

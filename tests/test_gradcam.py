@@ -97,28 +97,6 @@ class TestEdgeCases:
         np.testing.assert_allclose(after.raw, 4.0 * before.raw, rtol=1e-6)
         np.testing.assert_allclose(after.values, before.values, atol=1e-6)
 
-    def test_model_without_feature_maps_rejected(self):
-        class FlatModel:
-            class descriptor:
-                n_classes = 5
-
-            def forward(self, x, training=False, rng=None, capture=None):
-                raise AssertionError("should not be reached")
-
-        class NoCaptureModel:
-            class descriptor:
-                n_classes = 5
-
-            def forward(self, x, training=False, rng=None, capture=None):
-                from ecgkit.tensor import Tensor
-                return Tensor(np.zeros((1, 5), dtype=np.float32))
-
-            def zero_grad(self):
-                pass
-
-        with pytest.raises(UsageError):
-            grad_cam(NoCaptureModel(), np.zeros(64, dtype=np.float32), 0)
-
     def test_argument_validation(self):
         model = small_model()
         beat = np.zeros(64, dtype=np.float32)

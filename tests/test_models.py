@@ -216,11 +216,8 @@ class TestForward:
         assert m.params["head.w"].grad is not None
 
 
-def captured_features(descriptor, length=187, seed=0):
-    capture = {}
-    build(descriptor, seed).forward(batch(1, length), training=False,
-                                    capture=capture)
-    return capture["features"].data.shape
+def feature_shape(descriptor, length=187, seed=0):
+    return build(descriptor, seed).trunk(batch(1, length)).data.shape
 
 
 # [1, time, channels] of the SMALL models on 64-sample beats: two pooled
@@ -234,40 +231,36 @@ SMALL_FEATURE_SHAPES = {
 }
 
 
-class TestFeatureCapture:
+class TestTrunk:
     def test_cnn_default_plan_feature_length(self):
         # 187 -> 93 -> 46 -> 23
-        assert captured_features(ModelDescriptor("cnn")) == (1, 23, 32)
+        assert feature_shape(ModelDescriptor("cnn")) == (1, 23, 32)
 
     def test_lstm_trunk_feature_length(self):
         d = ModelDescriptor("cnn_lstm", lstm_hidden=8, lstm_layers=1)
-        assert captured_features(d) == (1, 46, 32)
+        assert feature_shape(d) == (1, 46, 32)
 
     def test_resnet_feature_length(self):
         # 187 -(k7 s2 p3)-> 94 -(pool)-> 47 -(stage strides)-> 24 -> 12
-        assert captured_features(ModelDescriptor("resnet1d")) == (1, 12, 128)
+        assert feature_shape(ModelDescriptor("resnet1d")) == (1, 12, 128)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_capture_matches_declared_info(self, arch):
+    def test_small_feature_shapes(self, arch):
         d = ModelDescriptor(arch, input_len=64, **SMALL[arch])
-        assert captured_features(d, 64, seed=1) == SMALL_FEATURE_SHAPES[arch]
+        assert feature_shape(d, 64, seed=1) == SMALL_FEATURE_SHAPES[arch]
 
-    def test_feature_grad_has_feature_shape(self):
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_forward_is_head_of_trunk(self, arch):
+        m = small_model(arch)
+        x = batch(2, 64)
+        np.testing.assert_array_equal(m.head(m.trunk(x)).data,
+                                      m.forward(x).data)
+
+    def test_head_passes_the_gradient_to_a_feature_leaf(self):
         m = small_model("cnn")
-        capture = {}
-        logits = m.forward(batch(2, 64), training=False, capture=capture)
-        features = capture["features"]
-        features.requires_grad = True
-        logits.sum().backward()
+        features = Tensor(m.trunk(batch(2, 64)).data, requires_grad=True)
+        m.head(features).sum().backward()
         assert features.grad.shape == features.data.shape
-
-    def test_attention_weights_exposed_and_normalized(self):
-        m = small_model("cnn_lstm_attn")
-        capture = {}
-        m.forward(batch(3, 64), training=False, capture=capture)
-        alpha = capture["attention"].data
-        assert alpha.shape[0] == 3
-        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(3), atol=1e-6)
 
 
 class TestArchitectureInvariants:
@@ -287,9 +280,8 @@ class TestArchitectureInvariants:
     def test_conv_block_halves_even_lengths(self):
         d = ModelDescriptor("cnn", input_len=80, channel_plan=(4, 4, 4))
         m = build(d, 0)
-        capture = {}
-        m.forward(batch(1, 80), training=False, capture=capture)
-        assert capture["features"].data.shape[1] == 10  # 80 -> 40 -> 20 -> 10
+        # 80 -> 40 -> 20 -> 10
+        assert m.trunk(batch(1, 80)).data.shape[1] == 10
 
     def test_uniform_attention_equals_average_pooling(self):
         d_attn = ModelDescriptor("cnn_lstm_attn", input_len=64,

@@ -65,7 +65,6 @@ class TestAutodiffCore:
             x = t([1.0, 2.0], requires_grad=True)
             y = tk.mul(x, x)
             kept = tk.mul(y, t([3.0, 3.0]))
-            kept.requires_grad = True
             loss = tk.add(y.sum(), kept.sum())
             return x, kept, weakref.ref(y._node.backward), loss
 
@@ -76,7 +75,19 @@ class TestAutodiffCore:
         assert loss._node is None
         assert loss.grad is None
         np.testing.assert_allclose(x.grad, [8.0, 16.0])
-        np.testing.assert_allclose(kept.grad, [1.0, 1.0])
+
+    def test_held_interior_tensor_is_untracked_after_backward(self):
+        x = t([1.0, 2.0], requires_grad=True)
+        y = tk.mul(x, x)
+        kept = tk.mul(y, t([3.0, 3.0]))
+        tk.add(y.sum(), kept.sum()).backward()
+        assert kept.grad is None
+        # an op on a released tensor records no node
+        assert tk.mul(kept, t([2.0, 2.0]))._node is None
+        with pytest.raises(UsageError, match="already released"):
+            kept.sum().backward()
+        with pytest.raises(UsageError, match="already released"):
+            y.backward()
 
     def test_tape_drops_values_backward_does_not_read(self):
         rng = np.random.default_rng(0)
@@ -133,11 +144,15 @@ class TestAutodiffCore:
 
     def test_fan_out_grad_sums_every_consumer(self):
         x = t([1.0, 2.0], requires_grad=True)
+        # y is interior and feeds two consumers; its gradient must hold
+        # both contributions (1 + 3) before it reaches x through y = x * x
         y = tk.mul(x, x)
-        y.requires_grad = True  # keep the interior gradient past backward
-        # y feeds two consumers; its grad must hold both contributions
         tk.add(y.sum(), tk.mul(y, t([3.0, 3.0])).sum()).backward()
-        np.testing.assert_allclose(y.grad, [4.0, 4.0])
+        np.testing.assert_allclose(x.grad, [8.0, 16.0])
+        # the same sum, read at a leaf holding y's value
+        leaf = t(y.data, requires_grad=True)
+        tk.add(leaf.sum(), tk.mul(leaf, t([3.0, 3.0])).sum()).backward()
+        np.testing.assert_allclose(leaf.grad, [4.0, 4.0])
 
     def test_deep_chain_does_not_recurse(self):
         x = t([1.0], requires_grad=True)

@@ -454,7 +454,8 @@ class TestStepMemory:
             logits = model.forward(Tensor(xb), training=True,
                                    rng=np.random.default_rng(13))
             focal_loss(tk.softmax(logits, axis=-1), yb).backward()
-            model.zero_grad()
+            for p in model.params.values():
+                p.grad = None
 
         step()
         step()
