@@ -3,14 +3,14 @@ explain, and end-to-end reproduction.
 
 Every subcommand, and every stage of reproduce, writes its artifacts plus a
 run manifest recording the exact command, a configuration fingerprint, when
-the stage started and finished, and the produced files. One master seed
-fans out to per-stage seeds so stages never share randomness and reruns
-are bit-for-bit repeatable.  Jobs that share nothing, the per-class GANs
-and the per-architecture trainings, run in forked worker processes when
-the BLAS threads leave cores idle.  Each network runs only in the job that
-trains it: a GAN job hands back its class's synthetic beats and a training
-job the logits of the rows the ensemble fuses, so reproduce's own process
-joins, fuses and reports without loading or running a model.
+the stage started and finished, and the produced files. Every command
+derives each random stream from its master seed by stage path, as reproduce
+does, so stages never share randomness.  Jobs that share nothing, the
+per-class GANs and the per-architecture trainings, run in forked worker
+processes when the BLAS threads leave cores idle.  Each network runs only in
+the job that trains it: a GAN job hands back its class's synthetic beats and
+a training job the logits of the rows the ensemble fuses, so reproduce's own
+process joins, fuses and reports without loading or running a model.
 """
 
 import argparse
@@ -206,7 +206,7 @@ def _saliency_for(model, X, y_pred, count):
 def _ingest(records_dir, lead, beat_len, train_fraction, seed, out):
     """Segment and split records_dir into beat file out; (dataset, out)."""
     dataset = load_records_dir(records_dir, lead=lead, beat_len=beat_len)
-    stratified_split(dataset, train_fraction=train_fraction, seed=seed)
+    stratified_split(dataset, train_fraction, derive_seed(seed, "ingest"))
     return dataset, write_beats_csv(out, dataset)
 
 
@@ -224,19 +224,21 @@ def cmd_ingest(args, command):
 
 def _augment(dataset, gan_config, seed, out):
     """Top up deficient train classes with beats from one adversarial
-    pair per class, each trained and sampled on its own seeds in one job.
-    Writes out and the class counts before and after beside it; returns
-    (balanced, written paths).
+    pair per class, trained and sampled in one job on seeds derived from
+    the master seed.  Writes out and the class counts before and after
+    beside it; returns (balanced, written paths).
     """
     deficits = balance_deficits(dataset, gan_config)
+    seed = derive_seed(seed, "augment")
 
     def synthetic_beats(label):
-        rows = (dataset.split == "train") & (dataset.y == label)
-        stage_seed = derive_seed(seed, f"augment/{CLASS_NAMES[label]}")
-        generator, discriminator, _ = gan_train(dataset.X[rows], label,
-                                                gan_config, seed=stage_seed)
+        stage = f"augment/{CLASS_NAMES[label]}"
+        real = dataset.X[(dataset.split == "train") & (dataset.y == label)]
+        generator, discriminator, _ = gan_train(real, label, gan_config,
+                                                derive_seed(seed, stage))
         return synthesize(generator, discriminator, deficits[label],
-                          tau=gan_config.tau, seed=[seed, label])
+                          gan_config.tau,
+                          derive_seed(seed, f"{stage}/synthesize"))
 
     synthetic = dict(zip(deficits, _map_jobs(synthetic_beats, deficits)))
     balanced = _normalized_sources(
@@ -265,12 +267,11 @@ def _train_one_arch(config, dataset, command, X_test, arch):
     logits score X_test or, when X_test is None, the val split."""
     stage = Path(config.out_dir) / "train" / arch
     with _stage(command, config, stage / "run.manifest.json") as manifest:
-        descriptor = ModelDescriptor(arch=arch,
-                                     input_len=dataset.X.shape[1])
-        model = build(descriptor,
-                      seed=derive_seed(config.seed, f"train/{arch}"))
-        model, history, val_logits = train(model, dataset,
-                                           config.train_configs[arch])
+        model = build(ModelDescriptor(arch, input_len=dataset.X.shape[1]),
+                      derive_seed(config.seed, f"train/{arch}"))
+        model, history, val_logits = train(
+            model, dataset, config.train_configs[arch],
+            derive_seed(config.seed, f"train/{arch}/shuffle"))
 
         checkpoint_path = stage / "model.ckpt"
         save_checkpoint(checkpoint_path, model)
@@ -304,14 +305,16 @@ def cmd_train(args, command):
                                 None), archs)
 
 
-def _report_run(out_dir, manifest, y, logits, seed, model=None, X=None,
-                n_resamples=DEFAULT_RESAMPLES, gradcam_count=0,
+def _report_run(out_dir, manifest, y, logits, seed, stage, model=None,
+                X=None, n_resamples=DEFAULT_RESAMPLES, gradcam_count=0,
                 ensemble=None):
+    """Report on logits in out_dir; the CIs draw from seed's stage path."""
     with tk.no_grad():
         probabilities = tk.softmax(tk.Tensor(logits)).data
     y_pred = predict_classes(logits)
     bundle = evaluate_predictions(y, y_pred, probabilities)
-    cis = _confidence_intervals(y, y_pred, seed, n_resamples)
+    cis = _confidence_intervals(y, y_pred, derive_seed(seed, stage),
+                                n_resamples)
     saliency = None
     if gradcam_count and model is not None:
         saliency = _saliency_for(model, X, y_pred, gradcam_count)
@@ -338,6 +341,7 @@ def cmd_evaluate(args, command):
         X, y = _select_rows(read_beats_csv(args.test), args.split)
         _report_run(out, manifest, model=model, X=X, y=y,
                     logits=model.logits_array(X), seed=args.seed,
+                    stage=f"evaluate/{model.descriptor.arch}",
                     n_resamples=args.resamples, gradcam_count=args.gradcam)
 
 
@@ -353,7 +357,7 @@ def _ensemble_run(entries, logits_by_model, y, strategy, out, report_dir,
                           [e.val_macro_f1 for e in entries], strategy)
     fused = fuse(spec, logits_by_model)
     _report_run(report_dir, manifest, y=y, logits=fused, seed=seed,
-                n_resamples=n_resamples, ensemble=spec)
+                stage="ensemble", n_resamples=n_resamples, ensemble=spec)
 
 
 def cmd_ensemble(args, command):
@@ -384,6 +388,10 @@ def cmd_gradcam(args, command):
     out = Path(args.out)
     with _stage(command, args, out / "run.manifest.json") as manifest:
         model = load_checkpoint(args.checkpoint)
+        last = model.descriptor.n_classes - 1
+        if not 0 <= (args.target_class or 0) <= last:
+            raise ConfigError(f"--target-class must lie in 0..{last} for "
+                              f"this model, got {args.target_class}")
         X = read_beats_csv(args.in_path).X
         bad = [i for i in indices if not 0 <= i < len(X)]
         if bad:
@@ -400,7 +408,6 @@ def cmd_gradcam(args, command):
 def cmd_reproduce(args, command):
     config = load_config(args.config)
     out = Path(config.out_dir)
-    master = config.seed
     # every stage hashes the whole config; the outer stage spans the run
     # and lists no files, each inner one lists what it wrote
     stage = functools.partial(_stage, command, config)
@@ -410,7 +417,7 @@ def cmd_reproduce(args, command):
             with stage(out / "ingest" / "beats.manifest.json") as manifest:
                 dataset, beats_path = _ingest(
                     config.records_dir, config.lead, config.beat_len,
-                    config.train_fraction, derive_seed(master, "ingest"),
+                    config.train_fraction, config.seed,
                     out / "ingest" / "beats.csv")
                 manifest.add_files([beats_path])
         elif config.beats_csv is not None:
@@ -432,8 +439,7 @@ def cmd_reproduce(args, command):
 
         # stage 2: class balance via per-class adversarial synthesis
         with stage(out / "augment" / "beats_aug.manifest.json") as manifest:
-            balanced, written = _augment(dataset, config.gan,
-                                         derive_seed(master, "augment"),
+            balanced, written = _augment(dataset, config.gan, config.seed,
                                          out / "augment" / "beats_aug.csv")
             manifest.add_files(written)
         del dataset  # the training stages read balanced only
@@ -459,7 +465,7 @@ def cmd_reproduce(args, command):
             manifest.add_files([models_path])
             _ensemble_run(entries, logits_by_model, y, config.strategy,
                           ensemble_dir, ensemble_dir / "report", manifest,
-                          derive_seed(master, "ensemble"))
+                          config.seed)
 
         # stage 5: per-model reports on the same split from the same logits
         for entry in entries:
@@ -467,8 +473,7 @@ def cmd_reproduce(args, command):
             with stage(report_dir / "run.manifest.json") as manifest:
                 _report_run(report_dir, manifest, y=y,
                             logits=logits_by_model[entry.id],
-                            seed=derive_seed(master,
-                                             f"evaluate/{entry.id}"))
+                            seed=config.seed, stage=f"evaluate/{entry.id}")
 
 
 def _build_parser():

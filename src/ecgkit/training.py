@@ -124,7 +124,6 @@ class TrainRunConfig:
     lr: float
     epochs: int = DEFAULT_EPOCHS
     early_stop_patience: int = DEFAULT_EARLY_STOP
-    seed: int = 17
     weight_decay: float = 1e-4
     focal_alpha: float = 1.0
     focal_gamma: float = 2.0
@@ -204,7 +203,7 @@ def evaluate_split(model, X, y, alpha, gamma):
     return total_loss / len(X), correct / len(X), logits
 
 
-def train(model, dataset, run_config):
+def train(model, dataset, run_config, seed):
     """Mini-batch training with a learning-rate plateau and early stopping.
 
     An epoch is stagnant unless its validation loss beats the best so far
@@ -214,12 +213,13 @@ def train(model, dataset, run_config):
     the count reaches early_stop_patience.  history.best_epoch is the epoch
     that last reset the count, or the last epoch when none improved.
 
-    The dataset must carry train/val split tags.  Each batch is gathered
-    from the dataset's X by row index, so no copy of the train split is
-    made.  The model is updated in place and ends holding the weights of
-    history.best_epoch.  Returns (model, history, val_logits): the
-    val split's logits at that epoch, the bytes model.logits_array would
-    give on those rows, so no caller scores them again.
+    seed fixes the shuffle and the dropout draws.  The dataset must carry
+    train/val split tags.  Each batch is gathered from the dataset's X by
+    row index, so no copy of the train split is made.  The model is
+    updated in place and ends holding the weights of history.best_epoch.
+    Returns (model, history, val_logits): the val split's logits at that
+    epoch, the bytes model.logits_array would give on those rows, so no
+    caller scores them again.
     """
     train_rows = np.flatnonzero(dataset.split == "train")
     val_rows = np.flatnonzero(dataset.split == "val")
@@ -228,7 +228,7 @@ def train(model, dataset, run_config):
     if len(val_rows) == 0:
         raise ConfigError("validation split is empty; run the splitter first")
     X_val, y_val = dataset.X[val_rows], dataset.y[val_rows]
-    rng = np.random.default_rng(run_config.seed)
+    rng = np.random.default_rng(seed)
     optimizer = AdamW(model.parameters(), lr=run_config.lr,
                       weight_decay=run_config.weight_decay)
     history = TrainingHistory()

@@ -116,8 +116,8 @@ def test_both_sequence_models_fit_separable_toy_perfectly():
         model = build(ModelDescriptor(arch=arch, input_len=64, n_classes=2),
                       seed=1)
         run = TrainRunConfig.for_arch(arch, epochs=30, batch_size=8,
-                                      lr=1e-2, seed=1)
-        _, history, _ = train(model, dataset, run)
+                                      lr=1e-2)
+        _, history, _ = train(model, dataset, run, seed=1)
         top = max(record.train_acc for record in history.records)
         assert top == 1.0, f"{arch} peaked at train accuracy {top}"
 
@@ -251,7 +251,7 @@ def test_saliency_peak_tracks_the_discriminative_pulse():
                   seed=1)
     model, _, _ = train(model, dataset,
                      TrainRunConfig.for_arch("cnn", epochs=10, batch_size=16,
-                                             lr=1e-2, seed=1))
+                                             lr=1e-2), seed=1)
 
     val = dataset.split == "val"
     held_out = list(zip(dataset.X[val], np.array(centers)[val]))
@@ -295,7 +295,7 @@ def test_smoke_training_reaches_strong_macro_f1_on_synthetic_beats():
     start = time.monotonic()
     model = build(ModelDescriptor(arch="cnn"), seed=17)
     model, _, _ = train(model, dataset,
-                     TrainRunConfig.for_arch("cnn", epochs=5, seed=17))
+                     TrainRunConfig.for_arch("cnn", epochs=5), seed=17)
     elapsed = time.monotonic() - start
 
     val = dataset.split == "val"
@@ -335,7 +335,7 @@ def test_smoke_training_on_clinical_subset():
     start = time.monotonic()
     model = build(ModelDescriptor(arch="cnn"), seed=17)
     model, _, _ = train(model, subset,
-                     TrainRunConfig.for_arch("cnn", epochs=5, seed=17))
+                     TrainRunConfig.for_arch("cnn", epochs=5), seed=17)
     elapsed = time.monotonic() - start
 
     val = subset.split == "val"
@@ -377,7 +377,7 @@ def _clinical_run():
         model = build(ModelDescriptor(arch=arch),
                       seed=derive_seed(17, f"train/{arch}"))
         _, _, logits[arch] = train(model, balanced,
-                                   TrainRunConfig.for_arch(arch, seed=17))
+                                   TrainRunConfig.for_arch(arch), seed=17)
         scores[arch] = evaluate_predictions(
             y_val, predict_classes(logits[arch])).macro_f1
     return logits, scores, y_val

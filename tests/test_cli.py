@@ -16,10 +16,10 @@ import pytest
 
 from ecgkit import __version__, cli
 from ecgkit import tensor as tk
-from ecgkit.beats import read_beats_csv, write_beats_csv
+from ecgkit.beats import BeatDataset, read_beats_csv, write_beats_csv
 from ecgkit.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ecgkit.cli import run
-from ecgkit.config import RunManifest, derive_seed
+from ecgkit.config import RunManifest
 from ecgkit.ensemble import write_logits_csv
 from ecgkit.errors import NumericalError, ShapeError
 from ecgkit.gradcam import grad_cam
@@ -66,7 +66,7 @@ def write_train_config(path, beats_csv, out_dir, epochs=2, batch_size=16,
                "beat_len": BEAT_LEN}
     for arch in ("cnn", "cnn_lstm", "cnn_lstm_attn", "resnet1d"):
         payload[arch] = {"epochs": epochs, "batch_size": batch_size,
-                         "lr": 0.01, "seed": 1}
+                         "lr": 0.01}
     payload.update(extra or {})
     path.write_text(json.dumps(payload))
     return path
@@ -383,6 +383,75 @@ class TestAugment:
         assert "32" in capsys.readouterr().err
 
 
+class TestMasterSeed:
+    """--seed is the master seed on every command, as in reproduce."""
+
+    @pytest.mark.parametrize("command", ["ingest", "augment"])
+    def test_negative_seed_is_its_64_bit_twin(self, tmp_path, command):
+        # derive_seed reads the master seed modulo 2**64
+        if command == "ingest":
+            source = make_records_dir(tmp_path / "records")
+            argv = ["ingest", "--records-dir", str(source),
+                    "--beat-len", str(BEAT_LEN)]
+        else:
+            source = imbalanced_csv(tmp_path / "in.csv")
+            argv = ["augment", "--in", str(source), "--tau", "0.0",
+                    "--epochs", "1"]
+        written = []
+        for seed in ("-1", str(2**64 - 1)):
+            out = tmp_path / seed
+            assert run(argv + ["--seed", seed,
+                               "--out", str(out / "beats.csv")]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if not p.name.endswith("manifest.json")})
+        assert "beats.csv" in written[0]
+        assert written[0] == written[1]
+
+    def test_arch_seed_key_is_refused(self, tmp_path, capsys):
+        beats = write_toy_csv(tmp_path / "beats.csv", n_per_class=20)
+        config = write_train_config(tmp_path / "cfg.json", beats,
+                                    tmp_path / "out",
+                                    extra={"cnn": {"seed": 1}})
+        assert run(["train", "--arch", "cnn", "--config", str(config)]) == 3
+        assert "unknown config key 'seed' in section 'cnn'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_shuffle_follows_master_seed_and_arch(self, tmp_path,
+                                                  monkeypatch):
+        # each training's first batch, logged to a file: the trainings may
+        # run in worker processes
+        real_forward = Model.forward
+
+        def logged_forward(model, x, training=False, rng=None):
+            if training:
+                with open(tmp_path / "batches.log", "a") as handle:
+                    handle.write(f"{model.descriptor.arch} "
+                                 f"{x.data.tobytes().hex()}\n")
+            return real_forward(model, x, training=training, rng=rng)
+
+        monkeypatch.setattr(Model, "forward", logged_forward)
+        beats = write_toy_csv(tmp_path / "beats.csv", n_per_class=10)
+        first = []
+        for seed in (1, 2):
+            (tmp_path / "batches.log").write_text("")
+            config = write_train_config(tmp_path / f"cfg{seed}.json", beats,
+                                        tmp_path / f"out{seed}", epochs=1,
+                                        batch_size=8, extra={"seed": seed})
+            assert run(["train", "--arch", "all",
+                        "--config", str(config)]) == 0
+            batches = {}
+            for line in (tmp_path / "batches.log").read_text().splitlines():
+                arch, batch = line.split()
+                batches.setdefault(arch, batch)
+            assert sorted(batches) == sorted(ARCHITECTURES)
+            # four architectures, four shuffle streams
+            assert len(set(batches.values())) == len(ARCHITECTURES)
+            first.append(batches)
+        for arch in ARCHITECTURES:
+            assert first[0][arch] != first[1][arch], arch
+
+
 class TestTrain:
     def test_stage_artifacts(self, workspace):
         for arch in ("cnn", "cnn_lstm", "cnn_lstm_attn", "resnet1d"):
@@ -427,7 +496,7 @@ class TestTrain:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
             {"out_dir": str(tmp_path / "out"),
-             "cnn": {"epochs": 1, "batch_size": 8, "seed": 1}}))
+             "cnn": {"epochs": 1, "batch_size": 8}}))
         code = run(["train", "--arch", "cnn", "--config", str(config),
                     "--beats", str(beats)])
         assert code == 0
@@ -437,7 +506,7 @@ class TestTrain:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
             {"out_dir": str(tmp_path / "out"),
-             "cnn": {"epochs": 1, "batch_size": 8, "seed": 1}}))
+             "cnn": {"epochs": 1, "batch_size": 8}}))
         manifest = tmp_path / "out" / "train" / "cnn" / "run.manifest.json"
         hashes = []
         for seed in (0, 1):
@@ -854,15 +923,21 @@ class TestGradcamCommand:
             expected = grad_cam(model, X[index], target)
             np.testing.assert_array_equal(rows[:, 1], expected.values)
 
-    def test_target_class_out_of_range_is_usage_error(
-            self, workspace, ensemble_inputs, tmp_path, capsys):
+    @pytest.mark.parametrize("target", [5, 9, -1])
+    def test_target_class_out_of_range_is_config_error(
+            self, workspace, ensemble_inputs, tmp_path, capsys, monkeypatch,
+            target):
+        explained = []
+        monkeypatch.setattr(cli, "grad_cam",
+                            lambda *args: explained.append(args))
         out = tmp_path / "maps"
         assert run(["gradcam", "--checkpoint",
                     str(workspace["out"] / "train" / "cnn" / "model.ckpt"),
                     "--in", str(ensemble_inputs["test"]),
-                    "--target-class", "5", "--out", str(out)]) == 4
-        assert "UsageError: target class 5 outside 0..4" in \
-            capsys.readouterr().err
+                    "--target-class", str(target), "--out", str(out)]) == 3
+        assert f"--target-class must lie in 0..4 for this model, got " \
+            f"{target}" in capsys.readouterr().err
+        assert explained == []
         assert not (out / "run.manifest.json").exists()
 
     def test_bad_sample_list_is_config_error(self, workspace,
@@ -884,7 +959,7 @@ def reproduce_config(tmp_path, records_dir, out_dir, **extra):
                "gan": {"epochs": 1, "hidden": 8, "dense_width": 16},
                "strategy": "top2_weighted"}
     for arch in ("cnn", "cnn_lstm", "cnn_lstm_attn", "resnet1d"):
-        payload[arch] = {"epochs": 1, "batch_size": 8, "lr": 0.01, "seed": 1}
+        payload[arch] = {"epochs": 1, "batch_size": 8, "lr": 0.01}
     payload.update(extra)
     path = tmp_path / "repro.json"
     path.write_text(json.dumps(payload))
@@ -1124,12 +1199,12 @@ class TestReproduceEnsembleStage:
                                                 tmp_path):
         out = reproduced_with_test_csv["out"]
         payload = reproduced_with_test_csv["payload"]
-        seed = derive_seed(payload["seed"], "ensemble")
         again = tmp_path / "ensemble"
         assert run(["ensemble",
                     "--manifest", str(out / "ensemble" / "models.json"),
                     "--strategy", payload["strategy"],
-                    "--test", payload["test_csv"], "--seed", str(seed),
+                    "--test", payload["test_csv"],
+                    "--seed", str(payload["seed"]),
                     "--out", str(again)]) == 0
         # reproduce keeps the logits in ensemble/ and the report one below
         staged = [*(out / "ensemble").glob("logits_*.csv"),
@@ -1160,7 +1235,7 @@ class TestReproduceValRoute:
             again = tmp_path / arch
             assert run(["evaluate", "--checkpoint", str(checkpoint),
                         "--test", str(beats), "--split", "val",
-                        "--seed", str(derive_seed(seed, f"evaluate/{arch}")),
+                        "--seed", str(seed),
                         "--out", str(again)]) == 0
             staged = {p.name: p.read_bytes()
                       for p in (out / "evaluate" / arch).iterdir()
@@ -1174,6 +1249,106 @@ class TestReproduceValRoute:
                 load_checkpoint(checkpoint).logits_array(X_val))
             assert dump.read_bytes() == \
                 (out / "ensemble" / f"logits_{arch}.csv").read_bytes(), arch
+
+
+@pytest.fixture(scope="module")
+def chained(tmp_path_factory):
+    """reproduce at master seed 21, and the command chain ingest, augment,
+    train --arch all and evaluate --split val run with --seed 21 on the
+    same records and settings; returns the two out directories and the
+    seed."""
+    root = tmp_path_factory.mktemp("chain")
+    # a val split of at least MIN_BOOTSTRAP_SAMPLES rows, so the reports
+    # draw confidence intervals from their seeds
+    records = make_records_dir(root / "records", n_normal=80, n_ectopic=56)
+    config = reproduce_config(root, records, root / "reproduce",
+                              train_fraction=0.6,
+                              gan={"epochs": 1, "batch_size": 8, "tau": 0.0})
+    assert run(["reproduce", "--config", str(config)]) == 0
+    out = root / "chain"
+    payload = json.loads(config.read_text())
+    payload["out_dir"] = str(out)
+    config.write_text(json.dumps(payload))
+    seed = str(payload["seed"])
+    beats = out / "ingest" / "beats.csv"
+    balanced = out / "augment" / "beats_aug.csv"
+    assert run(["ingest", "--records-dir", str(records),
+                "--beat-len", str(BEAT_LEN), "--train-fraction", "0.6",
+                "--seed", seed, "--out", str(beats)]) == 0
+    assert run(["augment", "--in", str(beats), "--tau", "0.0",
+                "--epochs", "1", "--batch-size", "8", "--seed", seed,
+                "--out", str(balanced)]) == 0
+    assert run(["train", "--arch", "all", "--config", str(config),
+                "--beats", str(balanced)]) == 0
+    for arch in ARCHITECTURES:
+        assert run(["evaluate", "--checkpoint",
+                    str(out / "train" / arch / "model.ckpt"),
+                    "--test", str(balanced), "--split", "val",
+                    "--seed", seed,
+                    "--out", str(out / "evaluate" / arch)]) == 0
+    return {"reproduce": root / "reproduce", "chain": out, "seed": seed}
+
+
+def stage_bytes(out):
+    """Every file under out's ingest, augment, train and evaluate stages
+    but the manifests, by relative path; summary.json without its
+    checkpoint path."""
+    files = {}
+    for stage in ("ingest", "augment", "train", "evaluate"):
+        for path in sorted((out / stage).rglob("*")):
+            if not path.is_file() or path.name.endswith("manifest.json"):
+                continue
+            data = path.read_bytes()
+            if path.name == "summary.json" and path.parent.parent.name == \
+                    "train":
+                summary = json.loads(data)
+                del summary["checkpoint"]
+                data = summary
+            files[path.relative_to(out).as_posix()] = data
+    return files
+
+
+class TestCommandChain:
+    def test_records_route_writes_reproduce_bytes(self, chained):
+        reproduced = chained["reproduce"]
+        staged = stage_bytes(reproduced)
+        assert {"ingest/beats.csv", "augment/beats_aug.csv",
+                "augment/beats_aug.summary.json"} <= set(staged)
+        for arch in ARCHITECTURES:
+            assert {f"train/{arch}/model.ckpt", f"train/{arch}/history.csv",
+                    f"train/{arch}/summary.json",
+                    f"evaluate/{arch}/ci.csv"} <= set(staged)
+        # the augment stage synthesized beats, so synthesize's seed counts
+        dataset = read_beats_csv(reproduced / "augment" / "beats_aug.csv")
+        assert (dataset.source == "synthetic").any()
+        assert (dataset.split == "val").sum() >= MIN_BOOTSTRAP_SAMPLES
+        chained_files = stage_bytes(chained["chain"])
+        assert sorted(chained_files) == sorted(staged)
+        for name, data in staged.items():
+            assert chained_files[name] == data, name
+
+    def test_ensemble_command_writes_reproduce_bytes(self, chained,
+                                                     tmp_path):
+        # the val rows as a file with no split column, which ensemble
+        # scores whole: the rows and labels reproduce's ensemble stage fused
+        reproduced = chained["reproduce"]
+        dataset = read_beats_csv(reproduced / "augment" / "beats_aug.csv")
+        val = dataset.split == "val"
+        held_out = write_splitless_csv(tmp_path / "val.csv", BeatDataset(
+            dataset.X[val], dataset.y[val], dataset.split[val],
+            dataset.source[val]))
+        again = tmp_path / "ensemble"
+        assert run(["ensemble", "--manifest",
+                    str(reproduced / "ensemble" / "models.json"),
+                    "--test", str(held_out), "--seed", chained["seed"],
+                    "--out", str(again)]) == 0
+        staged = {p.name: p.read_bytes() for p in
+                  [*(reproduced / "ensemble").glob("logits_*.csv"),
+                   *(reproduced / "ensemble" / "report").iterdir()]}
+        fresh = {p.name: p.read_bytes() for p in again.iterdir()
+                 if p.name != "run.manifest.json"}
+        assert "ci.csv" in staged
+        assert fresh == staged
 
 
 def three_class_csv(path, counts=(80, 40, 40), seed=6):

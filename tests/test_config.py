@@ -43,7 +43,6 @@ ARCH_SCHEMA = {
     "weight_decay": (float, int),
     "focal_alpha": (float, int),
     "focal_gamma": (float, int),
-    "seed": (int,),
 }
 GAN_SCHEMA = {
     "noise_dim": (int,),
@@ -100,7 +99,7 @@ class TestDefaults:
         def arch(batch_size, lr):
             return {"batch_size": batch_size, "lr": lr, "epochs": 50,
                     "early_stop_patience": 8, "weight_decay": 0.0001,
-                    "focal_alpha": 1.0, "focal_gamma": 2.0, "seed": 17}
+                    "focal_alpha": 1.0, "focal_gamma": 2.0}
 
         assert PipelineConfig().to_dict() == {
             "records_dir": None, "beats_csv": None, "test_csv": None,
@@ -143,14 +142,13 @@ class TestOverrides:
         assert cfg.train_configs["cnn"].batch_size == 128
         assert cfg.train_configs["cnn_lstm"].lr == TABLE1["cnn_lstm"]["lr"]
 
-    def test_arch_focal_and_seed_overrides(self, tmp_path):
+    def test_arch_focal_overrides(self, tmp_path):
         payload = {"resnet1d": {"focal_gamma": 1.5, "focal_alpha": 0.25,
-                                "seed": 99, "epochs": 3}}
+                                "epochs": 3}}
         cfg = load_config(write_config(tmp_path, payload))
         run = cfg.train_configs["resnet1d"]
         assert run.focal_gamma == 1.5
         assert run.focal_alpha == 0.25
-        assert run.seed == 99
         assert run.epochs == 3
 
     def test_top_level_overrides(self, tmp_path):
@@ -351,12 +349,12 @@ class TestHash:
 
     def test_digests_are_pinned(self):
         assert config_hash(PipelineConfig()) == \
-            "38071bc5fc13bd1aaf8e348d852c5e71c70fb859fc99171c098313c1f44130ac"
+            "1bd3c4914acf9a2ea70634b239c1a3cd0bf7f0a97febb273151bc793372db6ff"
         overridden = config_from_payload(
             {"resnet1d": {"focal_gamma": 1.5, "focal_alpha": 0.25},
              "gan": {"tau": 1}})
         assert config_hash(overridden) == \
-            "4c5500a85aade5c9549a489787908b3b32be4a8c798d1062bd11636a6d2f07c9"
+            "c30e6520901c46c975bb4d67c17b92c3408cc1acdefe77aafbb20442a0930af8"
 
     def test_hash_is_hex_sha256(self):
         digest = config_hash(PipelineConfig())

@@ -116,8 +116,8 @@ class TestLocalization:
         # a trained model's class-1 saliency should sit where the pulse is
         dataset = toy_two_class(n_per_class=20, length=64, seed=7)
         model = small_model(seed=7)
-        cfg = TrainRunConfig("cnn", batch_size=8, lr=1e-2, epochs=25, seed=7)
-        model, history, _ = train(model, dataset, cfg)
+        cfg = TrainRunConfig("cnn", batch_size=8, lr=1e-2, epochs=25)
+        model, history, _ = train(model, dataset, cfg, seed=7)
         assert max(r.train_acc for r in history.records) == 1.0
 
         pulse_center = 3 * 64 // 4

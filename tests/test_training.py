@@ -195,8 +195,8 @@ def scripted_run(monkeypatch, losses, lr=1e-3, patience=50):
     monkeypatch.setattr(AdamW, "step", recording_step)
     dataset = toy_two_class(n_per_class=5, length=64, seed=3)
     cfg = TrainRunConfig("cnn", batch_size=64, lr=lr, epochs=len(losses),
-                         seed=3, early_stop_patience=patience)
-    model, history, val_logits = train(tiny_cnn(seed=3), dataset, cfg)
+                         early_stop_patience=patience)
+    model, history, val_logits = train(tiny_cnn(seed=3), dataset, cfg, seed=3)
     return lrs, history, scored_epochs, model, val_logits
 
 
@@ -281,8 +281,8 @@ class TestRunConfig:
         assert (res.batch_size, res.lr) == (96, 1.22e-3)
 
     def test_overrides(self):
-        cfg = TrainRunConfig.for_arch("cnn", epochs=5, seed=3)
-        assert cfg.epochs == 5 and cfg.seed == 3
+        cfg = TrainRunConfig.for_arch("cnn", epochs=5, lr=2e-3)
+        assert cfg.epochs == 5 and cfg.lr == 2e-3
         assert cfg.batch_size == TABLE1["cnn"]["batch_size"]
 
     def test_unknown_arch(self):
@@ -325,8 +325,8 @@ class TestTrainLoop:
     def test_learns_separable_toy_set(self):
         dataset = toy_two_class(n_per_class=20, length=64, seed=1)
         model = tiny_cnn(seed=1)
-        cfg = TrainRunConfig("cnn", batch_size=8, lr=1e-2, epochs=30, seed=1)
-        model, history, _ = train(model, dataset, cfg)
+        cfg = TrainRunConfig("cnn", batch_size=8, lr=1e-2, epochs=30)
+        model, history, _ = train(model, dataset, cfg, seed=1)
         assert max(r.train_acc for r in history.records) == 1.0
 
     def test_same_seed_reproduces_history(self):
@@ -334,25 +334,24 @@ class TestTrainLoop:
         for _ in range(2):
             dataset = toy_two_class(n_per_class=10, length=64, seed=2)
             model = tiny_cnn(seed=2)
-            cfg = TrainRunConfig("cnn", batch_size=8, lr=2e-3, epochs=4,
-                                 seed=9)
-            _, history, _ = train(model, dataset, cfg)
+            cfg = TrainRunConfig("cnn", batch_size=8, lr=2e-3, epochs=4)
+            _, history, _ = train(model, dataset, cfg, seed=9)
             histories.append(history)
         assert histories[0].records == histories[1].records
 
     def test_history_has_one_record_per_epoch(self):
         dataset = toy_two_class(n_per_class=10, length=64, seed=3)
         model = tiny_cnn(seed=3)
-        cfg = TrainRunConfig("cnn", batch_size=8, lr=1e-3, epochs=3, seed=5)
-        _, history, _ = train(model, dataset, cfg)
+        cfg = TrainRunConfig("cnn", batch_size=8, lr=1e-3, epochs=3)
+        _, history, _ = train(model, dataset, cfg, seed=5)
         assert [r.epoch for r in history.records] == [1, 2, 3]
 
     def test_early_stop_and_best_weight_restore(self):
         dataset = toy_two_class(n_per_class=15, length=64, seed=4)
         model = tiny_cnn(seed=4)
-        cfg = TrainRunConfig("cnn", batch_size=8, lr=5e-3, epochs=50, seed=4,
+        cfg = TrainRunConfig("cnn", batch_size=8, lr=5e-3, epochs=50,
                              early_stop_patience=4)
-        model, history, _ = train(model, dataset, cfg)
+        model, history, _ = train(model, dataset, cfg, seed=4)
         assert len(history) < 50   # plateaued long before the epoch budget
         val = dataset.split == "val"
         val_loss, _, _ = evaluate_split(model, dataset.X[val],
@@ -365,9 +364,10 @@ class TestTrainLoop:
         # an early-stopped run, so the best epoch is not the last one and
         # the logits must be kept from it, not taken after the loop
         dataset = toy_two_class(n_per_class=15, length=64, seed=4)
-        cfg = TrainRunConfig("cnn", batch_size=8, lr=5e-3, epochs=50, seed=4,
+        cfg = TrainRunConfig("cnn", batch_size=8, lr=5e-3, epochs=50,
                              early_stop_patience=4)
-        model, history, val_logits = train(tiny_cnn(seed=4), dataset, cfg)
+        model, history, val_logits = train(tiny_cnn(seed=4), dataset, cfg,
+                                           seed=4)
         assert history.best_epoch != len(history)
         expected = model.logits_array(dataset.X[dataset.split == "val"])
         assert val_logits.dtype == expected.dtype == np.float32
@@ -387,7 +387,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(7)
         dataset = beat_set([rng.random(64) for _ in range(10)], [0] * 10)
         with pytest.raises(ConfigError):
-            train(tiny_cnn(), dataset, TrainRunConfig("cnn", 8, 1e-3))
+            train(tiny_cnn(), dataset, TrainRunConfig("cnn", 8, 1e-3), seed=0)
 
 
 def gradient_digest(arch):
