@@ -1,11 +1,13 @@
-"""Command-line pipeline: ingest, augment, train, evaluate, ensemble,
-explain, and end-to-end reproduction.
+"""Command-line pipeline: ingest, augment, train, evaluate, ensemble, and
+end-to-end reproduction.
 
-Every subcommand, and every stage of reproduce, writes its artifacts plus a
-run manifest recording the exact command, a configuration fingerprint, when
-the stage started and finished, and the produced files. Every command
-derives each random stream from its master seed by stage path, as reproduce
-does, so stages never share randomness.  Jobs that share nothing, the
+Every command runs on one PipelineConfig: --config, with the flags that
+name a config key applied; reproduce chains the stage functions the other
+commands run.  Every subcommand, and every stage of reproduce, writes its
+artifacts plus a run manifest recording the exact command, the config's
+fingerprint, when the stage started and finished, and the produced files.
+Each random stream derives from the config's master seed by stage path, so
+stages never share randomness.  Jobs that share nothing, the
 per-class GANs and the per-architecture trainings, run in forked worker
 processes when the BLAS threads leave cores idle.  Each network runs only in
 the job that trains it: a GAN job hands back its class's synthetic beats and
@@ -35,12 +37,11 @@ from .beats import (CLASS_NAMES, BeatDataset, load_records_dir,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (PipelineConfig, RunManifest, config_hash, derive_seed,
                      load_config)
-from .ensemble import (STRATEGIES, ManifestEntry, build_strategy, fuse,
-                       load_manifest, predict_classes, write_logits_csv,
-                       write_manifest)
+from .ensemble import (ManifestEntry, build_strategy, fuse, load_manifest,
+                       predict_classes, write_logits_csv, write_manifest)
 from .errors import ConfigError, EcgkitError, IoError, ShapeError
-from .gan import (GanTrainConfig, balance_dataset, balance_deficits,
-                  balance_summary, gan_train, synthesize)
+from .gan import (balance_dataset, balance_deficits, balance_summary,
+                  gan_train, synthesize)
 from .gradcam import grad_cam
 from .metrics import (DEFAULT_RESAMPLES, MIN_BOOTSTRAP_SAMPLES, MIN_RESAMPLES,
                       block_macro_f1, bootstrap_ci, evaluate_predictions)
@@ -50,17 +51,13 @@ from .training import train
 
 
 @contextlib.contextmanager
-def _stage(command, params, path):
-    """Run the body as one stage: removes an earlier run's manifest at
-    path, yields a manifest stamped before the body, for it to add the
-    files it writes, and writes that manifest to path once the body
-    returns; a body that raises leaves none.
-
-    params is the PipelineConfig or the parsed flags the stage runs on.
+def _stage(command, config, path):
+    """Run the body as one stage on config: removes an earlier run's
+    manifest at path, yields a manifest stamped before the body, for it to
+    add the files it writes, and writes that manifest to path once the
+    body returns; a body that raises leaves none.
     """
-    if isinstance(params, argparse.Namespace):
-        params = {k: v for k, v in vars(params).items() if k != "handler"}
-    manifest = RunManifest(command=command, config_hash=config_hash(params),
+    manifest = RunManifest(command=command, config_hash=config_hash(config),
                            version=__version__, started_at=RunManifest.now())
     try:
         Path(path).unlink(missing_ok=True)
@@ -203,46 +200,64 @@ def _saliency_for(model, X, y_pred, count):
             for i in range(count)}
 
 
-def _ingest(records_dir, lead, beat_len, train_fraction, seed, out):
-    """Segment and split records_dir into beat file out; (dataset, out)."""
-    dataset = load_records_dir(records_dir, lead=lead, beat_len=beat_len)
-    stratified_split(dataset, train_fraction, derive_seed(seed, "ingest"))
+# flags that name a config key, by that key; given, they override it
+_CONFIG_FLAGS = ("records_dir", "lead", "seed", "beats_csv")
+
+
+def _resolve_config(args):
+    """The PipelineConfig a command runs on: --config, or the defaults
+    without it, as an empty file gives, with every flag that names a
+    config key and was given put in that key, so it enters the hash."""
+    config = PipelineConfig() if args.config is None else \
+        load_config(args.config)
+    overrides = {key: getattr(args, key) for key in _CONFIG_FLAGS
+                 if getattr(args, key, None) is not None}
+    return dataclasses.replace(config, **overrides)
+
+
+def _ingest(config, out):
+    """Segment and split the config's records into beat file out;
+    (dataset, out)."""
+    dataset = load_records_dir(config.records_dir, lead=config.lead,
+                               beat_len=config.beat_len)
+    stratified_split(dataset, config.train_fraction,
+                     derive_seed(config.seed, "ingest"))
     return dataset, write_beats_csv(out, dataset)
 
 
 def cmd_ingest(args, command):
-    # checked before any record is read
-    if not 0.0 < args.train_fraction < 1.0:
-        raise ConfigError(f"--train-fraction must lie in (0, 1), got "
-                          f"{args.train_fraction}")
-    path = _sibling(args.out, ".manifest.json")
-    with _stage(command, args, path) as manifest:
-        _, out = _ingest(args.records_dir, args.lead, args.beat_len,
-                         args.train_fraction, args.seed, args.out)
+    config = _resolve_config(args)
+    if config.records_dir is None:
+        raise ConfigError("ingest needs records: pass --records-dir or set "
+                          "records_dir in the config")
+    with _stage(command, config,
+                _sibling(args.out, ".manifest.json")) as manifest:
+        _, out = _ingest(config, args.out)
         manifest.add_files([out])
 
 
-def _augment(dataset, gan_config, seed, out):
+def _augment(config, dataset, out):
     """Top up deficient train classes with beats from one adversarial
     pair per class, trained and sampled in one job on seeds derived from
-    the master seed.  Writes out and the class counts before and after
-    beside it; returns (balanced, written paths).
+    the master seed, with the config's gan settings.  Writes out and the
+    class counts before and after beside it; returns (balanced, written
+    paths).
     """
-    deficits = balance_deficits(dataset, gan_config)
-    seed = derive_seed(seed, "augment")
+    deficits = balance_deficits(dataset, config.gan)
+    seed = derive_seed(config.seed, "augment")
 
     def synthetic_beats(label):
         stage = f"augment/{CLASS_NAMES[label]}"
         real = dataset.X[(dataset.split == "train") & (dataset.y == label)]
-        generator, discriminator, _ = gan_train(real, label, gan_config,
+        generator, discriminator, _ = gan_train(real, label, config.gan,
                                                 derive_seed(seed, stage))
         return synthesize(generator, discriminator, deficits[label],
-                          gan_config.tau,
+                          config.gan.tau,
                           derive_seed(seed, f"{stage}/synthesize"))
 
     synthetic = dict(zip(deficits, _map_jobs(synthetic_beats, deficits)))
     balanced = _normalized_sources(
-        balance_dataset(dataset, synthetic, gan_config))
+        balance_dataset(dataset, synthetic, config.gan))
     out = write_beats_csv(out, balanced)
     summary_path = write_json(_sibling(out, ".summary.json"),
                               balance_summary(dataset, balanced))
@@ -250,15 +265,10 @@ def _augment(dataset, gan_config, seed, out):
 
 
 def cmd_augment(args, command):
-    path = _sibling(args.out, ".manifest.json")
-    with _stage(command, args, path) as manifest:
-        # checked before the GAN stage, which can run for hours
-        gan_config = GanTrainConfig(tau=args.tau,
-                                    balance_ratio=args.balance_ratio,
-                                    epochs=args.epochs,
-                                    batch_size=args.batch_size)
-        dataset = read_beats_csv(args.in_path)
-        _, written = _augment(dataset, gan_config, args.seed, args.out)
+    config = _resolve_config(args)
+    with _stage(command, config,
+                _sibling(args.out, ".manifest.json")) as manifest:
+        _, written = _augment(config, read_beats_csv(args.in_path), args.out)
         manifest.add_files(written)
 
 
@@ -293,9 +303,7 @@ def _train_one_arch(config, dataset, command, X_test, arch):
 
 
 def cmd_train(args, command):
-    config = load_config(args.config)
-    if args.beats:  # the override enters the manifest's config hash
-        config = dataclasses.replace(config, beats_csv=args.beats)
+    config = _resolve_config(args)
     if config.beats_csv is None:
         raise ConfigError("train needs beat data: pass --beats or set "
                           "beats_csv in the config")
@@ -335,12 +343,13 @@ def cmd_evaluate(args, command):
     _check_resamples(args)
     if args.gradcam < 0:
         raise ConfigError(f"--gradcam must be >= 0, got {args.gradcam}")
+    config = _resolve_config(args)
     out = Path(args.out)
-    with _stage(command, args, out / "run.manifest.json") as manifest:
+    with _stage(command, config, out / "run.manifest.json") as manifest:
         model = _load_scorer(args.checkpoint)
         X, y = _select_rows(read_beats_csv(args.test), args.split)
         _report_run(out, manifest, model=model, X=X, y=y,
-                    logits=model.logits_array(X), seed=args.seed,
+                    logits=model.logits_array(X), seed=config.seed,
                     stage=f"evaluate/{model.descriptor.arch}",
                     n_resamples=args.resamples, gradcam_count=args.gradcam)
 
@@ -362,8 +371,9 @@ def _ensemble_run(entries, logits_by_model, y, strategy, out, report_dir,
 
 def cmd_ensemble(args, command):
     _check_resamples(args)
+    config = _resolve_config(args)
     out = Path(args.out)
-    with _stage(command, args, out / "run.manifest.json") as manifest:
+    with _stage(command, config, out / "run.manifest.json") as manifest:
         entries = load_manifest(args.manifest)
         X, y = _select_rows(read_beats_csv(args.test), "test")
         logits_by_model = {}
@@ -373,40 +383,12 @@ def cmd_ensemble(args, command):
             model = _load_scorer(os.path.normpath(
                 Path(args.manifest).parent / entry.checkpoint))
             logits_by_model[entry.id] = model.logits_array(X)
-        _ensemble_run(entries, logits_by_model, y, args.strategy, out, out,
-                      manifest, args.seed, args.resamples)
-
-
-def cmd_gradcam(args, command):
-    try:
-        indices = [int(token) for token in args.samples.split(",") if token]
-    except ValueError:
-        raise ConfigError(f"--samples expects comma-separated row indices, "
-                          f"got {args.samples!r}") from None
-    if not indices:
-        raise ConfigError("--samples named no rows")
-    out = Path(args.out)
-    with _stage(command, args, out / "run.manifest.json") as manifest:
-        model = load_checkpoint(args.checkpoint)
-        last = model.descriptor.n_classes - 1
-        if not 0 <= (args.target_class or 0) <= last:
-            raise ConfigError(f"--target-class must lie in 0..{last} for "
-                              f"this model, got {args.target_class}")
-        X = read_beats_csv(args.in_path).X
-        bad = [i for i in indices if not 0 <= i < len(X)]
-        if bad:
-            raise ConfigError(f"sample rows {bad} outside 0..{len(X) - 1}")
-        saliency = {}
-        for index in indices:
-            target = args.target_class
-            if target is None:
-                target = int(model.logits_array(X[index:index + 1]).argmax())
-            saliency[str(index)] = grad_cam(model, X[index], target)
-        manifest.add_files(render_report(out, saliency=saliency))
+        _ensemble_run(entries, logits_by_model, y, config.strategy, out, out,
+                      manifest, config.seed, args.resamples)
 
 
 def cmd_reproduce(args, command):
-    config = load_config(args.config)
+    config = _resolve_config(args)
     out = Path(config.out_dir)
     # every stage hashes the whole config; the outer stage spans the run
     # and lists no files, each inner one lists what it wrote
@@ -415,10 +397,8 @@ def cmd_reproduce(args, command):
         # stage 1: beats from raw records, or a pre-segmented file
         if config.records_dir is not None:
             with stage(out / "ingest" / "beats.manifest.json") as manifest:
-                dataset, beats_path = _ingest(
-                    config.records_dir, config.lead, config.beat_len,
-                    config.train_fraction, config.seed,
-                    out / "ingest" / "beats.csv")
+                dataset, beats_path = _ingest(config,
+                                              out / "ingest" / "beats.csv")
                 manifest.add_files([beats_path])
         elif config.beats_csv is not None:
             dataset = read_beats_csv(config.beats_csv)
@@ -439,7 +419,7 @@ def cmd_reproduce(args, command):
 
         # stage 2: class balance via per-class adversarial synthesis
         with stage(out / "augment" / "beats_aug.manifest.json") as manifest:
-            balanced, written = _augment(dataset, config.gan, config.seed,
+            balanced, written = _augment(config, dataset,
                                          out / "augment" / "beats_aug.csv")
             manifest.add_files(written)
         del dataset  # the training stages read balanced only
@@ -476,80 +456,66 @@ def cmd_reproduce(args, command):
                             seed=config.seed, stage=f"evaluate/{entry.id}")
 
 
+def _add_config_flags(p):
+    p.add_argument("--config", help="pipeline config; the defaults without "
+                                    "it, as an empty file gives")
+    p.add_argument("--seed", type=int,
+                   help="master seed; overrides seed from the config")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ecgkit",
         description="Heartbeat classification pipeline: ingest, augment, "
-                    "train, ensemble, evaluate, explain.")
+                    "train, ensemble, evaluate.")
     parser.add_argument("--version", action="version",
                         version=f"ecgkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="segment WFDB records into a beat CSV")
-    p.add_argument("--records-dir", required=True)
-    p.add_argument("--lead")
-    p.add_argument("--beat-len", type=int, default=PipelineConfig.beat_len)
+    _add_config_flags(p)
+    p.add_argument("--records-dir",
+                   help="overrides records_dir from the config")
+    p.add_argument("--lead", help="overrides lead from the config")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
-    p.add_argument("--train-fraction", type=float,
-                   default=PipelineConfig.train_fraction)
     p.set_defaults(handler=cmd_ingest)
 
     p = sub.add_parser("augment",
                        help="balance minority classes with synthetic beats")
+    _add_config_flags(p)
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--tau", type=float, default=GanTrainConfig.tau)
-    p.add_argument("--balance-ratio", type=float,
-                   default=GanTrainConfig.balance_ratio)
-    p.add_argument("--epochs", type=int, default=GanTrainConfig.epochs)
-    p.add_argument("--batch-size", type=int,
-                   default=GanTrainConfig.batch_size)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.set_defaults(handler=cmd_augment)
 
     p = sub.add_parser("train", help="train one architecture, or all four")
     p.add_argument("--arch", required=True, choices=ARCHITECTURES + ("all",))
     p.add_argument("--config", required=True)
-    p.add_argument("--beats", default=None,
+    p.add_argument("--beats", dest="beats_csv",
                    help="beat CSV; overrides beats_csv from the config")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a beat file")
+    _add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--gradcam", type=int, default=0,
                    help="also explain the first N rows")
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("ensemble", help="fuse models from a manifest")
+    _add_config_flags(p)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--strategy", default=PipelineConfig.strategy,
-                   choices=STRATEGIES)
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
     p.set_defaults(handler=cmd_ensemble)
-
-    p = sub.add_parser("gradcam", help="saliency maps for chosen beats")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--samples", default="0",
-                   help="comma-separated row indices")
-    p.add_argument("--target-class", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_gradcam)
 
     p = sub.add_parser("reproduce",
                        help="run the whole pipeline from one config")
     p.add_argument("--config", required=True)
-    p.add_argument("--all", action="store_true",
-                   help="run every stage (the default; kept for scripts)")
     p.set_defaults(handler=cmd_reproduce)
     return parser
 

@@ -103,10 +103,10 @@ def load_config(path):
 
 
 def config_hash(config):
-    """Canonical fingerprint, identical for reordered-but-equal configs."""
-    payload = config.to_dict() if isinstance(config, PipelineConfig) \
-        else config
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Canonical fingerprint of a PipelineConfig, identical for
+    reordered-but-equal config files."""
+    canonical = json.dumps(config.to_dict(), sort_keys=True,
+                           separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

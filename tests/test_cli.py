@@ -22,9 +22,11 @@ from ecgkit.cli import run
 from ecgkit.config import RunManifest
 from ecgkit.ensemble import write_logits_csv
 from ecgkit.errors import NumericalError, ShapeError
+from ecgkit.gan import GanTrainConfig
 from ecgkit.gradcam import grad_cam
 from ecgkit.metrics import MIN_BOOTSTRAP_SAMPLES
-from ecgkit.models import ARCHITECTURES, Model, ModelDescriptor, build
+from ecgkit.models import (ARCHITECTURES, MIN_INPUT_LEN, Model,
+                           ModelDescriptor, build)
 from ecgkit.wfdb_io import MNEMONIC_TO_CODE, AnnotationEvent, write_record
 
 from helpers import toy_two_class, write_splitless_csv
@@ -70,6 +72,13 @@ def write_train_config(path, beats_csv, out_dir, epochs=2, batch_size=16,
     payload.update(extra or {})
     path.write_text(json.dumps(payload))
     return path
+
+
+def config_flag(directory, **keys):
+    """--config naming a file of keys, cfg.json in directory."""
+    path = directory / "cfg.json"
+    path.write_text(json.dumps(keys))
+    return ["--config", str(path)]
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +204,8 @@ class TestDispatch:
     def test_ingest_out_directory_is_data_error(self, tmp_path, capsys):
         records = make_records_dir(tmp_path / "records")
         code = run(["ingest", "--records-dir", str(records),
-                    "--beat-len", str(BEAT_LEN), "--out", str(tmp_path)])
+                    *config_flag(tmp_path, beat_len=BEAT_LEN),
+                    "--out", str(tmp_path)])
         self.assert_one_line_data_error(code, capsys)
 
     def test_unwritable_beat_file_is_io_error_naming_it(self, tmp_path,
@@ -204,12 +214,13 @@ class TestDispatch:
         out = tmp_path / "beats.csv"
         out.mkdir()
         code = run(["ingest", "--records-dir", str(records),
-                    "--beat-len", str(BEAT_LEN), "--out", str(out)])
+                    *config_flag(tmp_path, beat_len=BEAT_LEN),
+                    "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith(f"ecgkit: IoError: cannot write {out}: ")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["beats.csv",
-                                                              "records"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "beats.csv", "cfg.json", "records"]
 
     def test_out_under_a_file_is_io_error_before_the_stage(self, tmp_path,
                                                             capsys):
@@ -228,8 +239,8 @@ class TestIngest:
     def test_end_to_end(self, tmp_path):
         records = make_records_dir(tmp_path / "records")
         out = tmp_path / "beats.csv"
-        code = run(["ingest", "--records-dir", str(records),
-                    "--lead", "MLII", "--beat-len", str(BEAT_LEN),
+        code = run(["ingest", "--records-dir", str(records), "--lead", "MLII",
+                    *config_flag(tmp_path, beat_len=BEAT_LEN),
                     "--out", str(out), "--seed", "17"])
         assert code == 0
         dataset = read_beats_csv(out)
@@ -242,7 +253,7 @@ class TestIngest:
         records = make_records_dir(tmp_path / "records")
         out = tmp_path / "beats.csv"
         run(["ingest", "--records-dir", str(records), "--out", str(out),
-             "--beat-len", str(BEAT_LEN)])
+             *config_flag(tmp_path, beat_len=BEAT_LEN)])
         manifest = RunManifest.load(tmp_path / "beats.manifest.json")
         assert manifest.command.startswith("ecgkit ingest")
         assert manifest.files == [str(out)]
@@ -252,22 +263,45 @@ class TestIngest:
     def test_deterministic_across_runs(self, tmp_path):
         records = make_records_dir(tmp_path / "records")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        config = config_flag(tmp_path, beat_len=BEAT_LEN)
         run(["ingest", "--records-dir", str(records), "--out", str(a),
-             "--beat-len", str(BEAT_LEN), "--seed", "3"])
+             *config, "--seed", "3"])
         run(["ingest", "--records-dir", str(records), "--out", str(b),
-             "--beat-len", str(BEAT_LEN), "--seed", "3"])
+             *config, "--seed", "3"])
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("fraction", ["1.5", "0", "1", "-0.2", "nan"])
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "1", "-0.2", "NaN"])
     def test_bad_train_fraction_is_config_error_before_reading(
             self, tmp_path, capsys, fraction):
         # the records directory does not exist: a stage that read it would
         # exit 4 with an IoError
+        config = tmp_path / "cfg.json"
+        config.write_text(f'{{"train_fraction": {fraction}}}')
         out = tmp_path / "beats.csv"
         assert run(["ingest", "--records-dir", str(tmp_path / "absent"),
-                    "--train-fraction", fraction, "--out", str(out)]) == 3
-        assert "config error: --train-fraction must lie in (0, 1)" in \
-            capsys.readouterr().err
+                    "--config", str(config), "--out", str(out)]) == 3
+        assert "config error: " + (
+            "config key 'train_fraction' must be a finite number"
+            if fraction == "NaN" else "train fraction must lie in (0, 1)") \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beat_len", [3, 7])
+    def test_beat_len_below_model_minimum_is_config_error_before_reading(
+            self, tmp_path, capsys, beat_len):
+        # segment_beats takes 3..7, but no model accepts such beats
+        out = tmp_path / "beats.csv"
+        assert run(["ingest", "--records-dir", str(tmp_path / "absent"),
+                    *config_flag(tmp_path, beat_len=beat_len),
+                    "--out", str(out)]) == 3
+        assert f"config error: beat length must be >= {MIN_INPUT_LEN}, " \
+            f"got {beat_len}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_records_anywhere_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "beats.csv"
+        assert run(["ingest", "--out", str(out)]) == 3
+        assert "ingest needs records" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_directory_is_data_error(self, tmp_path, capsys):
@@ -297,12 +331,17 @@ def imbalanced_csv(path, n_majority=48, n_minority=36, length=16, seed=4):
     return path
 
 
+def one_epoch_gan(directory):
+    """--config for a one-epoch GAN that accepts every candidate."""
+    return config_flag(directory, gan={"tau": 0.0, "epochs": 1})
+
+
 class TestAugment:
     def test_balances_and_tags_sources(self, tmp_path):
         src = imbalanced_csv(tmp_path / "in.csv")
         out = tmp_path / "aug.csv"
-        code = run(["augment", "--in", str(src), "--tau", "0.0",
-                    "--epochs", "1", "--out", str(out), "--seed", "3"])
+        code = run(["augment", "--in", str(src), *one_epoch_gan(tmp_path),
+                    "--out", str(out), "--seed", "3"])
         assert code == 0
         dataset = read_beats_csv(out)
         counts = dataset.counts_for_split("train")
@@ -316,7 +355,7 @@ class TestAugment:
     def test_summary_and_manifest(self, tmp_path):
         src = imbalanced_csv(tmp_path / "in.csv")
         out = tmp_path / "aug.csv"
-        run(["augment", "--in", str(src), "--tau", "0.0", "--epochs", "1",
+        run(["augment", "--in", str(src), *one_epoch_gan(tmp_path),
              "--out", str(out)])
         summary = json.loads((tmp_path / "aug.summary.json").read_text())
         assert summary["before"]["N"]["count"] == 48
@@ -339,23 +378,25 @@ class TestAugment:
         src = imbalanced_csv(tmp_path / "in.csv")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
-            run(["augment", "--in", str(src), "--tau", "0.0",
-                 "--epochs", "1", "--out", str(out), "--seed", "11"])
+            run(["augment", "--in", str(src), *one_epoch_gan(tmp_path),
+                 "--out", str(out), "--seed", "11"])
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_ratio_is_config_error(self, tmp_path, capsys):
         src = imbalanced_csv(tmp_path / "in.csv")
-        assert run(["augment", "--in", str(src), "--balance-ratio", "0",
+        assert run(["augment", "--in", str(src),
+                    *config_flag(tmp_path, gan={"balance_ratio": 0}),
                     "--out", str(tmp_path / "o.csv")]) == 3
         capsys.readouterr()
 
     def test_bad_tau_is_config_error(self, tmp_path, capsys):
         src = imbalanced_csv(tmp_path / "in.csv")
-        assert run(["augment", "--in", str(src), "--tau", "1.5",
+        assert run(["augment", "--in", str(src),
+                    *config_flag(tmp_path, gan={"tau": 1.5}),
                     "--out", str(tmp_path / "o.csv")]) == 3
         capsys.readouterr()
 
-    def test_flags_reach_gan_config(self, tmp_path, monkeypatch):
+    def test_gan_section_reaches_gan_train(self, tmp_path, monkeypatch):
         seen = []
         real_gan_train = cli.gan_train
 
@@ -366,19 +407,19 @@ class TestAugment:
 
         monkeypatch.setattr(cli, "gan_train", recording_train)
         src = imbalanced_csv(tmp_path / "in.csv")
-        assert run(["augment", "--in", str(src), "--tau", "0.0",
-                    "--balance-ratio", "0.9", "--epochs", "1",
-                    "--batch-size", "8", "--out",
-                    str(tmp_path / "o.csv")]) == 0
+        gan = {"tau": 0.0, "balance_ratio": 0.9, "epochs": 1,
+               "batch_size": 8, "hidden": 8, "dense_width": 16}
+        assert run(["augment", "--in", str(src),
+                    *config_flag(tmp_path, gan=gan),
+                    "--out", str(tmp_path / "o.csv")]) == 0
         assert len(seen) == 1
         config, beat_len = seen[0]
-        assert (config.tau, config.balance_ratio) == (0.0, 0.9)
-        assert (config.epochs, config.batch_size) == (1, 8)
+        assert config == GanTrainConfig(**gan)
         assert beat_len == 16
 
     def test_scarce_minority_is_config_error(self, tmp_path, capsys):
         src = imbalanced_csv(tmp_path / "in.csv", n_minority=20)
-        assert run(["augment", "--in", str(src), "--epochs", "1",
+        assert run(["augment", "--in", str(src), *one_epoch_gan(tmp_path),
                     "--out", str(tmp_path / "o.csv")]) == 3
         assert "32" in capsys.readouterr().err
 
@@ -392,11 +433,10 @@ class TestMasterSeed:
         if command == "ingest":
             source = make_records_dir(tmp_path / "records")
             argv = ["ingest", "--records-dir", str(source),
-                    "--beat-len", str(BEAT_LEN)]
+                    *config_flag(tmp_path, beat_len=BEAT_LEN)]
         else:
             source = imbalanced_csv(tmp_path / "in.csv")
-            argv = ["augment", "--in", str(source), "--tau", "0.0",
-                    "--epochs", "1"]
+            argv = ["augment", "--in", str(source), *one_epoch_gan(tmp_path)]
         written = []
         for seed in ("-1", str(2**64 - 1)):
             out = tmp_path / seed
@@ -502,18 +542,34 @@ class TestTrain:
         assert code == 0
         assert (tmp_path / "out" / "train" / "cnn" / "model.ckpt").exists()
 
-    def test_beats_flag_enters_config_hash(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(
-            {"out_dir": str(tmp_path / "out"),
-             "cnn": {"epochs": 1, "batch_size": 8}}))
-        manifest = tmp_path / "out" / "train" / "cnn" / "run.manifest.json"
+    @pytest.mark.parametrize("override", ["train --beats", "ingest --seed",
+                                          "ingest --lead", "augment --seed"])
+    def test_override_flag_enters_config_hash(self, tmp_path, override):
+        command, flag = override.split()
+        config = config_flag(tmp_path, out_dir=str(tmp_path / "out"),
+                             beat_len=BEAT_LEN,
+                             gan={"tau": 0.0, "epochs": 1},
+                             cnn={"epochs": 1, "batch_size": 8})
+        if command == "train":
+            argv = ["train", "--arch", "cnn"]
+            manifest = tmp_path / "out" / "train" / "cnn" / \
+                "run.manifest.json"
+            values = [["--beats", str(write_toy_csv(
+                tmp_path / f"beats{seed}.csv", n_per_class=20, seed=seed))]
+                for seed in (0, 1)]
+        else:
+            argv = ["ingest", "--records-dir",
+                    str(make_records_dir(tmp_path / "records"))] \
+                if command == "ingest" else \
+                ["augment", "--in", str(imbalanced_csv(tmp_path / "in.csv"))]
+            argv += ["--out", str(tmp_path / "beats.csv")]
+            manifest = tmp_path / "beats.manifest.json"
+            # --lead MLII names the lead the config's null lead picks
+            values = [[], ["--lead", "MLII"]] if flag == "--lead" else \
+                [["--seed", "0"], ["--seed", "1"]]
         hashes = []
-        for seed in (0, 1):
-            beats = write_toy_csv(tmp_path / f"beats{seed}.csv",
-                                  n_per_class=20, seed=seed)
-            assert run(["train", "--arch", "cnn", "--config", str(config),
-                        "--beats", str(beats)]) == 0
+        for value in values:
+            assert run(argv + config + value) == 0
             hashes.append(RunManifest.load(manifest).config_hash)
         assert hashes[0] != hashes[1]
 
@@ -527,9 +583,8 @@ class TestTrain:
 class TestEvaluate:
     def test_report_layout(self, workspace, tmp_path):
         out = tmp_path / "report"
-        code = run(["evaluate",
-                    "--checkpoint",
-                    str(workspace["out"] / "train" / "cnn" / "model.ckpt"),
+        checkpoint = workspace["out"] / "train" / "cnn" / "model.ckpt"
+        code = run(["evaluate", "--checkpoint", str(checkpoint),
                     "--test", str(workspace["beats"]), "--split", "val",
                     "--gradcam", "2", "--resamples", "150",
                     "--out", str(out)])
@@ -538,7 +593,32 @@ class TestEvaluate:
         assert {"metrics.json", "confusion.csv", "confusion_normalized.csv",
                 "ci.csv", "gradcam_0.csv", "gradcam_1.csv",
                 "run.manifest.json"} <= names
+        assert "gradcam_2.csv" not in names
         assert any(n.startswith("roc_class_") for n in names)
+        # each map explains its row's predicted class
+        model = load_checkpoint(checkpoint)
+        dataset = read_beats_csv(workspace["beats"])
+        X_val = dataset.X[dataset.split == "val"]
+        for index in (0, 1):
+            path = out / f"gradcam_{index}.csv"
+            assert path.read_text().splitlines()[0] == "position,value"
+            rows = np.loadtxt(path, delimiter=",", skiprows=1)
+            target = int(model.logits_array(X_val[index:index + 1]).argmax())
+            expected = grad_cam(model, X_val[index], target)
+            np.testing.assert_array_equal(rows[:, 1], expected.values)
+
+    def test_gradcam_count_above_row_count_maps_every_row(self, workspace,
+                                                          tmp_path):
+        out = tmp_path / "report"
+        assert run(["evaluate", "--checkpoint",
+                    str(workspace["out"] / "train" / "cnn" / "model.ckpt"),
+                    "--test", str(workspace["beats"]), "--split", "val",
+                    "--gradcam", "9999", "--resamples", "150",
+                    "--out", str(out)]) == 0
+        dataset = read_beats_csv(workspace["beats"])
+        n_val = int((dataset.split == "val").sum())
+        maps = {p.name for p in out.glob("gradcam_*.csv")}
+        assert maps == {f"gradcam_{i}.csv" for i in range(n_val)}
 
     def test_metrics_contents(self, workspace, tmp_path):
         out = tmp_path / "report"
@@ -717,7 +797,6 @@ class TestEnsemble:
         out = tmp_path / "report"
         code = run(["ensemble", "--manifest",
                     str(ensemble_inputs["manifest"]),
-                    "--strategy", "top2_weighted",
                     "--test", str(ensemble_inputs["test"]),
                     "--resamples", "150", "--out", str(out)])
         assert code == 0
@@ -804,7 +883,7 @@ class TestEnsemble:
             {"id": "two", "val_macro_f1": 0.8, "checkpoint": str(two_class)},
         ]}))
         code = run(["ensemble", "--manifest", str(mixed),
-                    "--strategy", "all_equal",
+                    *config_flag(tmp_path, strategy="all_equal"),
                     "--test", str(ensemble_inputs["test"]),
                     "--out", str(tmp_path / "r")])
         assert code == 4
@@ -823,7 +902,7 @@ class TestEnsemble:
         manifest = tmp_path / "two.json"
         manifest.write_text(json.dumps({"models": models}))
         code = run(["ensemble", "--manifest", str(manifest),
-                    "--strategy", "all_equal",
+                    *config_flag(tmp_path, strategy="all_equal"),
                     "--test", str(ensemble_inputs["test"]),
                     "--out", str(tmp_path / "r")])
         assert code == 4
@@ -879,78 +958,16 @@ class TestEnsemble:
             logits[label] = (out / "logits_cnn.csv").read_bytes()
         assert logits["relative"] == logits["absolute"]
 
-    def test_unknown_strategy_is_usage_error(self, ensemble_inputs,
-                                             tmp_path, capsys):
+    def test_unknown_strategy_is_config_error(self, ensemble_inputs,
+                                              tmp_path, capsys):
+        out = tmp_path / "r"
         assert run(["ensemble", "--manifest",
                     str(ensemble_inputs["manifest"]),
-                    "--strategy", "best_one",
+                    *config_flag(tmp_path, strategy="best_one"),
                     "--test", str(ensemble_inputs["test"]),
-                    "--out", str(tmp_path / "r")]) == 2
-        capsys.readouterr()
-
-
-class TestGradcamCommand:
-    def test_writes_requested_maps(self, workspace, ensemble_inputs,
-                                   tmp_path):
-        out = tmp_path / "maps"
-        code = run(["gradcam", "--checkpoint",
-                    str(workspace["out"] / "train" / "cnn" / "model.ckpt"),
-                    "--in", str(ensemble_inputs["test"]),
-                    "--samples", "0,3", "--out", str(out)])
-        assert code == 0
-        for index in (0, 3):
-            lines = (out / f"gradcam_{index}.csv").read_text().splitlines()
-            assert lines[0] == "position,value"
-            assert len(lines) - 1 == BEAT_LEN
-            values = [float(line.split(",")[1]) for line in lines[1:]]
-            assert min(values) >= 0.0 and max(values) <= 1.0
-
-    @pytest.mark.parametrize("target", [0, 3])
-    def test_target_class_sets_explained_class(self, workspace,
-                                               ensemble_inputs, tmp_path,
-                                               target):
-        checkpoint = workspace["out"] / "train" / "cnn" / "model.ckpt"
-        out = tmp_path / "maps"
-        assert run(["gradcam", "--checkpoint", str(checkpoint),
-                    "--in", str(ensemble_inputs["test"]),
-                    "--samples", "1,4", "--target-class", str(target),
-                    "--out", str(out)]) == 0
-        model = load_checkpoint(checkpoint)
-        X = read_beats_csv(ensemble_inputs["test"]).X
-        for index in (1, 4):
-            rows = np.loadtxt(out / f"gradcam_{index}.csv", delimiter=",",
-                              skiprows=1)
-            expected = grad_cam(model, X[index], target)
-            np.testing.assert_array_equal(rows[:, 1], expected.values)
-
-    @pytest.mark.parametrize("target", [5, 9, -1])
-    def test_target_class_out_of_range_is_config_error(
-            self, workspace, ensemble_inputs, tmp_path, capsys, monkeypatch,
-            target):
-        explained = []
-        monkeypatch.setattr(cli, "grad_cam",
-                            lambda *args: explained.append(args))
-        out = tmp_path / "maps"
-        assert run(["gradcam", "--checkpoint",
-                    str(workspace["out"] / "train" / "cnn" / "model.ckpt"),
-                    "--in", str(ensemble_inputs["test"]),
-                    "--target-class", str(target), "--out", str(out)]) == 3
-        assert f"--target-class must lie in 0..4 for this model, got " \
-            f"{target}" in capsys.readouterr().err
-        assert explained == []
-        assert not (out / "run.manifest.json").exists()
-
-    def test_bad_sample_list_is_config_error(self, workspace,
-                                             ensemble_inputs, tmp_path,
-                                             capsys):
-        checkpoint = str(workspace["out"] / "train" / "cnn" / "model.ckpt")
-        assert run(["gradcam", "--checkpoint", checkpoint,
-                    "--in", str(ensemble_inputs["test"]),
-                    "--samples", "a,b", "--out", str(tmp_path / "m")]) == 3
-        assert run(["gradcam", "--checkpoint", checkpoint,
-                    "--in", str(ensemble_inputs["test"]),
-                    "--samples", "9999", "--out", str(tmp_path / "m")]) == 3
-        capsys.readouterr()
+                    "--out", str(out)]) == 3
+        assert "unknown strategy 'best_one'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def reproduce_config(tmp_path, records_dir, out_dir, **extra):
@@ -987,7 +1004,7 @@ def logged_reproduce(config, log):
         patch.setattr(Model, "logits_array",
                       logged(lambda model, X: f"logits {len(X)}",
                              Model.logits_array))
-        assert run(["reproduce", "--config", str(config), "--all"]) == 0
+        assert run(["reproduce", "--config", str(config)]) == 0
     return log.read_text().splitlines()
 
 
@@ -999,21 +1016,32 @@ def val_row_count(out):
 
 @pytest.fixture(scope="module")
 def reproduced(tmp_path_factory):
+    """A records_dir reproduce run, logging network calls; the records are
+    noise, and a val split of 38 rows gets confidence intervals."""
     root = tmp_path_factory.mktemp("repro")
     records = make_records_dir(root / "records")
     out = root / "out"
-    config = reproduce_config(root, records, out)
+    config = reproduce_config(root, records, out, train_fraction=0.6)
     calls = logged_reproduce(config, root / "calls.log")
     return {"root": root, "out": out, "config": config, "calls": calls}
 
 
+def mislabelled_csv(path, n_per_class, seed):
+    """A beat file with no split column whose every fifth label is
+    flipped, so a model that learned the pulses scores it imperfectly."""
+    dataset = toy_two_class(n_per_class=n_per_class, length=BEAT_LEN,
+                            seed=seed)
+    dataset.y[::5] = 1 - dataset.y[::5]
+    return write_splitless_csv(path, dataset)
+
+
 @pytest.fixture(scope="module")
 def reproduced_with_test_csv(tmp_path_factory):
-    """A beats_csv + test_csv reproduce run, logging network calls."""
+    """A beats_csv + test_csv reproduce run, logging network calls; the 40
+    test rows get confidence intervals."""
     root = tmp_path_factory.mktemp("repro_csv")
     beats = write_toy_csv(root / "beats.csv", n_per_class=30)
-    test_csv = write_toy_csv(root / "test.csv", n_per_class=10, seed=5,
-                             include_split=False)
+    test_csv = mislabelled_csv(root / "test.csv", n_per_class=20, seed=5)
     out = root / "out"
     config = reproduce_config(root, "unused", out, beats_csv=str(beats),
                               test_csv=str(test_csv))
@@ -1021,7 +1049,15 @@ def reproduced_with_test_csv(tmp_path_factory):
     del payload["records_dir"]
     config.write_text(json.dumps(payload))
     calls = logged_reproduce(config, root / "calls.log")
-    return {"out": out, "payload": payload, "calls": calls}
+    return {"out": out, "config": config, "payload": payload,
+            "calls": calls}
+
+
+def assert_imperfect(report):
+    """The report scored its rows imperfectly, so its confidence intervals
+    depend on its seed."""
+    assert json.loads((report / "metrics.json").read_text())[
+        "accuracy"] < 1.0
 
 
 class TestReproduce:
@@ -1198,14 +1234,13 @@ class TestReproduceEnsembleStage:
                                                 reproduced_with_test_csv,
                                                 tmp_path):
         out = reproduced_with_test_csv["out"]
-        payload = reproduced_with_test_csv["payload"]
         again = tmp_path / "ensemble"
         assert run(["ensemble",
+                    "--config", str(reproduced_with_test_csv["config"]),
                     "--manifest", str(out / "ensemble" / "models.json"),
-                    "--strategy", payload["strategy"],
-                    "--test", payload["test_csv"],
-                    "--seed", str(payload["seed"]),
+                    "--test", reproduced_with_test_csv["payload"]["test_csv"],
                     "--out", str(again)]) == 0
+        assert_imperfect(out / "ensemble" / "report")
         # reproduce keeps the logits in ensemble/ and the report one below
         staged = [*(out / "ensemble").glob("logits_*.csv"),
                   *(out / "ensemble" / "report").iterdir()]
@@ -1213,6 +1248,7 @@ class TestReproduceEnsembleStage:
         fresh = {p.name: p.read_bytes() for p in again.iterdir()
                  if p.name != "run.manifest.json"}
         assert len(fresh) > len(ARCHITECTURES)
+        assert "ci.csv" in staged
         assert fresh == staged
 
 
@@ -1226,23 +1262,24 @@ class TestReproduceValRoute:
 
     def test_reports_match_evaluate_command(self, reproduced, tmp_path):
         out = reproduced["out"]
-        seed = json.loads(reproduced["config"].read_text())["seed"]
         beats = out / "augment" / "beats_aug.csv"
         dataset = read_beats_csv(beats)
         X_val = dataset.X[dataset.split == "val"]
         for arch in ARCHITECTURES:
             checkpoint = out / "train" / arch / "model.ckpt"
             again = tmp_path / arch
-            assert run(["evaluate", "--checkpoint", str(checkpoint),
+            assert run(["evaluate", "--config", str(reproduced["config"]),
+                        "--checkpoint", str(checkpoint),
                         "--test", str(beats), "--split", "val",
-                        "--seed", str(seed),
                         "--out", str(again)]) == 0
+            assert_imperfect(out / "evaluate" / arch)
             staged = {p.name: p.read_bytes()
                       for p in (out / "evaluate" / arch).iterdir()
                       if p.name != "run.manifest.json"}
             fresh = {p.name: p.read_bytes() for p in again.iterdir()
                      if p.name != "run.manifest.json"}
             assert len(fresh) > 1
+            assert "ci.csv" in staged
             assert fresh == staged, arch
             dump = write_logits_csv(
                 tmp_path / f"logits_{arch}.csv",
@@ -1253,40 +1290,34 @@ class TestReproduceValRoute:
 
 @pytest.fixture(scope="module")
 def chained(tmp_path_factory):
-    """reproduce at master seed 21, and the command chain ingest, augment,
-    train --arch all and evaluate --split val run with --seed 21 on the
-    same records and settings; returns the two out directories and the
-    seed."""
+    """reproduce, and the command chain ingest, augment, train --arch all
+    and evaluate --split val, each run on the one config file, on its GAN
+    widths and beat_len; reproduce's out_dir is moved aside before the
+    chain writes its own there."""
     root = tmp_path_factory.mktemp("chain")
     # a val split of at least MIN_BOOTSTRAP_SAMPLES rows, so the reports
     # draw confidence intervals from their seeds
     records = make_records_dir(root / "records", n_normal=80, n_ectopic=56)
-    config = reproduce_config(root, records, root / "reproduce",
-                              train_fraction=0.6,
-                              gan={"epochs": 1, "batch_size": 8, "tau": 0.0})
+    out = root / "out"
+    config = reproduce_config(root, records, out, train_fraction=0.6,
+                              gan={"epochs": 1, "batch_size": 8, "tau": 0.0,
+                                   "hidden": 8, "dense_width": 16})
     assert run(["reproduce", "--config", str(config)]) == 0
-    out = root / "chain"
-    payload = json.loads(config.read_text())
-    payload["out_dir"] = str(out)
-    config.write_text(json.dumps(payload))
-    seed = str(payload["seed"])
+    out.rename(root / "reproduce")
+    config = ["--config", str(config)]
     beats = out / "ingest" / "beats.csv"
     balanced = out / "augment" / "beats_aug.csv"
-    assert run(["ingest", "--records-dir", str(records),
-                "--beat-len", str(BEAT_LEN), "--train-fraction", "0.6",
-                "--seed", seed, "--out", str(beats)]) == 0
-    assert run(["augment", "--in", str(beats), "--tau", "0.0",
-                "--epochs", "1", "--batch-size", "8", "--seed", seed,
+    assert run(["ingest", *config, "--out", str(beats)]) == 0
+    assert run(["augment", *config, "--in", str(beats),
                 "--out", str(balanced)]) == 0
-    assert run(["train", "--arch", "all", "--config", str(config),
+    assert run(["train", "--arch", "all", *config,
                 "--beats", str(balanced)]) == 0
     for arch in ARCHITECTURES:
-        assert run(["evaluate", "--checkpoint",
-                    str(out / "train" / arch / "model.ckpt"),
+        assert run(["evaluate", *config,
+                    "--checkpoint", str(out / "train" / arch / "model.ckpt"),
                     "--test", str(balanced), "--split", "val",
-                    "--seed", seed,
                     "--out", str(out / "evaluate" / arch)]) == 0
-    return {"reproduce": root / "reproduce", "chain": out, "seed": seed}
+    return {"reproduce": root / "reproduce", "chain": out, "config": config}
 
 
 def stage_bytes(out):
@@ -1326,6 +1357,13 @@ class TestCommandChain:
         assert sorted(chained_files) == sorted(staged)
         for name, data in staged.items():
             assert chained_files[name] == data, name
+        # one config, one hash; train's --beats puts its beats_csv in it
+        for name in ("ingest/beats.manifest.json",
+                     "augment/beats_aug.manifest.json",
+                     *(f"evaluate/{arch}/run.manifest.json"
+                       for arch in ARCHITECTURES)):
+            assert RunManifest.load(chained["chain"] / name).config_hash \
+                == RunManifest.load(reproduced / name).config_hash, name
 
     def test_ensemble_command_writes_reproduce_bytes(self, chained,
                                                      tmp_path):
@@ -1338,10 +1376,9 @@ class TestCommandChain:
             dataset.X[val], dataset.y[val], dataset.split[val],
             dataset.source[val]))
         again = tmp_path / "ensemble"
-        assert run(["ensemble", "--manifest",
+        assert run(["ensemble", *chained["config"], "--manifest",
                     str(reproduced / "ensemble" / "models.json"),
-                    "--test", str(held_out), "--seed", chained["seed"],
-                    "--out", str(again)]) == 0
+                    "--test", str(held_out), "--out", str(again)]) == 0
         staged = {p.name: p.read_bytes() for p in
                   [*(reproduced / "ensemble").glob("logits_*.csv"),
                    *(reproduced / "ensemble" / "report").iterdir()]}

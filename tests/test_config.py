@@ -343,10 +343,6 @@ class TestHash:
         loaded = load_config(write_config(tmp_path, ""))
         assert config_hash(loaded) == config_hash(PipelineConfig())
 
-    def test_hash_accepts_plain_dict(self):
-        assert config_hash({"a": 1}) == config_hash({"a": 1})
-        assert config_hash({"a": 1}) != config_hash({"a": 2})
-
     def test_digests_are_pinned(self):
         assert config_hash(PipelineConfig()) == \
             "1bd3c4914acf9a2ea70634b239c1a3cd0bf7f0a97febb273151bc793372db6ff"

@@ -85,6 +85,22 @@ class TestEdgeCases:
         np.testing.assert_array_equal(saliency.raw, 0.0)
         np.testing.assert_array_equal(saliency.values, 0.0)
 
+    @pytest.mark.parametrize("target", [0, 3])
+    def test_any_class_map_depends_on_its_head_row_only(self, target):
+        # a caller may explain any class, not only the predicted one;
+        # zeroing every other head row leaves the target's map unchanged
+        beat = np.random.default_rng(7).random(64, dtype=np.float32)
+        model = small_model(seed=1)
+        before = grad_cam(model, beat, target)
+        params = model.parameters()
+        others = [k for k in range(model.descriptor.n_classes) if k != target]
+        params["head.w"].data[others, :] = 0.0
+        params["head.b"].data[others] = 0.0
+        after = grad_cam(model, beat, target)
+        assert after.target_class == target
+        assert before.raw.max() > 0.0
+        np.testing.assert_array_equal(after.raw, before.raw)
+
     def test_target_scaling_scales_raw_but_not_normalized(self):
         # x4 is a power of two, so float32 products scale exactly
         beat = np.random.default_rng(6).random(64, dtype=np.float32)
