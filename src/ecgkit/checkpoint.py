@@ -1,16 +1,17 @@
 """Binary model container.
 
-Layout: the magic string "ECGKIT1", a little-endian u32 length plus JSON
-bytes describing the architecture, a u32 record count, then one record
-per state array in sorted name order. Each record is a u16 name length,
-the UTF-8 name, a u8 rank, the dims as u32 values, and the row-major
-little-endian float32 data, and nothing after the last record. The
-descriptor block alone determines every parameter shape, so metadata
-queries never touch the tensor records.
+Layout: the magic string "ECGKIT2", a little-endian u32 length, a JSON
+header {"arrays": [[name, shape], ...], "descriptor": {...}} with sorted
+keys, then the row-major little-endian float32 data of every state array
+in sorted name order with nothing between them, and last a u32 CRC-32
+(zlib.crc32) of every byte before it.  The descriptor alone determines
+every array's name and shape; the header's arrays list must be the one it
+implies, so a file is never read into the wrong arrays.
 """
 
 import json
 import struct
+import zlib
 
 import numpy as np
 
@@ -18,8 +19,15 @@ from .artifacts import atomic_open, json_fields, json_schema, parse_json
 from .errors import ConfigError, FormatError, IoError
 from .models import ModelDescriptor, build
 
-MAGIC = b"ECGKIT1"
+MAGIC = b"ECGKIT2"
+_HEADER_AT = len(MAGIC) + 4
+_HEADER_SCHEMA = {"arrays": (list,), "descriptor": (dict,)}
 _DESCRIPTOR_SCHEMA = json_schema(ModelDescriptor, ())
+
+
+def _array_list(state):
+    """[[name, shape], ...] of a state dict, in sorted name order."""
+    return [[name, list(np.shape(state[name]))] for name in sorted(state)]
 
 
 def _read_exact(handle, count, what):
@@ -32,49 +40,48 @@ def _read_exact(handle, count, what):
     return data
 
 
-def _read_struct(handle, fmt, what):
-    size = struct.calcsize(fmt)
-    return struct.unpack(fmt, _read_exact(handle, size, what))
-
-
 def save_checkpoint(path, model):
     """Serialize descriptor plus every parameter and running statistic."""
     state = model.state_arrays()
+    header = json.dumps({"arrays": _array_list(state),
+                         "descriptor": model.descriptor.to_dict()},
+                        sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as handle:
-        handle.write(MAGIC)
-        descriptor_json = json.dumps(model.descriptor.to_dict(),
-                                     sort_keys=True).encode("utf-8")
-        handle.write(struct.pack("<I", len(descriptor_json)))
-        handle.write(descriptor_json)
-        handle.write(struct.pack("<I", len(state)))
+        crc = 0
+        for chunk in [MAGIC, struct.pack("<I", len(header)), header]:
+            handle.write(chunk)
+            crc = zlib.crc32(chunk, crc)
         for name in sorted(state):
-            array = np.ascontiguousarray(state[name], dtype="<f4")
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<H", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<B", array.ndim))
-            for dim in array.shape:
-                handle.write(struct.pack("<I", dim))
-            handle.write(array.tobytes())
+            data = np.ascontiguousarray(state[name], dtype="<f4").tobytes()
+            handle.write(data)
+            crc = zlib.crc32(data, crc)
+        handle.write(struct.pack("<I", crc))
     return path
 
 
-def _read_descriptor(handle):
+def _read_header(handle):
+    """(model the header describes, filled with zeros, bytes read)."""
     magic = _read_exact(handle, len(MAGIC), "magic")
     if magic != MAGIC:
         raise FormatError(f"not a model checkpoint: magic {magic!r} != "
                           f"{MAGIC!r}", offset=0)
-    (json_len,) = _read_struct(handle, "<I", "descriptor length")
-    block_start = handle.tell()
-    raw = _read_exact(handle, json_len, "descriptor block")
+    length = _read_exact(handle, 4, "header length")
+    raw = _read_exact(handle, struct.unpack("<I", length)[0], "header")
     try:
-        payload = parse_json(raw, "descriptor", FormatError)
-        return ModelDescriptor(**json_fields(
-            payload, _DESCRIPTOR_SCHEMA, "descriptor", None, FormatError,
-            ("arch",)))
+        header = json_fields(parse_json(raw, "checkpoint header", FormatError),
+                             _HEADER_SCHEMA, "checkpoint header", None,
+                             FormatError, tuple(_HEADER_SCHEMA))
+        descriptor = ModelDescriptor(**json_fields(
+            header["descriptor"], _DESCRIPTOR_SCHEMA, "checkpoint header",
+            "descriptor", FormatError, ("arch",)))
+        model = build(descriptor, seed=None)  # every value is read below
+        if header["arrays"] != _array_list(model.state_arrays()):
+            raise FormatError("its arrays list is not the sorted names and "
+                              "shapes the descriptor implies")
     except (FormatError, ConfigError) as exc:
-        raise FormatError(f"bad descriptor block: {exc}",
-                          offset=block_start) from None
+        raise FormatError(f"bad checkpoint header: {exc}",
+                          offset=_HEADER_AT) from None
+    return model, magic + length + raw
 
 
 def load_checkpoint(path):
@@ -84,47 +91,20 @@ def load_checkpoint(path):
     except OSError as exc:
         raise IoError(f"cannot open checkpoint {path}: {exc}") from None
     with handle:
-        descriptor = _read_descriptor(handle)
-        model = build(descriptor, seed=None)  # every value is read below
-        expected = model.state_arrays()
-
-        (n_records,) = _read_struct(handle, "<I", "record count")
-        if n_records != len(expected):
-            raise FormatError(f"checkpoint holds {n_records} arrays, "
-                              f"descriptor implies {len(expected)}",
-                              offset=handle.tell())
+        model, head = _read_header(handle)
+        crc = zlib.crc32(head)
         arrays = {}
-        for _ in range(n_records):
-            (name_len,) = _read_struct(handle, "<H", "record name length")
-            name_start = handle.tell()
-            try:
-                name = _read_exact(handle, name_len,
-                                   "record name").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"record name is not valid UTF-8: {exc}",
-                                  offset=name_start) from None
-            if name not in expected:
-                raise FormatError(f"unexpected array {name!r} for this "
-                                  "architecture", offset=handle.tell())
-            (ndim,) = _read_struct(handle, "<B", f"rank of {name}")
-            shape = tuple(
-                _read_struct(handle, "<I", f"dim of {name}")[0]
-                for _ in range(ndim))
-            if shape != expected[name].shape:
-                raise FormatError(f"array {name!r} has shape {shape}, "
-                                  f"descriptor implies "
-                                  f"{expected[name].shape}",
-                                  offset=handle.tell())
-            n_bytes = 4 * int(np.prod(shape))
-            raw = _read_exact(handle, n_bytes, f"data of {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        missing = set(expected) - set(arrays)
-        if missing:
-            raise FormatError(f"checkpoint missing arrays: {sorted(missing)}",
-                              offset=handle.tell())
+        for name, zeros in sorted(model.state_arrays().items()):
+            raw = _read_exact(handle, 4 * zeros.size, f"data of {name}")
+            crc = zlib.crc32(raw, crc)
+            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(zeros.shape)
         end = handle.tell()
+        (stored,) = struct.unpack("<I", _read_exact(handle, 4, "checksum"))
+        if stored != crc:
+            raise FormatError(f"checkpoint checksum {stored:#010x} does not "
+                              f"match its contents ({crc:#010x})", offset=end)
         if handle.read(1):
-            raise FormatError("checkpoint has bytes after its last record",
-                              offset=end)
+            raise FormatError("checkpoint has bytes after its checksum",
+                              offset=end + 4)
     model.load_state_arrays(arrays)
     return model

@@ -243,6 +243,11 @@ def _augment(config, dataset, out):
     class counts before and after beside it; returns (balanced, written
     paths).
     """
+    length = dataset.X.shape[1]
+    # checked before the GANs train, which can take hours
+    if length < MIN_INPUT_LEN:
+        raise ConfigError(f"beats are {length} samples long; the models "
+                          f"need >= {MIN_INPUT_LEN}")
     deficits = balance_deficits(dataset, config.gan)
     seed = derive_seed(config.seed, "augment")
 
@@ -402,12 +407,6 @@ def cmd_reproduce(args, command):
                 manifest.add_files([beats_path])
         elif config.beats_csv is not None:
             dataset = read_beats_csv(config.beats_csv)
-            length = dataset.X.shape[1]
-            # checked before the GAN stage, which can run for hours
-            if length < MIN_INPUT_LEN:
-                raise ConfigError(f"beats in {config.beats_csv} are {length} "
-                                  f"samples long; the models need >= "
-                                  f"{MIN_INPUT_LEN}")
         else:
             raise ConfigError("reproduce needs records_dir or beats_csv "
                               "in the config")

@@ -396,6 +396,19 @@ class TestAugment:
                     "--out", str(tmp_path / "o.csv")]) == 3
         capsys.readouterr()
 
+    def test_short_beats_are_config_error_before_any_gan(self, tmp_path,
+                                                        monkeypatch, capsys):
+        def gan_train(*args):
+            raise AssertionError("a GAN trained on beats no model takes")
+
+        monkeypatch.setattr(cli, "gan_train", gan_train)
+        src = imbalanced_csv(tmp_path / "in.csv", length=5)
+        assert run(["augment", "--in", str(src), *one_epoch_gan(tmp_path),
+                    "--out", str(tmp_path / "aug.csv")]) == 3
+        assert "5 samples long" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                               "in.csv"]
+
     def test_gan_section_reaches_gan_train(self, tmp_path, monkeypatch):
         seen = []
         real_gan_train = cli.gan_train
@@ -680,9 +693,9 @@ class TestEvaluate:
                / "model.ckpt").read_bytes()
         start = len(MAGIC) + 4
         (length,) = struct.unpack("<I", raw[len(MAGIC):start])
-        descriptor = json.loads(raw[start:start + length])
-        descriptor[field] = value
-        block = json.dumps(descriptor).encode()
+        header = json.loads(raw[start:start + length])
+        header["descriptor"][field] = value
+        block = json.dumps(header).encode()
         checkpoint = tmp_path / "edited.ckpt"
         checkpoint.write_bytes(raw[:len(MAGIC)] + struct.pack("<I", len(block))
                                + block + raw[start + length:])
