@@ -6,12 +6,18 @@ keys, then the row-major little-endian float32 data of every state array
 in sorted name order with nothing between them, and last a u32 CRC-32
 (zlib.crc32) of every byte before it.  The descriptor alone determines
 every array's name and shape; the header's arrays list must be the one it
-implies, so a file is never read into the wrong arrays.
+implies, so a file is never read into the wrong arrays.  The list must
+also account for every byte of the file before the model is built, and
+building refuses any array the list does not hold, so a descriptor cannot
+make the loader allocate more than the file holds.
 """
 
 import json
+import math
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -59,6 +65,23 @@ def save_checkpoint(path, model):
     return path
 
 
+def _is_entry(entry):
+    """Whether entry is [name, shape] with a list of non-negative ints."""
+    return isinstance(entry, list) and len(entry) == 2 and \
+        isinstance(entry[0], str) and isinstance(entry[1], list) and \
+        all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
+            for n in entry[1])
+
+
+@contextmanager
+def _header_errors():
+    try:
+        yield
+    except (FormatError, ConfigError) as exc:
+        raise FormatError(f"bad checkpoint header: {exc}",
+                          offset=_HEADER_AT) from None
+
+
 def _read_header(handle):
     """(model the header describes, filled with zeros, bytes read)."""
     magic = _read_exact(handle, len(MAGIC), "magic")
@@ -67,20 +90,30 @@ def _read_header(handle):
                           f"{MAGIC!r}", offset=0)
     length = _read_exact(handle, 4, "header length")
     raw = _read_exact(handle, struct.unpack("<I", length)[0], "header")
-    try:
+    with _header_errors():
         header = json_fields(parse_json(raw, "checkpoint header", FormatError),
                              _HEADER_SCHEMA, "checkpoint header", None,
                              FormatError, tuple(_HEADER_SCHEMA))
         descriptor = ModelDescriptor(**json_fields(
             header["descriptor"], _DESCRIPTOR_SCHEMA, "checkpoint header",
             "descriptor", FormatError, ("arch",)))
-        model = build(descriptor, seed=None)  # every value is read below
-        if header["arrays"] != _array_list(model.state_arrays()):
+        arrays = header["arrays"]
+        if not all(_is_entry(entry) for entry in arrays):
+            raise FormatError("its arrays list is not [[name, shape], ...]")
+    end = handle.tell() + 4 * sum(math.prod(shape) for _, shape in arrays)
+    size = os.fstat(handle.fileno()).st_size
+    if size < end + 4:
+        raise FormatError(f"checkpoint truncated: its arrays list and "
+                          f"checksum end at byte {end + 4}", offset=size)
+    if size > end + 4:
+        raise FormatError("checkpoint has bytes after its checksum",
+                          offset=end + 4)
+    with _header_errors():
+        # the list bounds what building allocates
+        model = build(descriptor, seed=None, shapes=dict(arrays))
+        if arrays != _array_list(model.state_arrays()):
             raise FormatError("its arrays list is not the sorted names and "
                               "shapes the descriptor implies")
-    except (FormatError, ConfigError) as exc:
-        raise FormatError(f"bad checkpoint header: {exc}",
-                          offset=_HEADER_AT) from None
     return model, magic + length + raw
 
 
@@ -103,8 +136,5 @@ def load_checkpoint(path):
         if stored != crc:
             raise FormatError(f"checkpoint checksum {stored:#010x} does not "
                               f"match its contents ({crc:#010x})", offset=end)
-        if handle.read(1):
-            raise FormatError("checkpoint has bytes after its checksum",
-                              offset=end + 4)
     model.load_state_arrays(arrays)
     return model

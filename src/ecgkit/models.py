@@ -119,19 +119,27 @@ class Params(dict):
     While declaring, the first read of a name draws its initial value from
     rng, so tensors are drawn in the order the forward pass reads them; with
     rng None it is filled with zeros instead.  Otherwise a read only looks
-    the name up.
+    the name up.  Given shapes, a dict of name -> shape, declaring refuses
+    any array it does not name with that shape before allocating it.
     """
 
     declaring = False
     rng = None
+    shapes = None
 
-    def declare(self, rng, forward, shape):
+    def declare(self, rng, forward, shape, shapes=None):
         """Declare every tensor forward reads: one untaped pass over zeros
-        of shape, after which rng is dropped."""
-        self.declaring, self.rng = True, rng
+        of shape, after which rng and shapes are dropped."""
+        self.declaring, self.rng, self.shapes = True, rng, shapes
         with tk.no_grad():
             forward(Tensor(np.zeros(shape, dtype=np.float32)))
-        self.declaring, self.rng = False, None
+        self.declaring, self.rng, self.shapes = False, None, None
+
+    def admit(self, name, shape):
+        """Refuse to declare name at shape unless shapes lists it so."""
+        if self.shapes is not None and self.shapes.get(name) != list(shape):
+            raise ConfigError(f"its arrays list has no {name} of shape "
+                              f"{list(shape)}, which the descriptor declares")
 
     @contextmanager
     def frozen(self):
@@ -147,6 +155,7 @@ class Params(dict):
 
     def param(self, name, shape):
         if self.declaring and name not in self:
+            self.admit(name, shape)
             if self.rng is None:
                 value = np.zeros(shape, dtype=np.float32)
             else:
@@ -263,7 +272,9 @@ class Model:
         gamma = self.params.param(f"{prefix}.gamma", (channels,))
         beta = self.params.param(f"{prefix}.beta", (channels,))
         if self.params.declaring:  # the buffers come too
-            self.stats.setdefault(prefix, RunningStats(channels))
+            for buffer in ("mean", "var"):
+                self.params.admit(f"{prefix}.{buffer}", (channels,))
+            self.stats[prefix] = RunningStats(channels)
         return tk.batch_norm1d(h, gamma, beta, self.stats[prefix], training,
                                activation=activation)
 
@@ -306,15 +317,17 @@ class Model:
         return out
 
 
-def build(descriptor, seed):
+def build(descriptor, seed, shapes=None):
     """Initialize a model; same descriptor and seed give identical bits.
 
     One eval pass over a MIN_INPUT_LEN beat declares every parameter; no
     shape depends on the beat length.  seed None draws nothing and fills
     the parameters with zeros, for a caller that overwrites every value.
+    shapes, a dict of name -> shape list, bounds what the pass allocates:
+    the first parameter or buffer it does not list so raises ConfigError.
     """
     model = Model(descriptor)
     model.params.declare(
         None if seed is None else np.random.default_rng(seed), model.forward,
-        (1, 1, MIN_INPUT_LEN))
+        (1, 1, MIN_INPUT_LEN), shapes)
     return model

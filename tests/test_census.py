@@ -1,7 +1,7 @@
 """Settings census: every parameter with a default under src/ecgkit must be
 passed by some caller in src/ or bench/, no module there imports or reads
-another module's underscore names, and only artifacts.py writes files or
-parses JSON.
+another module's underscore names, only artifacts.py writes files or
+parses JSON, and the package root re-exports nothing.
 
 A default that no caller overrides is a setting with one value in use and
 belongs in a module constant.  Calls are resolved by the function or class
@@ -12,6 +12,9 @@ parameters, and a store to an attribute of the field's name sets one.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -309,3 +312,51 @@ def test_every_json_read_goes_through_artifacts():
         "with artifacts.json_fields, so every reader decodes UTF-8 and "
         "refuses unknown keys, wrong types and non-finite numbers alike: "
         + ", ".join(f"{m}.{f}" for m, f in found))
+
+
+def root_imports(trees):
+    """Sorted (module, name) for every name a module of trees ({module:
+    syntax tree}) imports from the package root that is neither
+    __version__ nor one of the modules of trees."""
+    allowed = {"__version__", *trees}
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 1 and node.module is None)
+                    or (node.level == 0 and node.module == "ecgkit")):
+                found.update((module, alias.name) for alias in node.names
+                             if alias.name not in allowed)
+    return sorted(found)
+
+
+def test_no_module_imports_a_name_through_the_package_root():
+    found = root_imports({
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))})
+    assert not found, (
+        "import a name from the module that defines it; the root holds "
+        "only __version__: " + ", ".join(f"{m} imports {n}" for m, n in found))
+
+
+def test_root_import_check_finds_a_re_exported_name():
+    trees = {
+        "cli": ast.parse("from . import __version__, tensor\n"
+                         "from . import load_checkpoint\n"),
+        "tensor": ast.parse("from ecgkit import FormatError, cli\n"),
+    }
+    assert root_imports(trees) == [("cli", "load_checkpoint"),
+                                   ("tensor", "FormatError")]
+
+
+def test_importing_the_root_loads_no_submodule():
+    script = ("import sys, ecgkit\n"
+              "print(sorted(m for m in sys.modules if m == 'ecgkit' "
+              "or m.startswith('ecgkit.')))\n"
+              "print(ecgkit.__version__)\n")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True).stdout
+    modules, version = out.splitlines()
+    assert modules == "['ecgkit']"
+    assert version.count(".") == 2

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,12 +197,96 @@ def edit_arrays(header, how):
 
 
 @pytest.mark.parametrize("how", ["renamed", "reordered", "reshaped",
-                                 "short", "long", "descriptor"])
+                                 "descriptor"])
 def test_header_arrays_must_be_the_descriptors(tmp_path, saved, how):
     header = edit_arrays(header_of(saved), how)
     with pytest.raises(FormatError, match="arrays list") as exc:
         load_bytes(tmp_path, with_header(saved, header))
     assert exc.value.offset == HEADER_AT
+
+
+@pytest.mark.parametrize("name", ["block0.conv1.w", "block0.bn1.mean"])
+def test_declare_pass_refuses_an_unlisted_parameter_or_buffer(tmp_path, saved,
+                                                              name):
+    header = header_of(saved)
+    entry = next(entry for entry in header["arrays"] if entry[0] == name)
+    entry[0] += "x"
+    with pytest.raises(FormatError, match=f"no {name} of shape") as exc:
+        load_bytes(tmp_path, with_header(saved, header))
+    assert exc.value.offset == HEADER_AT
+
+
+# a list that accounts for fewer or more bytes than the file holds is
+# refused by its size before any model is built: the file then runs past
+# the checksum the list places, or ends before it
+@pytest.mark.parametrize("how", ["short", "long"])
+def test_header_arrays_must_account_for_the_file_size(tmp_path, saved, how):
+    header = edit_arrays(header_of(saved), how)
+    raw = with_header(saved, header)
+    listed_end = HEADER_AT + len(json.dumps(header, sort_keys=True)) + 4 \
+        + 4 * sum(int(np.prod(shape)) for _, shape in header["arrays"])
+    with pytest.raises(FormatError) as exc:
+        load_bytes(tmp_path, raw)
+    if how == "short":
+        assert "after its checksum" in str(exc.value)
+        assert exc.value.offset == listed_end
+    else:
+        assert "truncated" in str(exc.value)
+        assert exc.value.offset == len(raw) < listed_end
+
+
+@pytest.mark.parametrize("entry", [["a"], ["a", 4], [1, [4]], ["a", [-1]],
+                                   ["a", [2.0]], ["a", [True]], "a"])
+def test_header_arrays_entries_are_names_and_shapes(tmp_path, saved, entry):
+    header = header_of(saved)
+    header["arrays"].append(entry)
+    with pytest.raises(FormatError, match=r"not \[\[name, shape\]") as exc:
+        load_bytes(tmp_path, with_header(saved, header))
+    assert exc.value.offset == HEADER_AT
+
+
+def crafted_resnet1d(tmp_path):
+    """The shipped-size resnet1d checkpoint at seed 5 with a descriptor
+    whose channel plan declares 4.47 GiB in one conv weight, over the
+    file's own arrays list and data, its checksum recomputed."""
+    raw = save_checkpoint(tmp_path / "r.ckpt",
+                          build(ModelDescriptor("resnet1d"), seed=5)) \
+        .read_bytes()
+    header = header_of(raw)
+    header["descriptor"]["channel_plan"] = [20000, 20000, 20000]
+    body = with_header(raw, header)[:-4]
+    path = tmp_path / "crafted.ckpt"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the child sets its own RLIMIT_AS")
+def test_descriptor_larger_than_the_file_exits_4_in_bounded_memory(
+        tmp_path):
+    # the child caps its own address space at 2.5 GB: a loader that builds
+    # the described model first dies there of MemoryError (exit 1, a
+    # traceback), and in this process it would touch gigabytes
+    checkpoint = crafted_resnet1d(tmp_path)
+    beats = write_beats_csv(tmp_path / "beats.csv",
+                            toy_two_class(n_per_class=4, length=187))
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000,) * 2)\n"
+             "from ecgkit import cli\n"
+             "sys.exit(cli.run(sys.argv[1:]))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "evaluate", "--checkpoint",
+         str(checkpoint), "--test", str(beats), "--split", "val",
+         "--out", str(tmp_path / "report")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith(
+        f"ecgkit: FormatError: offset {HEADER_AT}: bad checkpoint header: "
+        "its arrays list has no stem.conv.w of shape [20000, 1, 7]")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "report").exists()
 
 
 def test_magic_is_stable(tmp_path):
